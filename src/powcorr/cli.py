@@ -18,7 +18,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -82,6 +81,97 @@ def _effective_samples(cfg: ExperimentConfig) -> int:
     return cfg.samples
 
 
+def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float) -> dict:
+    r2 = corr.pair_corr(sample, s)
+    ratio = r2 / (2.0 * s)
+    return {"r2": r2, "ratio": ratio, "within_tol": abs(ratio - 1.0) <= tol}
+
+
+def _paircorr_rows(cfg, idx, N, sample) -> list:
+    rows = []
+    for s in cfg.s_grid:
+        row = {"sample": idx, "control": cfg.control, "N": N, "s": s,
+               **_pair_ratio(sample, s, cfg.tol)}
+        if cfg.smoothed:
+            row["r2_inner"] = corr.pair_corr_smoothed(
+                sample, mollify.make_inner(s, N, _delta_arg(cfg)))
+            row["r2_outer"] = corr.pair_corr_smoothed(
+                sample, mollify.make_outer(s, N, _delta_arg(cfg)))
+        rows.append(row)
+    return rows
+
+
+def _sweep_rows(cfg, idx, N, sample) -> list:
+    M = subsequence_index(N)
+    squeeze = ((M + 1) / M) ** 20
+    return [{"sample": idx, "x": str(sample.base), "N": N, "M": M,
+             "squeeze": squeeze, "s": s, **_pair_ratio(sample, s, cfg.tol)}
+            for s in cfg.s_grid]
+
+
+def _spacings_rows(cfg, idx, N, sample) -> list:
+    ecdf = corr.level_spacings(sample)
+    row = {"sample": idx, "N": N,
+           "sup_exponential": corr.spacings_sup_exponential(ecdf),
+           "star_discrepancy": corr.star_discrepancy(sample)}
+    if idx == 0 and N == max(cfg.n_values):
+        # the ECDF table rides along on its row; cmd_spacings detaches it
+        row["ecdf"] = [{"t": float(t), "ecdf": float(f),
+                        "model": 1.0 - math.exp(-float(t))} for t, f in ecdf]
+    return [row]
+
+
+def _triple_rows(cfg, idx, N, sample) -> list:
+    return [{"sample": idx, "N": N, "s1": s, "s2": s,
+             "r3": corr.triple_corr(sample, s, s),
+             "poisson_value": 4.0 * s * s} for s in cfg.s_grid]
+
+
+def _y_rows(cfg, idx, N, sample) -> list:
+    G = mollify.centered(_window(cfg, cfg.s_grid[0], N))
+    return [{"sample": idx, "x": str(sample.base), "k": cfg.k,
+             "y": probe.block_sum_Y(sample, cfg.k, probe.blocks(N), G)}]
+
+
+def _sweep_sample(job: tuple) -> list:
+    """Worker: the rows of one sample index, over every N of the grid.
+
+    Named for its first user, sweep; tools that time jobs wrap this name."""
+    rows_at, cfg, idx = job
+    rows = []
+    for N in cfg.n_values:
+        rows += rows_at(cfg, idx, N, _sample_for(cfg, idx, N))
+    return rows
+
+
+def _run_samples(cfg: ExperimentConfig, rows_at, n_samples: int) -> list:
+    """rows_at(cfg, idx, N, sample) over sample indices 0..n_samples-1 and
+    every N, in that order.
+
+    Each index is one job that builds its point set once per N.  The jobs
+    run in this process for --workers 1 or a single job, else on a pool
+    of --workers processes (default: one per CPU).
+    """
+    jobs = [(rows_at, cfg, idx) for idx in range(n_samples)]
+    if cfg.workers == 1 or len(jobs) == 1:
+        # looked up by name at each call, so a wrapper set on the module
+        # attribute sees every in-process job
+        outcomes = [_sweep_sample(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers or None) as pool:
+            outcomes = list(pool.map(_sweep_sample, jobs))
+    return [row for rows in outcomes for row in rows]
+
+
+def _fractions_within(cfg: ExperimentConfig, rows: list):
+    """(N, s, share of rows within tolerance, row count) per grid point."""
+    for N in cfg.n_values:
+        for s in cfg.s_grid:
+            sel = [r["within_tol"] for r in rows
+                   if r["N"] == N and r["s"] == s]
+            yield N, s, sum(sel) / len(sel), len(sel)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -91,7 +181,10 @@ def cmd_gen(cfg: ExperimentConfig):
         raise UsageError("gen requires --out (path for the sample file)")
     N = cfg.n_values[0]
     sample = _sample_for(cfg, 0, N)
-    hpgen.save_sample(sample, cfg.out)
+    try:
+        hpgen.save_sample(sample, cfg.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write the sample file: {exc}") from None
     results = {"path": cfg.out, "x": str(sample.base), "xi": str(sample.xi),
                "N": sample.n_max, "guard_bits": sample.guard_bits,
                "err_bound": sample.err_bound}
@@ -101,29 +194,10 @@ def cmd_gen(cfg: ExperimentConfig):
 
 
 def cmd_paircorr(cfg: ExperimentConfig):
-    rows = []
     n_samples = _effective_samples(cfg)
-    for idx in range(n_samples):
-        for N in cfg.n_values:
-            sample = _sample_for(cfg, idx, N)
-            for s in cfg.s_grid:
-                r2 = corr.pair_corr(sample, s)
-                ratio = r2 / (2.0 * s)
-                row = {"sample": idx, "control": cfg.control, "N": N,
-                       "s": s, "r2": r2, "ratio": ratio,
-                       "within_tol": abs(ratio - 1.0) <= cfg.tol}
-                if cfg.smoothed:
-                    row["r2_inner"] = corr.pair_corr_smoothed(
-                        sample, mollify.make_inner(s, N, _delta_arg(cfg)))
-                    row["r2_outer"] = corr.pair_corr_smoothed(
-                        sample, mollify.make_outer(s, N, _delta_arg(cfg)))
-                rows.append(row)
-    summary = []
-    for N in cfg.n_values:
-        for s in cfg.s_grid:
-            sel = [r for r in rows if r["N"] == N and r["s"] == s]
-            frac = sum(r["within_tol"] for r in sel) / len(sel)
-            summary.append({"N": N, "s": s, "fraction_within": frac})
+    rows = _run_samples(cfg, _paircorr_rows, n_samples)
+    summary = [{"N": N, "s": s, "fraction_within": frac}
+               for N, s, frac, _ in _fractions_within(cfg, rows)]
     results = {"rows": rows, "summary": summary}
     code = EXIT_OK
     if cfg.control == "nalpha":
@@ -142,31 +216,13 @@ def cmd_paircorr(cfg: ExperimentConfig):
 
 
 def cmd_spacings(cfg: ExperimentConfig):
-    rows, ecdf_rows = [], []
-    for idx in range(_effective_samples(cfg)):
-        for N in cfg.n_values:
-            sample = _sample_for(cfg, idx, N)
-            ecdf = corr.level_spacings(sample)
-            rows.append({"sample": idx, "N": N,
-                         "sup_exponential": corr.spacings_sup_exponential(ecdf),
-                         "star_discrepancy": corr.star_discrepancy(sample)})
-            if idx == 0 and N == max(cfg.n_values):
-                ecdf_rows = [{"t": float(t), "ecdf": float(f),
-                              "model": 1.0 - math.exp(-float(t))}
-                             for t, f in ecdf]
-    results = {"rows": rows, "ecdf": ecdf_rows}
-    return results, ecdf_rows or rows, EXIT_OK
+    rows = _run_samples(cfg, _spacings_rows, _effective_samples(cfg))
+    ecdf_rows = [r.pop("ecdf") for r in rows if "ecdf" in r][-1]
+    return {"rows": rows, "ecdf": ecdf_rows}, ecdf_rows, EXIT_OK
 
 
 def cmd_triple(cfg: ExperimentConfig):
-    rows = []
-    for idx in range(_effective_samples(cfg)):
-        for N in cfg.n_values:
-            sample = _sample_for(cfg, idx, N)
-            for s in cfg.s_grid:
-                r3 = corr.triple_corr(sample, s, s)
-                rows.append({"sample": idx, "N": N, "s1": s, "s2": s,
-                             "r3": r3, "poisson_value": 4.0 * s * s})
+    rows = _run_samples(cfg, _triple_rows, _effective_samples(cfg))
     return {"rows": rows}, rows, EXIT_OK
 
 
@@ -198,11 +254,8 @@ def cmd_fourier_check(cfg: ExperimentConfig):
     s0 = cfg.s_grid[0]
     N0 = max(cfg.n_values)
     G = mollify.centered(_window(cfg, s0, N0))
-    ladder = []
-    L = 16
-    while L <= 1024:
-        ladder.append({"L": L, "sup": fourier.truncation_sup(G, L).sup})
-        L *= 2
+    ladder = [{"L": L, "sup": fourier.truncation_sup(G, L).sup}
+              for L in (16, 32, 64, 128, 256, 512, 1024)]
     monotone = all(b["sup"] <= a["sup"] + 1e-15
                    for a, b in zip(ladder, ladder[1:]))
     results = {"ladder": ladder, "sup_non_increasing": monotone}
@@ -222,21 +275,16 @@ def cmd_fourier_check(cfg: ExperimentConfig):
     return results, ladder, (EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
-def _probe_scheme(cfg: ExperimentConfig) -> probe.BlockScheme:
-    N = cfg.n_values[0]
-    if not is_power(N, 10):
-        raise UsageError(
-            f"probe needs N = K^10 to slice blocks; {N} is not a 10th power")
-    return probe.blocks(N)
-
-
 def cmd_probe(cfg: ExperimentConfig, mode: str):
     A = parse_rational(cfg.A)
     s0 = cfg.s_grid[0]
     N0 = cfg.n_values[0]
 
     if mode in _BLOCK_MODES:
-        scheme = _probe_scheme(cfg)
+        if not is_power(N0, 10):
+            raise UsageError(f"probe needs N = K^10 to slice blocks; {N0} is "
+                             "not a 10th power")
+        scheme = probe.blocks(N0)
         G = mollify.centered(_window(cfg, s0, scheme.N))
 
     if mode == "partition":
@@ -254,11 +302,8 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
         return results, results["runs"], EXIT_OK
 
     if mode == "y":
-        rows = []
-        for idx in range(cfg.samples):
-            sample = _sample_for(cfg, idx, scheme.N)
-            rows.append({"sample": idx, "x": str(sample.base), "k": cfg.k,
-                         "y": probe.block_sum_Y(sample, cfg.k, scheme, G)})
+        rows = _run_samples(dataclasses.replace(cfg, n_values=(scheme.N,)),
+                            _y_rows, cfg.samples)
         _say(f"INFO block sum Y_k at k={cfg.k}, N={scheme.N}: "
              f"max |y| = {max(abs(r['y']) for r in rows):.6g} "
              f"over {len(rows)} samples")
@@ -334,33 +379,10 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
     raise UsageError(f"unknown probe mode {mode!r}")
 
 
-def _ladder_work_units(A_plus_1_log2: float, N: int) -> float:
-    """Coarse operation count for one power ladder: N steps on numbers of
-    about N log2(A+1) bits."""
-    return N * (N * A_plus_1_log2 + 64.0)
-
-
-def _sweep_sample(args: tuple) -> tuple:
-    """Worker: all (N, s) statistics for one seeded x-sample."""
-    (idx, A_str, xi_str, bits, seed, n_values, s_grid, guard, tol) = args
-    A = parse_rational(A_str)
-    x = hpgen.sample_x(A, bits, seed + idx)
-    rows = []
-    for N in n_values:
-        sample = hpgen.ladder_frac_powers(x, parse_rational(xi_str), N, guard)
-        M = subsequence_index(N)
-        squeeze = ((M + 1) / M) ** 20
-        for s in s_grid:
-            r2 = corr.pair_corr(sample, s)
-            ratio = r2 / (2.0 * s)
-            rows.append({"sample": idx, "x": str(x), "N": N, "M": M,
-                         "squeeze": squeeze, "s": s, "r2": r2,
-                         "ratio": ratio,
-                         "within_tol": abs(ratio - 1.0) <= tol})
-    return idx, rows
-
-
 def cmd_sweep(cfg: ExperimentConfig):
+    if cfg.x is not None or cfg.control != "none":
+        raise UsageError("sweep draws its own x per sample; it takes "
+                         "neither --x nor a --control other than none")
     if cfg.samples < 10:
         raise UsageError(
             f"sweep needs at least 10 x-samples, got {cfg.samples}")
@@ -370,8 +392,10 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise UsageError(
                 f"subsequence mode needs every N = M^20, got {bad}")
 
+    # coarse operation count of one sample: a power ladder per N, of N
+    # steps on numbers of about N log2(A+1) bits
     log_a1 = math.log2(float(parse_rational(cfg.A)) + 1.0)
-    per_sample = sum(_ladder_work_units(log_a1, N) for N in cfg.n_values)
+    per_sample = sum(N * (N * log_a1 + 64.0) for N in cfg.n_values)
     budgeted = min(cfg.samples, max(int(cfg.work_cap // per_sample), 0))
     partial = budgeted < cfg.samples
     if budgeted == 0:
@@ -379,25 +403,9 @@ def cmd_sweep(cfg: ExperimentConfig):
             f"work cap {cfg.work_cap} cannot fund even one sample "
             f"(about {per_sample:.3g} units each)")
 
-    workers = cfg.workers or int(os.environ.get("POWCORR_WORKERS", "0")) or None
-    jobs = [(idx, cfg.A, cfg.xi, cfg.mantissa_bits, cfg.seed,
-             tuple(cfg.n_values), tuple(cfg.s_grid), cfg.guard_bits, cfg.tol)
-            for idx in range(budgeted)]
-    if workers == 1 or len(jobs) == 1:
-        outcomes = [_sweep_sample(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_sample, jobs))
-    outcomes.sort(key=lambda t: t[0])
-    rows = [row for _, sample_rows in outcomes for row in sample_rows]
-
-    summary = []
-    for N in cfg.n_values:
-        for s in cfg.s_grid:
-            sel = [r for r in rows if r["N"] == N and r["s"] == s]
-            frac = sum(r["within_tol"] for r in sel) / len(sel)
-            summary.append({"N": N, "s": s, "fraction_within": frac,
-                            "samples": len(sel)})
+    rows = _run_samples(cfg, _sweep_rows, budgeted)
+    summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}
+               for N, s, frac, count in _fractions_within(cfg, rows)]
     top_n = max(cfg.n_values)
     gate = all(item["fraction_within"] >= cfg.q
                for item in summary if item["N"] == top_n)

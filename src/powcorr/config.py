@@ -45,16 +45,9 @@ def _parse_bool(text: str) -> bool:
     raise UsageError(f"cannot parse boolean {text!r}")
 
 
-def _parse_int_list(text) -> tuple:
-    if isinstance(text, (tuple, list)):
-        return tuple(int(v) for v in text)
-    return tuple(int(v) for v in str(text).split(",") if v.strip())
-
-
-def _parse_float_list(text) -> tuple:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v) for v in str(text).split(",") if v.strip())
+def _list_of(kind):
+    """Parser of comma-separated values of one type."""
+    return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
 
 
 @dataclass(frozen=True)
@@ -108,6 +101,8 @@ class ExperimentConfig:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
         if not 0.0 < self.q <= 1.0:
             raise UsageError(f"q must be in (0, 1], got {self.q}")
+        if self.workers is not None and self.workers < 0:
+            raise UsageError(f"workers must be >= 0, got {self.workers}")
 
     def to_json_dict(self) -> dict:
         return {k: (list(v) if isinstance(v, tuple) else v)
@@ -122,16 +117,20 @@ _FIELD_PARSERS = {
     "m2": int, "guard_bits": int, "work_cap": int, "workers": int,
     "q": float, "tol": float,
     "smoothed": _parse_bool, "subsequence": _parse_bool,
-    "n_values": _parse_int_list, "l_values": _parse_int_list,
-    "n_powers": _parse_int_list, "m_powers": _parse_int_list,
-    "s_grid": _parse_float_list,
+    "n_values": _list_of(int), "l_values": _list_of(int),
+    "n_powers": _list_of(int), "m_powers": _list_of(int),
+    "s_grid": _list_of(float),
 }
 
 
 def parse_config_file(path) -> dict:
     """key = value lines; '#' starts a comment; unknown keys rejected."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -162,8 +161,11 @@ def resolve_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
             continue
         if key not in valid:
             raise UsageError(f"unknown option {key!r}")
-        parser = _FIELD_PARSERS[key]
-        merged[key] = parser(val) if isinstance(val, str) else val
+        try:
+            merged[key] = (_FIELD_PARSERS[key](val) if isinstance(val, str)
+                           else val)
+        except ValueError as exc:
+            raise UsageError(f"bad value {val!r} for {key}: {exc}") from None
     return ExperimentConfig(**merged)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,10 +21,10 @@ from .hpgen import UnitSample, ensure_window_resolution
 from .mollify import Mollifier
 
 __all__ = [
-    "CorrelationReport", "PairWindows", "pair_corr", "pair_corr_bruteforce",
+    "PairWindows", "pair_corr", "pair_corr_bruteforce",
     "pair_corr_smoothed", "triple_corr", "level_spacings",
     "spacings_sup_exponential", "star_discrepancy", "control_nalpha",
-    "uniform_control", "build_report",
+    "uniform_control",
 ]
 
 #: largest N the quadratic oracle will accept
@@ -37,14 +37,13 @@ MAX_WINDOW_PAIRS = 80_000_000
 class PairWindows:
     """Candidate close pairs of a sample in sorted order.
 
-    gaps[k] is the forward float gap doubled[j] - ys[i] (with doubled the
-    sorted points followed by the same points + 1.0), a superset of all
+    gaps[k] is the forward float gap doubled[j] - ys[i] (with ys the
+    sorted points and doubled ys followed by ys + 1.0), a superset of all
     pairs at circular distance <= width; callers re-test the exact
     predicate on gaps.  order maps sorted positions back to original
     0-based indices.
     """
 
-    ys: np.ndarray
     order: np.ndarray
     pos_i: np.ndarray
     pos_j: np.ndarray
@@ -77,8 +76,8 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     else:
         pair_j = np.empty(0, dtype=np.int64)
     gaps = doubled[pair_j] - ys[pair_i]
-    return PairWindows(ys=ys, order=order, pos_i=pair_i,
-                       pos_j=pair_j % n, gaps=gaps)
+    return PairWindows(order=order, pos_i=pair_i, pos_j=pair_j % n,
+                       gaps=gaps)
 
 
 def _window(sample: UnitSample, s: float) -> float:
@@ -220,66 +219,3 @@ def uniform_control(N: int, seed: int) -> UnitSample:
     return UnitSample(n_max=N, points=pts, err_bound=0.0,
                       base=DyadicRational.from_int(2),
                       xi=DyadicRational.from_int(1))
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    """Bundle of statistics for one sample across an s-grid."""
-
-    s_grid: tuple
-    r2: tuple
-    spacings_ecdf: np.ndarray | None
-    r3: tuple | None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
-            raise DomainError("s grid must be strictly increasing")
-        if any(v < 0 for v in self.r2):
-            raise DomainError("pair correlation values cannot be negative")
-        if len(self.r2) != len(self.s_grid):
-            raise DomainError("one r2 value per s required")
-        e = self.spacings_ecdf
-        if e is not None:
-            vals = e[:, 1]
-            if np.any(np.diff(vals) < 0) or vals.min() < 0 or vals.max() > 1:
-                raise DomainError("ECDF must be non-decreasing within [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "s_grid": list(self.s_grid),
-            "r2": list(self.r2),
-            "spacings_ecdf": (None if self.spacings_ecdf is None
-                              else self.spacings_ecdf.tolist()),
-            "r3": None if self.r3 is None else [list(r) for r in self.r3],
-            "meta": dict(self.meta),
-        }
-
-    def csv_rows(self) -> list:
-        n = self.meta.get("N")
-        x = self.meta.get("x")
-        return [{"s": s, "r2": r, "N": n, "x": x}
-                for s, r in zip(self.s_grid, self.r2)]
-
-
-def build_report(sample: UnitSample, s_grid, with_spacings: bool = True,
-                 r3_grid=None, meta: dict | None = None) -> CorrelationReport:
-    s_grid = tuple(float(s) for s in s_grid)
-    if not s_grid:
-        raise DomainError("s grid must be non-empty")
-    r2 = tuple(pair_corr(sample, s) for s in s_grid)
-    ecdf = level_spacings(sample) if with_spacings else None
-    r3 = None
-    if r3_grid:
-        r3 = tuple((float(s1), float(s2), triple_corr(sample, s1, s2))
-                   for s1, s2 in r3_grid)
-    base_meta = {
-        "N": sample.n_max,
-        "x": str(sample.base),
-        "xi": str(sample.xi),
-        "err_bound": sample.err_bound,
-    }
-    if meta:
-        base_meta.update(meta)
-    return CorrelationReport(s_grid=s_grid, r2=r2, spacings_ecdf=ecdf,
-                             r3=r3, meta=base_meta)

@@ -91,18 +91,6 @@ class DyadicRational:
     def __str__(self) -> str:
         return f"{self.numerator}/2^{self.exponent}"
 
-    # ---- predicates ----------------------------------------------------
-
-    @property
-    def is_integer(self) -> bool:
-        return self.exponent == 0
-
-    def floor_log2(self) -> int:
-        """floor(log2(value)); requires a positive value."""
-        if self.numerator <= 0:
-            raise DomainError("floor_log2 needs a positive value")
-        return self.numerator.bit_length() - 1 - self.exponent
-
     # ---- arithmetic (exact) ---------------------------------------------
 
     def _align(self, other: "DyadicRational") -> tuple[int, int, int]:
@@ -165,14 +153,3 @@ def as_dyadic(value) -> DyadicRational:
     if isinstance(value, str):
         return DyadicRational.parse(value)
     raise DomainError(f"cannot interpret {value!r} as a dyadic rational")
-
-
-ONE = DyadicRational(1, 0)
-TWO = DyadicRational(2, 0)
-
-
-def ulp_step(mu: int) -> DyadicRational:
-    """The dyadic step 2^(-mu) for mu >= 0."""
-    if mu < 0:
-        raise DomainError("negative mu would give a step above 1")
-    return DyadicRational(1, mu)

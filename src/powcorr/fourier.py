@@ -21,11 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .mollify import CenteredMollifier, centered, make_outer, outer_min_n
+from .mollify import CenteredMollifier, centered, make_outer
 
 __all__ = [
     "FourierTruncation", "TruncationResult", "JacksonReport",
-    "coefficients", "truncation_sup", "jackson_trend", "dirichlet_kernel",
+    "coefficients", "truncation_sup", "jackson_trend",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -85,13 +85,6 @@ class FourierTruncation:
         if self.coeffs.get(0, 0.0) != 0.0:
             raise DomainError("centered source must have zero mean mode")
 
-    def coeff(self, l: int) -> float:
-        return self.coeffs[abs(l)]
-
-    def parseval_sum(self) -> float:
-        """Sum of c_l^2 over |l| <= cutoff."""
-        return 2.0 * sum(v * v for l, v in self.coeffs.items() if l > 0)
-
     def reconstruct_grid(self, grid_size: int) -> np.ndarray:
         """Partial sum sampled at j/grid_size, j = 0..grid_size-1, via FFT."""
         if grid_size < 2 * self.cutoff + 1:
@@ -100,11 +93,6 @@ class FourierTruncation:
         for l, v in self.coeffs.items():
             spec[l] = v * grid_size
         return np.fft.irfft(spec, grid_size)
-
-    def export_text(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            for l in sorted(self.coeffs):
-                fh.write(f"{l} {self.coeffs[l]:.17g}\n")
 
 
 def coefficients(G: CenteredMollifier, L: int) -> FourierTruncation:
@@ -191,19 +179,3 @@ def jackson_trend(s, n_list, cutoff_rule=None) -> JacksonReport:
         envelopes=tuple(envelopes), slope=slope,
         residuals=tuple(float(r) for r in resid),
         passed=slope <= 1.15, sups_non_decreasing=non_decreasing)
-
-
-def dirichlet_kernel(M: int, t):
-    """sin(2 pi (M + 1/2) t) / sin(pi t) with the integer limit 2M + 1."""
-    if M < 0:
-        raise DomainError(f"order must be >= 0, got {M}")
-    if isinstance(t, np.ndarray):
-        r = t - np.round(t)
-        limit = float(2 * M + 1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vals = np.sin(_TWO_PI * (M + 0.5) * r) / np.sin(math.pi * r)
-        return np.where(r == 0.0, limit, vals)
-    r = math.remainder(float(t), 1.0)
-    if r == 0.0:
-        return float(2 * M + 1)
-    return math.sin(_TWO_PI * (M + 0.5) * r) / math.sin(math.pi * r)

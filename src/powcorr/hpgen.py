@@ -245,18 +245,6 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
                       base=x, xi=xi, guard_bits=g)
 
 
-def required_bits(x, N: int, eps: float, margin: int = 16) -> int:
-    """Operand width needed to resolve {xi * x^N} to absolute accuracy eps."""
-    x = as_dyadic(x)
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    if not eps > 0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    if not x > DyadicRational(1, 0):
-        raise DomainError(f"base must exceed 1, got {x}")
-    return ceil_log2_ratio(x, N) + math.ceil(math.log2(N / eps)) + margin
-
-
 def required_guard_bits(sample: UnitSample, s: float) -> int:
     """Least guard-bit count whose ladder bound meets the s/N/100 gate."""
     N = sample.n_max

@@ -243,9 +243,6 @@ class HypothesisReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed(self) -> list:
-        return [c for c in self.checks if not c.passed]
-
 
 def _probe_points(F: Mollifier, count: int, seed: int) -> np.ndarray:
     """Grid plus ramp-focused points, all on a coarse dyadic lattice.

@@ -27,8 +27,8 @@ from .hpgen import UnitSample, ladder_frac_powers, sample_x
 from .corr import forward_window_pairs
 from .mollify import (CenteredMollifier, Mollifier, centered, make_outer,
                       window_fraction)
-from .quad import (DEFAULT_QUAD, QuadConfig, gauss_rule, monotone_root,
-                   oscillatory_power_integral)
+from .quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_rule,
+                   monotone_root, oscillatory_power_integral)
 
 __all__ = [
     "BlockScheme", "FiltrationRun", "FiltrationPartition", "ProbeReport",
@@ -87,16 +87,6 @@ class ProbeReport:
             "detail": self.detail,
         }
 
-    def csv_row(self) -> dict:
-        row = {"quantity": self.quantity}
-        row.update({k: (str(v) if isinstance(v, DyadicRational) else v)
-                    for k, v in self.params.items()})
-        row["measured"] = self.measured[0] if len(self.measured) == 1 else \
-            ";".join(repr(v) for v in self.measured)
-        row["bound"] = self.bound
-        row["verdict"] = self.verdict
-        return row
-
 
 # ---------------------------------------------------------------------------
 # blocks and the dyadic filtration
@@ -122,10 +112,6 @@ class BlockScheme:
         if not 1 <= k <= self.n_blocks:
             raise DomainError(f"block index {k} outside 1..{self.n_blocks}")
         return range((k - 1) * self.K + 1, k * self.K + 1)
-
-    @property
-    def blocks(self) -> tuple:
-        return tuple(self.block(k) for k in range(1, self.n_blocks + 1))
 
 
 def blocks(N: int) -> BlockScheme:
@@ -330,14 +316,8 @@ def block_sum_Y(sample: UnitSample, k: int, scheme: BlockScheme,
 
 
 def _parity_term_counts(scheme: BlockScheme) -> tuple:
-    odd = even = 0
-    for k in range(1, scheme.n_blocks + 1):
-        t = _term_count(k, scheme.K)
-        if k % 2:
-            odd += t
-        else:
-            even += t
-    return odd, even
+    counts = [_term_count(k, scheme.K) for k in range(1, scheme.n_blocks + 1)]
+    return sum(counts[0::2]), sum(counts[1::2])
 
 
 def parity_block_sums(sample: UnitSample, scheme: BlockScheme,
@@ -387,7 +367,7 @@ def _y_at(x: DyadicRational, k: int, scheme: BlockScheme,
 
 
 # ---------------------------------------------------------------------------
-# piecewise integration of F(x^n - x^m) over an interval
+# piecewise integration of products of F(x^n - x^m) over intervals
 # ---------------------------------------------------------------------------
 
 def _powpair(n: int, m: int):
@@ -415,35 +395,41 @@ def _term_cuts(n: int, m: int, lo: float, hi: float, F: Mollifier) -> list:
     return cuts
 
 
-def _integral_F_of_power(n: int, m: int, lo: float, hi: float, F: Mollifier,
-                         nodes: int) -> float:
-    """integral over [lo, hi] of F(x^n - x^m) dx, piecewise exact.
+def _window_integral(terms: tuple, intervals, F: Mollifier,
+                     nodes: int) -> float:
+    """Sum over `intervals` of the integral of the product over (n, m) in
+    `terms` of F(x^n - x^m) dx, piecewise exact.
 
-    Pieces are delimited by the preimages of the window boundaries, so
-    plateau pieces contribute peak * length exactly and ramp pieces are
-    analytic, where a small Gauss rule is already spectral.
+    Pieces are delimited by the preimages of every factor's window
+    boundaries, so plateau pieces contribute peak^len(terms) * length
+    exactly and ramp pieces are analytic, where a small Gauss rule is
+    already spectral.  One running sum takes the pieces in order.
     """
-    if not hi > lo:
-        return 0.0
-    g, _dg = _powpair(n, m)
-    edges = [lo] + _term_cuts(n, m, lo, hi, F) + [hi]
-    peak = float(F.peak)
+    gs = [_powpair(n, m)[0] for n, m in terms]
+    plateau = math.prod(float(F.peak) for _ in terms)
     xs_ref, ws_ref = gauss_rule(nodes)
     total = 0.0
-    for x0, x1 in zip(edges[:-1], edges[1:]):
-        if not x1 > x0:
+    for lo, hi in intervals:
+        if not hi > lo:
             continue
-        gm = g(0.5 * (x0 + x1))
-        u = abs(gm - round(gm))
-        if u >= F.edge_f:
-            continue
-        if u <= F.p_f:
-            total += peak * (x1 - x0)
-            continue
-        half = 0.5 * (x1 - x0)
-        mid = 0.5 * (x1 + x0)
-        pts = mid + half * xs_ref
-        total += half * float(np.dot(ws_ref, F.eval_array(g(pts))))
+        cuts = {c for n, m in terms for c in _term_cuts(n, m, lo, hi, F)}
+        edges = [lo] + sorted(cuts) + [hi]
+        for x0, x1 in zip(edges[:-1], edges[1:]):
+            if not x1 > x0:
+                continue
+            xm = 0.5 * (x0 + x1)
+            u = max(abs(g(xm) - round(g(xm))) for g in gs)
+            if u >= F.edge_f:
+                continue
+            if u <= F.p_f:
+                total += plateau * (x1 - x0)
+                continue
+            half = 0.5 * (x1 - x0)
+            pts = xm + half * xs_ref
+            vals = F.eval_array(gs[0](pts))
+            for g in gs[1:]:
+                vals = vals * F.eval_array(g(pts))
+            total += half * float(np.dot(ws_ref, vals))
     return total
 
 
@@ -460,24 +446,19 @@ def _check_power_scale(top: int, hi: float) -> None:
             "scale (2^45); this probe caps k and A")
 
 
-def _integral_Y(lo: float, hi: float, k: int, scheme: BlockScheme,
-                G: CenteredMollifier, nodes: int) -> float:
-    total = 0.0
-    for n, m in _block_terms(k, scheme.K):
-        total += _integral_F_of_power(n, m, lo, hi, G.base, nodes)
-    return total - G.mean_f * (hi - lo) * _term_count(k, scheme.K)
-
-
 def _integral_Y_certified(lo: float, hi: float, k: int, scheme: BlockScheme,
                           G: CenteredMollifier, cfg: QuadConfig) -> float:
+    """integral over [lo, hi] of Y_k, one window integral per (n, m) term."""
     _check_power_scale(k * scheme.K, hi)
-    coarse = _integral_Y(lo, hi, k, scheme, G, cfg.nodes_per_piece)
-    fine = _integral_Y(lo, hi, k, scheme, G, 2 * cfg.nodes_per_piece)
-    if abs(fine - coarse) > cfg.rel_tol * (abs(fine) + 1e-15):
-        raise NumericalError(
-            "window-piece quadrature failed its doubling check",
-            coarse=coarse, fine=fine)
-    return fine
+
+    def run(nodes: int) -> float:
+        total = 0.0
+        for n, m in _block_terms(k, scheme.K):
+            total += _window_integral(((n, m),), ((lo, hi),), G.base, nodes)
+        return total - G.mean_f * (hi - lo) * _term_count(k, scheme.K)
+
+    return certify(run, cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
+                   "window-piece quadrature")
 
 
 def cond_exp_Z(A, k: int, scheme: BlockScheme, G, atom_index: int,
@@ -702,10 +683,6 @@ class LevelInterval:
         return self.hi - self.lo
 
 
-def _frac_pow(x: Fraction, n: int) -> Fraction:
-    return x ** n if n else Fraction(1)
-
-
 def _dyadic_parts(fr: Fraction) -> tuple:
     den = fr.denominator
     e = den.bit_length() - 1
@@ -781,8 +758,8 @@ def _root_seeds(n: int, m: int, a_f: float, b_f: float,
 def _preimage_intervals(n: int, m: int, a: Fraction, b: Fraction,
                         w: Fraction) -> list:
     """Certified intervals where x^n - x^m lies within w of an integer."""
-    g_a = _frac_pow(a, n) - _frac_pow(a, m)
-    g_b = _frac_pow(b, n) - _frac_pow(b, m)
+    g_a = a ** n - a ** m
+    g_b = b ** n - b ** m
     m_lo, m_hi = math.floor(g_a), math.ceil(g_b)
     w_f = float(w)
     ms = np.arange(m_lo, m_hi + 1, dtype=float)
@@ -833,9 +810,9 @@ def convexity_measure(f_spec, interval, s: float, N: int,
     if not (DyadicRational.from_int(1) < a < b):
         raise DomainError(f"need 1 < a < b, got a={a}, b={b}")
     af, bf = a.as_fraction(), b.as_fraction()
-    deriv_a = n * _frac_pow(af, n - 1) - m * _frac_pow(af, m - 1)
-    curv_a = (n * (n - 1) * _frac_pow(af, n - 2)
-              - m * (m - 1) * _frac_pow(af, m - 2))
+    deriv_a = n * af ** (n - 1) - m * af ** (m - 1)
+    curv_a = (n * (n - 1) * af ** (n - 2)
+              - m * (m - 1) * af ** (m - 2))
     if not deriv_a > 0:
         raise DomainError("f is not strictly increasing at the left end")
     if curv_a < 0:
@@ -867,8 +844,8 @@ def _overlap_threshold(n: int, m1: int, m2: int, A: DyadicRational) -> int:
     the test, so the threshold depends on (m1, m2, A) alone."""
     af = A.as_fraction()
     for m in range(m2 + 1, 501):
-        L = math.floor(_frac_pow(af, m) - _frac_pow(af, m2))
-        if L >= 3 and Fraction(L - 2) ** 2 >= _frac_pow(af, m):
+        L = math.floor(af ** m - af ** m2)
+        if L >= 3 and Fraction(L - 2) ** 2 >= af ** m:
             return m
     raise DomainError("no feasible overlap threshold below 500")
 
@@ -896,46 +873,11 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
     _check_power_scale(n, float(A) + 1.0)
     af = A.as_fraction()
     edge = F.edge                      # exact half-width of the support
-    supports = _preimage_intervals(n, m1, af, af + 1, edge)
-
-    g1, _ = _powpair(n, m1)
-    g2, _ = _powpair(n, m2)
-    peak = float(F.peak)
-
-    def run(nodes: int) -> float:
-        xs_ref, ws_ref = gauss_rule(nodes)
-        total = 0.0
-        for piece in supports:
-            lo, hi = piece.lo, piece.hi
-            if not hi > lo:
-                continue
-            cuts = sorted(set(
-                _term_cuts(n, m1, lo, hi, F) + _term_cuts(n, m2, lo, hi, F)))
-            edges = [lo] + cuts + [hi]
-            for x0, x1 in zip(edges[:-1], edges[1:]):
-                if not x1 > x0:
-                    continue
-                xm = 0.5 * (x0 + x1)
-                u1 = abs(g1(xm) - round(g1(xm)))
-                u2 = abs(g2(xm) - round(g2(xm)))
-                if u1 >= F.edge_f or u2 >= F.edge_f:
-                    continue
-                if u1 <= F.p_f and u2 <= F.p_f:
-                    total += peak * peak * (x1 - x0)
-                    continue
-                half = 0.5 * (x1 - x0)
-                mid = 0.5 * (x1 + x0)
-                pts = mid + half * xs_ref
-                vals = F.eval_array(g1(pts)) * F.eval_array(g2(pts))
-                total += half * float(np.dot(ws_ref, vals))
-        return total
-
-    coarse = run(quad_cfg.nodes_per_piece)
-    fine = run(2 * quad_cfg.nodes_per_piece)
-    if abs(fine - coarse) > quad_cfg.rel_tol * (abs(fine) + 1e-15):
-        raise NumericalError(
-            "overlap quadrature failed its doubling check",
-            coarse=coarse, fine=fine)
+    supports = [(piece.lo, piece.hi)
+                for piece in _preimage_intervals(n, m1, af, af + 1, edge)]
+    fine = certify(
+        lambda nodes: _window_integral(((n, m1), (n, m2)), supports, F, nodes),
+        quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15, "overlap quadrature")
 
     N = F.N
     if m1 == m2:

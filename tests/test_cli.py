@@ -72,6 +72,49 @@ def test_bad_rational_is_a_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("paircorr", "--N", "abc"),
+    ("paircorr", "--s", "x"),
+    ("paircorr", "--config", "/nonexistent"),
+    ("gen", "--x", "3/2", "--N", "5", "--out", "/no/dir/f"),
+], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out"])
+def test_bad_values_and_paths_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize("flags", [("--x", "3/2"), ("--control", "nalpha"),
+                                   ("--control", "uniform")])
+def test_sweep_rejects_a_pinned_x_and_controls(capsys, flags):
+    code, out, err = run(capsys, "sweep", "--N", "200", "--samples", "10",
+                         "--workers", "1", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:") and "sweep" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("paircorr", "--A", "1.02", "--N", "300,500", "--s", "0.5,1",
+     "--samples", "3", "--smoothed"),
+    ("spacings", "--A", "1.02", "--N", "300,500", "--samples", "3"),
+    ("triple", "--control", "uniform", "--N", "300,500", "--s", "0.5,1",
+     "--samples", "3"),
+    ("sweep", "--A", "1.02", "--N", "300", "--s", "0.5,1",
+     "--samples", "10"),
+], ids=["paircorr", "spacings", "triple", "sweep"])
+def test_rows_do_not_depend_on_the_worker_count(capsys, argv):
+    results = []
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code in (0, 1), err
+        results.append(payload_of(out)["results"])
+    assert results[0] == results[1]
+    assert results[0]["rows"]
+
+
 def test_json_and_csv_written_next_to_each_other(tmp_path, capsys):
     prefix = tmp_path / "report"
     code, out, _ = run(capsys, "paircorr", "--control", "uniform",
@@ -181,12 +224,11 @@ def test_sweep_subsequence_mode_requires_twentieth_powers(capsys):
     assert "M^20" in err
 
 
-def test_sweep_gates_on_the_fraction(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("POWCORR_WORKERS", "1")
+def test_sweep_gates_on_the_fraction(tmp_path, capsys):
     prefix = tmp_path / "sw"
     code, _, err = run(capsys, "sweep", "--A", "1.02", "--N", "2000",
                        "--s", "1", "--samples", "10", "--seed", "1",
-                       "--out", str(prefix))
+                       "--workers", "1", "--out", str(prefix))
     assert code == 0
     payload = json.loads((tmp_path / "sw.json").read_text())
     res = payload["results"]
@@ -200,13 +242,12 @@ def test_sweep_gates_on_the_fraction(tmp_path, capsys, monkeypatch):
         r["sample"] for r in res["rows"])
 
 
-def test_sweep_work_cap_yields_partial_report_and_exit_5(tmp_path, capsys,
-                                                         monkeypatch):
-    monkeypatch.setenv("POWCORR_WORKERS", "1")
+def test_sweep_work_cap_yields_partial_report_and_exit_5(tmp_path, capsys):
     prefix = tmp_path / "cap"
     code, _, err = run(capsys, "sweep", "--A", "1.02", "--N", "2000",
                        "--s", "1", "--samples", "12", "--seed", "1",
-                       "--work-cap", "30000000", "--out", str(prefix))
+                       "--workers", "1", "--work-cap", "30000000",
+                       "--out", str(prefix))
     assert code == 5
     payload = json.loads((tmp_path / "cap.json").read_text())
     res = payload["results"]

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, DyadicRational, ResourceError, as_dyadic
-from powcorr.corr import (build_report, control_nalpha, golden_ratio_dyadic,
-                          level_spacings, pair_corr, pair_corr_bruteforce,
+from powcorr.corr import (control_nalpha, golden_ratio_dyadic, level_spacings,
+                          pair_corr, pair_corr_bruteforce,
                           pair_corr_smoothed, spacings_sup_exponential,
                           star_discrepancy, triple_corr, uniform_control)
 from powcorr.hpgen import ladder_frac_powers, sample_x
@@ -156,15 +156,6 @@ def test_triple_corr_matches_slow_loop():
                             and circ_dist(pts[n], pts[m]) <= w:
                         count += 1
         assert triple_corr(sample, s, s) == pytest.approx(count / N)
-
-
-def test_build_report_bundles_everything():
-    sample = uniform_control(500, 11)
-    rep = build_report(sample, (0.5, 1.0), r3_grid=((0.5, 0.5),))
-    assert rep.s_grid == (0.5, 1.0)
-    assert len(rep.r2) == 2
-    assert rep.spacings_ecdf is not None
-    assert rep.r3 is not None
 
 
 @given(st.integers(min_value=3, max_value=300),

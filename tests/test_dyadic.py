@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DyadicRational, DomainError, as_dyadic
-from powcorr.dyadic import ulp_step
 
 
 dyadics = st.builds(DyadicRational,
@@ -72,9 +71,3 @@ def test_float_of_1_02_is_dyadic_but_not_51_over_50():
     assert d.as_fraction() != Fraction(51, 50)
     assert float(d) == 1.02
 
-
-@given(st.integers(min_value=0, max_value=200))
-@settings(max_examples=100, deadline=None)
-def test_ulp_step_is_the_grid_width(mu):
-    step = ulp_step(mu)
-    assert step.as_fraction() == Fraction(1, 2 ** mu)

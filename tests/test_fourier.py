@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from powcorr import DomainError
-from powcorr.fourier import (FourierTruncation, coefficients,
-                             dirichlet_kernel, jackson_trend, truncation_sup)
+from powcorr.fourier import (FourierTruncation, coefficients, jackson_trend,
+                             truncation_sup)
 from powcorr.mollify import centered, make_outer
 
 
@@ -93,15 +93,3 @@ def test_jackson_trend_reports_the_measured_slope():
     # exceeds the 1.15 gate and the trend check reports failure
     assert not rep.passed
 
-
-def test_dirichlet_kernel_integer_limit():
-    for M in (0, 1, 5):
-        assert dirichlet_kernel(M, 0.0) == pytest.approx(2 * M + 1)
-        assert dirichlet_kernel(M, 1.0) == pytest.approx(2 * M + 1)
-
-
-def test_dirichlet_kernel_matches_sum_form():
-    M, t = 4, 0.1375
-    direct = 1.0 + 2.0 * sum(math.cos(2.0 * math.pi * l * t)
-                             for l in range(1, M + 1))
-    assert dirichlet_kernel(M, t) == pytest.approx(direct, rel=1e-12)

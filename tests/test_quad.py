@@ -7,14 +7,16 @@ dense Riemann sum is affordable.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, NumericalError
-from powcorr.quad import (DEFAULT_QUAD, QuadConfig, gauss_rule,
-                          integrate_fixed, monotone_root,
+from powcorr.mollify import centered, make_outer
+from powcorr.probe import blocks, cond_exp_Z, pair_overlap_integral
+from powcorr.quad import (DEFAULT_QUAD, QuadConfig, gauss_rule, monotone_root,
                           oscillatory_power_integral, power_diff)
 
 
@@ -25,19 +27,6 @@ def test_gauss_rule_integrates_polynomials_exactly():
         num = float((ws * xs ** deg).sum())
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert num == pytest.approx(exact, abs=1e-14)
-
-
-def test_integrate_fixed_shifts_to_arbitrary_intervals():
-    val = integrate_fixed(lambda t: t * t, 1.0, 4.0, nodes=8)
-    assert val == pytest.approx((4.0 ** 3 - 1.0) / 3.0, rel=1e-14)
-
-
-def test_integrate_fixed_panels_split_the_interval():
-    one = integrate_fixed(np.exp, 0.0, 3.0, nodes=4, panels=1)
-    many = integrate_fixed(np.exp, 0.0, 3.0, nodes=4, panels=16)
-    exact = math.exp(3.0) - 1.0
-    assert abs(many - exact) < abs(one - exact) + 1e-15
-    assert many == pytest.approx(exact, rel=1e-12)
 
 
 def test_monotone_root_explicit_cube_root():
@@ -129,12 +118,19 @@ def test_quad_config_validates():
     with pytest.raises(DomainError):
         QuadConfig(rel_tol=0.0)
     with pytest.raises(DomainError):
-        QuadConfig(min_nodes=1)
+        QuadConfig(levin_nodes=4)
 
 
 def test_impossible_tolerance_raises_numerical_error():
     # a doubling certificate cannot hold at 1e-30 for a genuinely
-    # oscillatory integrand, so the scheme must refuse, not lie
+    # oscillatory integrand, nor for the window-piece and overlap
+    # quadratures, so every scheme must refuse, not lie
     strict = QuadConfig(rel_tol=1e-30)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="oscillatory quadrature"):
         oscillatory_power_integral(5, 6, 1, 1.5, 2.5, cfg=strict)
+    G = centered(make_outer(1.0, 1024))
+    with pytest.raises(NumericalError, match="window-piece quadrature"):
+        cond_exp_Z(Fraction(3, 2), 1, blocks(1024), G, 0, quad_cfg=strict)
+    with pytest.raises(NumericalError, match="overlap quadrature"):
+        pair_overlap_integral(8, 6, 2, Fraction(3, 2), make_outer(1, 100),
+                              quad_cfg=strict)
