@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -524,7 +525,10 @@ def _emit(command: str, cfg: ExperimentConfig, results: dict,
     payload = {"schema": 1, "command": command,
                "config": cfg.to_json_dict(), "results": results}
     text = json.dumps(payload, indent=2, default=str)
-    if cfg.out and command != "gen":
+    if not cfg.out or command == "gen":
+        print(text)
+        return
+    try:
         with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         if csv_rows:
@@ -533,8 +537,15 @@ def _emit(command: str, cfg: ExperimentConfig, results: dict,
                 writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
                 writer.writeheader()
                 writer.writerows(csv_rows)
-    else:
-        print(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write the --out files: {exc}") from None
+
+
+def _check_out_dir(out: str) -> None:
+    """Refuse an --out in a missing directory before any work runs."""
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise UsageError(f"--out {out}: no directory {folder}")
 
 
 def main(argv=None) -> int:
@@ -542,6 +553,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
+        if cfg.out:
+            _check_out_dir(cfg.out)
         if args.command == "probe":
             results, csv_rows, code = cmd_probe(cfg, args.mode)
         else:

@@ -59,25 +59,30 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     # inflated upper endpoints make the searchsorted cut a strict superset
     # of the exact predicate (doubled[j] - ys[i] <= width)
     hi = np.nextafter(ys + width * (1.0 + 2.0 ** -40), np.inf)
-    ends = np.searchsorted(doubled, hi, side="right")
     starts = np.arange(1, n + 1)
-    ends = np.clip(ends, starts, starts + (n - 1))
-    counts = ends - starts
+    counts = np.clip(np.searchsorted(doubled, hi, side="right"),
+                     starts, starts + (n - 1))
+    del hi
+    counts -= starts
     total = int(counts.sum())
     if total > MAX_WINDOW_PAIRS:
         raise ResourceError(
             f"window enumeration would touch {total} candidate pairs "
             f"(cap {MAX_WINDOW_PAIRS}); narrow the window")
-    pair_i = np.repeat(np.arange(n), counts)
+    # pair k of run i sits at starts[i] + (k - run_starts[i]).  The pair
+    # arrays reach ~10^7 entries at N = 10^6, so each is built in place,
+    # n-sized temporaries are dropped first, and pair_i comes last, once
+    # the gaps no longer need a gathered copy of ys beside it
+    pair_j = np.arange(total)
     if total:
         run_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        offs = np.arange(total) - np.repeat(run_starts, counts)
-        pair_j = np.repeat(starts, counts) + offs
-    else:
-        pair_j = np.empty(0, dtype=np.int64)
-    gaps = doubled[pair_j] - ys[pair_i]
-    return PairWindows(order=order, pos_i=pair_i, pos_j=pair_j % n,
-                       gaps=gaps)
+        pair_j += np.repeat(starts - run_starts, counts)
+        del run_starts
+    gaps = doubled[pair_j]
+    gaps -= np.repeat(ys, counts)
+    np.remainder(pair_j, n, out=pair_j)
+    pair_i = np.repeat(np.arange(n), counts)
+    return PairWindows(order=order, pos_i=pair_i, pos_j=pair_j, gaps=gaps)
 
 
 def _window(sample: UnitSample, s: float) -> float:

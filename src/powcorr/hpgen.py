@@ -4,11 +4,15 @@ Two routes produce a UnitSample:
 
 * exact_frac_powers: exact big-integer arithmetic, intended for moderate N;
   the only error in the stored points is binary64 output rounding.
-* ladder_frac_powers: incremental fixed-point multiplication that keeps, at
-  step n, the full integer part plus F_n fractional bits, where the schedule
-  F_n = ceil((N - n) * log2 x) + g sheds precision exactly as fast as the
-  remaining amplification x^(N-n) decays.  The certified error bound is
-  2^(-g) * N * x / (x - 1) plus one binary64 quantum for output rounding.
+* ladder_frac_powers: a blocked fixed-point ladder.  It keeps the full
+  value xi * x^n, integer part included, with F_n fractional bits, where
+  the schedule F_n = ceil((N - n) * log2 x) + g sheds precision exactly as
+  fast as the remaining amplification x^(N-n) decays.  The full-width value
+  advances once per block of J ~ sqrt(width / e) steps, by one product with
+  p^J (x = p / 2^e, rounded once); the J points of a block come from a
+  window of t + e*J bits of it (t = g + J * ceil(log2 x) + 2), multiplied
+  by p step by step.  The certified error bound is 2^(-g) * N * x / (x - 1)
+  plus one binary64 quantum for output rounding.
 
 Both bases x and seeds xi are dyadic rationals, so every intermediate
 quantity is an integer and the oracle route has no rounding at all before
@@ -68,6 +72,24 @@ def ceil_log2_ratio(x: DyadicRational, mult: int) -> int:
     return ceil_mul_log2(x.numerator, mult) - mult * x.exponent
 
 
+def _ceil_log2_ratios(x: DyadicRational, mults: np.ndarray) -> np.ndarray:
+    """ceil_log2_ratio(x, m) for every m of an int64 array, in one pass.
+
+    The float product m * log2(p) is the one `ceil_mul_log2` forms; only
+    entries within 1e-7 of an integer take its exact scalar path.
+    """
+    p, e = x.numerator, x.exponent
+    if p & (p - 1) == 0:
+        return mults * (p.bit_length() - 1 - e)
+    t = mults * _log2_int(p)
+    floor = np.floor(t)
+    out = floor.astype(np.int64) + 1 - mults * e
+    frac = t - floor
+    for i in np.flatnonzero((frac <= 1e-7) | (frac >= 1.0 - 1e-7)):
+        out[i] = ceil_log2_ratio(x, int(mults[i]))
+    return out
+
+
 @dataclass(frozen=True)
 class PrecisionBudget:
     """Per-step fractional-bit schedule for the ladder.
@@ -82,7 +104,7 @@ class PrecisionBudget:
 
     def __post_init__(self) -> None:
         fb = self.frac_bits
-        if any(fb[i + 1] > fb[i] for i in range(len(fb) - 1)):
+        if fb != tuple(sorted(fb, reverse=True)):
             raise DomainError("precision schedule must be non-increasing")
         if fb and fb[-1] != self.guard_bits:
             raise DomainError("schedule must end at the guard-bit count")
@@ -92,7 +114,8 @@ def precision_budget(x: DyadicRational, N: int, g: int) -> PrecisionBudget:
     x = as_dyadic(x)
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    frac_bits = tuple(ceil_log2_ratio(x, N - n) + g for n in range(1, N + 1))
+    remaining = np.arange(N - 1, -1, -1, dtype=np.int64)  # N - n, n = 1..N
+    frac_bits = tuple((_ceil_log2_ratios(x, remaining) + g).tolist())
     total = ceil_log2_ratio(x, N) + g + 1
     return PrecisionBudget(total_bits=total, guard_bits=g, frac_bits=frac_bits)
 
@@ -149,11 +172,9 @@ def _check_gen_args(x: DyadicRational, xi: DyadicRational, N: int) -> None:
         raise DomainError(f"N must be >= 1, got {N}")
 
 
-def _big_ratio_to_unit_float(num: int, shift: int) -> float:
-    """Correctly rounded num / 2^shift, clamped into [0, 1)."""
-    if num == 0:
-        return 0.0
-    v = num / (1 << shift)
+def _big_ratio_to_unit_float(num: int, den: int) -> float:
+    """Correctly rounded num / den for 0 <= num < den, clamped into [0, 1)."""
+    v = num / den
     return v if v < 1.0 else _ONE_MINUS
 
 
@@ -181,8 +202,8 @@ def exact_frac_powers(x, xi, N: int,
     r = q % full_mod
     for n in range(1, N + 1):
         r = (r * p) % full_mod
-        shift = f + n * e
-        pts[n - 1] = _big_ratio_to_unit_float(r & ((1 << shift) - 1), shift)
+        den = 1 << (f + n * e)
+        pts[n - 1] = _big_ratio_to_unit_float(r & (den - 1), den)
     return UnitSample(n_max=N, points=pts, err_bound=float(FLOAT64_QUANTUM),
                       base=x, xi=xi, guard_bits=0)
 
@@ -211,14 +232,58 @@ def _round_float_up(value: Fraction) -> float:
     return f
 
 
-def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
-    """Sliding-precision fixed-point evaluation of {xi * x^n}, n = 1..N.
+def _block_length(total_bits: int, e: int, N: int) -> int:
+    """Steps per block, J ~ sqrt(total_bits / e), at most N.
 
-    Rounding at step n costs at most 2^(-F_n - 1) and is amplified by the
-    remaining factor x^(N-n) <= 2^ceil((N-n) log2 x), so each step
-    contributes at most 2^(-g-1) to the final error; the stored bound
-    2^(-g) * N * x/(x-1) dominates the total, plus 2^-53 for binary64
-    output rounding.
+    A block costs one full-width product (about total_bits of work besides
+    the multiply) and J window steps of about e * J bits each, so J near
+    sqrt(total_bits / e) balances the two.  An integer base (e = 0) has
+    no window cost to balance and takes J = 1.
+    """
+    if e == 0:
+        return 1
+    return max(1, min(N, math.isqrt(total_bits // e)))
+
+
+def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
+    """Blocked fixed-point evaluation of {xi * x^n}, n = 1..N.
+
+    With x = p / 2^e and xi = q / 2^f, the state V_b, xi * x^b * 2^F_b
+    rounded to an integer (integer part included), is kept only at the
+    block starts b = 1, 1 + J, 1 + 2J, ...; F_b = ceil((N - b) log2 x) + g
+    is the precision schedule and J = `_block_length`.  One full-width
+    product per block advances it:
+
+        V_(b+J) = round(V_b * p^J / 2^(F_b + e*J - F_(b+J))).
+
+    The J outputs n = b + i (0 <= i < J) of a block come from a window
+    of V_b.  Let t = g + J * ceil(log2 x) + 2 and
+    A = floor(V_b * 2^(t - F_b)), exact when F_b <= t, so that
+    V_b = A * 2^(F_b - t) + B with 0 <= B < 2^(F_b - t).  Then
+
+        V_b * p^i / 2^(F_b + e*i)
+            = A * p^i / 2^(t + e*i) + B * p^i / 2^(F_b + e*i),
+
+    and the fractional part of the first term depends only on
+    W = A mod 2^(t + e*J): the rest of A is a multiple of 2^(t + e*J),
+    which contributes the integer p^i * 2^(e*(J - i)) times a whole number.
+    So W is cut out by one shift and one mask, multiplied by p step by
+    step and masked to t + e*J bits, and output n is
+    (W * p^i mod 2^(t + e*i)) / 2^(t + e*i), correctly rounded to binary64.
+
+    Error, in circular distance from {xi * x^n}:
+
+    * rounding: each block start c rounds once, by at most 2^(-F_c - 1)
+      in value; every later product is exact, so at output n >= c that
+      error is amplified to 2^(-F_c - 1) * x^(n - c)
+      <= 2^(-F_c - 1) * x^(N - c) <= 2^(-g - 1), since
+      x^(N - c) <= 2^(F_c - g).  There are ceil(N / J) <= N block starts.
+    * window: dropping B costs less than 2^-t * x^i <= 2^-t * x^J
+      <= 2^(-t + J * ceil(log2 x)) = 2^(-g - 2), and nothing when F_b <= t.
+
+    The total, 2^(-g) * (N/2 + 1/4), is below `ladder_err_bound`,
+    2^(-g) * N * x / (x - 1); the stored bound adds 2^-53 for the
+    binary64 output rounding.
     """
     x = as_dyadic(x)
     xi = as_dyadic(xi)
@@ -231,18 +296,26 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     q, f = xi.numerator, xi.exponent
     budget = precision_budget(x, N, g)
     F = budget.frac_bits
-    pts = np.empty(N, dtype=np.float64)
-    # V approximates the full value xi * x^n scaled by 2^F_n; the integer
-    # part must ride along (x * integer is not an integer), only fractional
-    # bits below the schedule are shed.
+    J = _block_length(budget.total_bits, e, N)
+    t = g + J * ceil_log2_ratio(x, 1) + 2
+    pJ = p ** J
+    keep = (1 << (t + e * J)) - 1
+    masks = [(1 << (t + e * i)) - 1 for i in range(J)]
+    dens = [m + 1 for m in masks]
+    pts = []
     V = _round_shift(q * p, (f + e) - F[0])
-    pts[0] = _big_ratio_to_unit_float(V & ((1 << F[0]) - 1), F[0])
-    for n in range(1, N):
-        V = _round_shift(V * p, F[n - 1] + e - F[n])
-        pts[n] = _big_ratio_to_unit_float(V & ((1 << F[n]) - 1), F[n])
+    for b in range(0, N, J):
+        if b:
+            V = _round_shift(V * pJ, F[b - J] + e * J - F[b])
+        s = F[b] - t
+        W = (V >> s if s >= 0 else V << -s) & keep
+        for mask, den in zip(masks, dens[:N - b]):
+            pts.append(_big_ratio_to_unit_float(W & mask, den))
+            W = (W * p) & keep
     bound = ladder_err_bound(x, N, g) + FLOAT64_QUANTUM
-    return UnitSample(n_max=N, points=pts, err_bound=_round_float_up(bound),
-                      base=x, xi=xi, guard_bits=g)
+    return UnitSample(n_max=N, points=np.array(pts),
+                      err_bound=_round_float_up(bound), base=x, xi=xi,
+                      guard_bits=g)
 
 
 def required_guard_bits(sample: UnitSample, s: float) -> int:

@@ -141,12 +141,25 @@ class Mollifier:
         return slope if r >= 0.0 else -slope
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
+        # in-place ufuncs in the order of the scalar formula:
+        # u = |t - round(t)|, v = clip((u - p) / delta, 0, 1),
+        # peak * (1 - v^2 (3 - 2 v)), then the plateau and the zero tail
         ts = np.asarray(ts, dtype=np.float64)
-        u = np.abs(ts - np.round(ts))
-        v = np.clip((u - self.p_f) / self.delta_f, 0.0, 1.0)
-        vals = self.peak * (1.0 - v * v * (3.0 - 2.0 * v))
-        vals = np.where(u <= self.p_f, self.peak, vals)
-        return np.where(u >= self.edge_f, 0.0, vals)
+        u = np.round(np.atleast_1d(ts))  # an array even for a scalar t
+        np.subtract(ts, u, out=u)
+        np.abs(u, out=u)
+        v = u - self.p_f
+        v /= self.delta_f
+        np.clip(v, 0.0, 1.0, out=v)
+        vals = v * v
+        v *= 2.0
+        np.subtract(3.0, v, out=v)
+        vals *= v
+        np.subtract(1.0, vals, out=vals)
+        vals *= self.peak
+        vals[u <= self.p_f] = self.peak
+        vals[u >= self.edge_f] = 0.0
+        return vals.reshape(ts.shape)
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,26 @@ def test_bad_rational_is_a_usage_error(capsys):
     ("paircorr", "--s", "x"),
     ("paircorr", "--config", "/nonexistent"),
     ("gen", "--x", "3/2", "--N", "5", "--out", "/no/dir/f"),
-], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out"])
+    ("paircorr", "--control", "uniform", "--N", "100", "--samples", "1",
+     "--out", "/no/dir/f"),
+], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
+        "unwritable-out"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def test_a_failed_out_write_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "f.json").mkdir()  # the directory exists; the file cannot
+    code, out, err = run(capsys, "paircorr", "--control", "uniform", "--N",
+                         "100", "--samples", "1", "--out",
+                         str(tmp_path / "f"))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1].startswith("usage error: cannot write")
 
 
 @pytest.mark.parametrize("flags", [("--x", "3/2"), ("--control", "nalpha"),

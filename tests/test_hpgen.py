@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DyadicRational, DomainError, PrecisionError, as_dyadic
-from powcorr.hpgen import (UnitSample, exact_frac_powers, ladder_frac_powers,
-                           load_sample, required_guard_bits, sample_x,
-                           save_sample, ensure_window_resolution)
+from powcorr.hpgen import (UnitSample, _block_length, ceil_log2_ratio,
+                           default_guard_bits, exact_frac_powers,
+                           ladder_frac_powers, load_sample, precision_budget,
+                           required_guard_bits, sample_x, save_sample,
+                           ensure_window_resolution)
 
 
 def frac_oracle(x: DyadicRational, xi: DyadicRational, N: int) -> list:
@@ -110,3 +112,110 @@ def test_window_resolution_guard_rejects_coarse_samples():
                         xi=DyadicRational.from_int(1))
     with pytest.raises(PrecisionError):
         ensure_window_resolution(sample, 1.0)
+
+
+# ---- the blocked ladder -------------------------------------------------
+
+def block_length(x: DyadicRational, N: int, g: int) -> int:
+    """The J the ladder uses for (x, N, g)."""
+    return _block_length(precision_budget(x, N, g).total_bits, x.exponent, N)
+
+
+def assert_matches_oracle(x: DyadicRational, xi, N: int, g=None) -> None:
+    """Ladder points sit within err_bound of the exact oracle, and within
+    the derivation's 2^-g (N/2 + 1/4) plus the two outputs' rounding."""
+    lad = ladder_frac_powers(x, xi, N, g)
+    exact = exact_frac_powers(x, xi, N)
+    d = np.abs(lad.points - exact.points)
+    d = float(np.minimum(d, 1.0 - d).max())
+    assert d <= lad.err_bound + exact.err_bound
+    derived = Fraction(2 * N + 1, 4 << lad.guard_bits) + Fraction(2, 2 ** 53)
+    assert Fraction(d) <= derived
+
+
+BASES = st.one_of(
+    # integer bases (e = 0, J = 1), powers of two among them: exact ties
+    st.sampled_from([2, 3, 4, 7]).map(DyadicRational.from_int),
+    # x = 1 + k / 2^e in (1, 8]
+    st.integers(1, 64).flatmap(lambda e: st.integers(1, 7 << e).map(
+        lambda k, e=e: DyadicRational((1 << e) + k, e))),
+)
+SEEDS = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 1024),
+                         Fraction(2 ** 100 + 1, 2 ** 100), Fraction(3),
+                         Fraction(-3, 4)])
+
+
+@given(BASES, SEEDS, st.one_of(st.integers(1, 300), st.sampled_from([1, 2])),
+       st.sampled_from([32, 40, None]))
+@settings(max_examples=120, deadline=None)
+def test_blocked_ladder_matches_exact_oracle(x, xi, N, g):
+    assert_matches_oracle(x, as_dyadic(xi), N, g)
+
+
+@pytest.mark.parametrize("x", [DyadicRational(3, 1), DyadicRational(129, 7),
+                               sample_x(as_dyadic(1.02), 64, 3),
+                               DyadicRational.from_int(3)],
+                         ids=["3/2", "129/128", "1.02-draw", "3"])
+def test_blocked_ladder_block_edges(x):
+    """N of one block, of one block plus one, and of no whole number of
+    blocks; an integer base steps one at a time (J = 1)."""
+    g = 32
+    Js = {N: block_length(x, N, g) for N in [*range(1, 301), 997, 2000]}
+    sizes = {1, 2} | {N for N, J in Js.items() if N in (J, J + 1)}
+    ragged = [N for N, J in Js.items() if N % J]
+    sizes |= set(ragged[:3] + ragged[-1:])
+    if x.exponent == 0:
+        assert set(Js.values()) == {1}
+    else:
+        assert any(Js[N] > 1 and N % Js[N] for N in sizes)
+    for N in sorted(sizes):
+        for xi in (1, DyadicRational(5, 2)):
+            assert_matches_oracle(x, as_dyadic(xi), N, g)
+
+
+def test_blocked_ladder_tail_windows():
+    """Block starts with F_b below the window's t fraction bits take the
+    window V mod 2^(F_b + e*J) without truncation; several occur here."""
+    x, N, g = DyadicRational(129, 7), 2000, 32
+    budget = precision_budget(x, N, g)
+    J = block_length(x, N, g)
+    t = g + J * ceil_log2_ratio(x, 1) + 2
+    tail = [b for b in range(0, N, J) if budget.frac_bits[b] < t]
+    assert J > 1 and len(tail) > 3
+    assert_matches_oracle(x, as_dyadic(Fraction(5, 4)), N, g)
+
+
+def test_blocked_ladder_suffix_at_sweep_scale():
+    """The last 512 of N = 20000 points, where rounding has built up over
+    every block, against the exact oracle started at x^(N - 512)."""
+    x, N, tail = sample_x(as_dyadic(1.02), 64, 11), 20000, 512
+    lad = ladder_frac_powers(x, 1, N)
+    exact = exact_frac_powers(x, x ** (N - tail), tail)
+    d = np.abs(lad.points[N - tail:] - exact.points)
+    d = np.minimum(d, 1.0 - d)
+    assert float(d.max()) <= lad.err_bound + exact.err_bound
+
+
+def ceil_log2_exact(x: DyadicRational, m: int) -> int:
+    """ceil(m log2 x) from the bit length of p^m - 1."""
+    return (x.numerator ** m - 1).bit_length() - m * x.exponent
+
+
+@pytest.mark.parametrize("x", [
+    DyadicRational(3, 1), sample_x(DyadicRational(3, 1), 48, 9),
+    DyadicRational.from_int(2), DyadicRational.from_int(4),
+    DyadicRational.from_int(5),
+    DyadicRational((1 << 40) + 1, 39), DyadicRational((1 << 40) - 1, 39),
+    # float log2 of 2^60 - 1 is exactly 60.0: every m is a tie that only
+    # the exact path settles (ceil(m log2 p) = 60 m, not 60 m + 1)
+    DyadicRational((1 << 60) - 1, 59),
+], ids=["3/2", "48-bit", "2", "4", "5", "near-tie-above", "near-tie-below",
+        "float-tie"])
+def test_vectorized_precision_budget_matches_scalar_schedule(x):
+    N, g = 700, default_guard_bits(700)
+    budget = precision_budget(x, N, g)
+    scalar = tuple(ceil_log2_ratio(x, N - n) + g for n in range(1, N + 1))
+    assert budget.frac_bits == scalar
+    assert all(type(F) is int for F in budget.frac_bits)
+    assert all(budget.frac_bits[n - 1] == ceil_log2_exact(x, N - n) + g
+               for n in range(1, N + 1, 37))
