@@ -82,22 +82,33 @@ def _effective_samples(cfg: ExperimentConfig) -> int:
     return cfg.samples
 
 
-def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float) -> dict:
-    r2 = corr.pair_corr(sample, s)
+def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float,
+                windows: corr.PairWindows) -> dict:
+    r2 = corr.pair_corr(sample, s, windows)
     ratio = r2 / (2.0 * s)
     return {"r2": r2, "ratio": ratio, "within_tol": abs(ratio - 1.0) <= tol}
 
 
 def _paircorr_rows(cfg, idx, N, sample) -> list:
-    rows = []
+    # every s is checked and every window built before the one window
+    # enumeration, at the widest width; each statistic cuts its own from it
+    widths, smoothed = [], []
     for s in cfg.s_grid:
-        row = {"sample": idx, "control": cfg.control, "N": N, "s": s,
-               **_pair_ratio(sample, s, cfg.tol)}
+        widths.append(corr.window_width(sample, s))
         if cfg.smoothed:
-            row["r2_inner"] = corr.pair_corr_smoothed(
-                sample, mollify.make_inner(s, N, _delta_arg(cfg)))
-            row["r2_outer"] = corr.pair_corr_smoothed(
-                sample, mollify.make_outer(s, N, _delta_arg(cfg)))
+            Fs = (mollify.make_inner(s, N, _delta_arg(cfg)),
+                  mollify.make_outer(s, N, _delta_arg(cfg)))
+            widths += [F.edge_f for F in Fs]
+            smoothed.append(Fs)
+    windows = corr.forward_window_pairs(sample.points, max(widths))
+    rows = []
+    for i, s in enumerate(cfg.s_grid):
+        row = {"sample": idx, "control": cfg.control, "N": N, "s": s,
+               **_pair_ratio(sample, s, cfg.tol, windows)}
+        if cfg.smoothed:
+            inner, outer = smoothed[i]
+            row["r2_inner"] = corr.pair_corr_smoothed(sample, inner, windows)
+            row["r2_outer"] = corr.pair_corr_smoothed(sample, outer, windows)
         rows.append(row)
     return rows
 
@@ -105,8 +116,11 @@ def _paircorr_rows(cfg, idx, N, sample) -> list:
 def _sweep_rows(cfg, idx, N, sample) -> list:
     M = subsequence_index(N)
     squeeze = ((M + 1) / M) ** 20
+    windows = corr.forward_window_pairs(
+        sample.points, max(corr.window_width(sample, s) for s in cfg.s_grid))
     return [{"sample": idx, "x": str(sample.base), "N": N, "M": M,
-             "squeeze": squeeze, "s": s, **_pair_ratio(sample, s, cfg.tol)}
+             "squeeze": squeeze, "s": s,
+             **_pair_ratio(sample, s, cfg.tol, windows)}
             for s in cfg.s_grid]
 
 
@@ -123,8 +137,10 @@ def _spacings_rows(cfg, idx, N, sample) -> list:
 
 
 def _triple_rows(cfg, idx, N, sample) -> list:
+    windows = corr.forward_window_pairs(
+        sample.points, max(corr.window_width(sample, s) for s in cfg.s_grid))
     return [{"sample": idx, "N": N, "s1": s, "s2": s,
-             "r3": corr.triple_corr(sample, s, s),
+             "r3": corr.triple_corr(sample, s, s, windows),
              "poisson_value": 4.0 * s * s} for s in cfg.s_grid]
 
 
@@ -330,7 +346,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
 
     if mode == "moment":
         rep = probe.parity_moment(A, scheme, G, cfg.parity, cfg.mc_samples,
-                                  cfg.seed, cfg.mantissa_bits)
+                                  cfg.seed, cfg.mantissa_bits, cfg.workers)
         _say(f"INFO {cfg.parity}-parity second moment at N={scheme.N}: "
              f"{rep.measured[0]:.6g}")
         return rep.to_json_dict(), None, EXIT_OK
@@ -393,16 +409,23 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise UsageError(
                 f"subsequence mode needs every N = M^20, got {bad}")
 
-    # coarse operation count of one sample: a power ladder per N, of N
-    # steps on numbers of about N log2(A+1) bits
-    log_a1 = math.log2(float(parse_rational(cfg.A)) + 1.0)
-    per_sample = sum(N * (N * log_a1 + 64.0) for N in cfg.n_values)
-    budgeted = min(cfg.samples, max(int(cfg.work_cap // per_sample), 0))
+    # the samples run are the first ones whose ladders, one per N at the
+    # sample's own x, fit the cap by the ladder's modelled cost
+    A = parse_rational(cfg.A)
+    spent = budgeted = 0
+    for idx in range(cfg.samples):
+        x = hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
+        cost = sum(hpgen.ladder_work(x, N, cfg.guard_bits)
+                   for N in cfg.n_values)
+        if spent + cost > cfg.work_cap:
+            break
+        spent += cost
+        budgeted += 1
     partial = budgeted < cfg.samples
     if budgeted == 0:
         raise ResourceError(
             f"work cap {cfg.work_cap} cannot fund even one sample "
-            f"(about {per_sample:.3g} units each)")
+            f"(about {cost:.3g} units each)")
 
     rows = _run_samples(cfg, _sweep_rows, budgeted)
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}

@@ -4,6 +4,15 @@ The pair counter and its quadratic-time oracle are kept predicate-identical:
 both decide membership through the same float subtractions (forward gap
 y_j - y_i, wrapped gap (y_j + 1.0) - y_i) compared against the same window
 w = s/N, so their counts agree exactly, ties included.
+
+A point set is sorted and its close pairs enumerated once, by
+`forward_window_pairs` at the widest window any of its statistics needs;
+`pair_corr`, `pair_corr_smoothed` and `triple_corr` take that enumeration
+and read their own narrower width off it with `PairWindows.cut`, which
+selects exactly the pairs a fresh enumeration at that width would return,
+in the same order.  So every count and every float sum is the one a fresh
+enumeration gives, bit for bit.  Called without one, a statistic
+enumerates at its own width.
 """
 
 from __future__ import annotations
@@ -21,10 +30,10 @@ from .hpgen import UnitSample, ensure_window_resolution
 from .mollify import Mollifier
 
 __all__ = [
-    "PairWindows", "pair_corr", "pair_corr_bruteforce",
-    "pair_corr_smoothed", "triple_corr", "level_spacings",
-    "spacings_sup_exponential", "star_discrepancy", "control_nalpha",
-    "uniform_control",
+    "PairWindows", "forward_window_pairs", "window_width", "pair_corr",
+    "pair_corr_bruteforce", "pair_corr_smoothed", "triple_corr",
+    "level_spacings", "spacings_sup_exponential", "star_discrepancy",
+    "control_nalpha", "uniform_control",
 ]
 
 #: largest N the quadratic oracle will accept
@@ -33,59 +42,110 @@ DEFAULT_ORACLE_CAP = 4000
 MAX_WINDOW_PAIRS = 80_000_000
 
 
+def _reach(ys: np.ndarray, width: float) -> np.ndarray:
+    """Upper endpoint of each sorted point's run at `width`.
+
+    Inflated, so that the runs hold a strict superset of the pairs with
+    doubled[j] - ys[i] <= width."""
+    return np.nextafter(ys + width * (1.0 + 2.0 ** -40), np.inf)
+
+
 @dataclass(frozen=True)
 class PairWindows:
-    """Candidate close pairs of a sample in sorted order.
+    """Candidate close pairs of a sample in sorted order, at one width.
 
-    gaps[k] is the forward float gap doubled[j] - ys[i] (with ys the
-    sorted points and doubled ys followed by ys + 1.0), a superset of all
-    pairs at circular distance <= width; callers re-test the exact
-    predicate on gaps.  order maps sorted positions back to original
-    0-based indices.
+    ys are the sorted points and doubled is ys followed by ys + 1.0.  Run
+    i holds the pairs (i, j) for j = i+1, i+2, ... with doubled[j] <=
+    reach_i (`_reach`), at most n - 1 of them; counts[i] is its length.
+    ends[k] is doubled[j] and gaps[k] the forward float gap
+    doubled[j] - ys[i] of pair k.  The pairs are a superset of those at
+    circular distance <= width; callers re-test the exact predicate on
+    gaps.  pos_i, pos_j and order (sorted position -> original 0-based
+    index) are derived on demand; the statistics read only gaps and
+    counts.
+
+    reach_i grows with the width, so the run of i at a narrower width is
+    a prefix of its run here: the pairs with ends <= reach_i at that
+    width.  `cut` selects them, in the same order, so one enumeration at
+    the widest width serves every narrower one exactly.
     """
 
-    order: np.ndarray
-    pos_i: np.ndarray
-    pos_j: np.ndarray
+    width: float
+    points: np.ndarray
+    ys: np.ndarray
+    counts: np.ndarray
+    ends: np.ndarray
     gaps: np.ndarray
+
+    @property
+    def order(self) -> np.ndarray:
+        """Original index of each sorted position (ties in input order)."""
+        return np.argsort(self.points, kind="stable")
+
+    @property
+    def pos_i(self) -> np.ndarray:
+        """Sorted position of each pair's first point."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
+
+    @property
+    def pos_j(self) -> np.ndarray:
+        """Sorted position of each pair's second point."""
+        n = len(self.counts)
+        # pair k of run i sits at doubled[i + 1 + k - run_starts[i]]
+        pair_j = np.arange(len(self.gaps))
+        if len(pair_j):
+            run_starts = np.cumsum(self.counts) - self.counts
+            pair_j += np.repeat(np.arange(1, n + 1) - run_starts, self.counts)
+        return np.remainder(pair_j, n, out=pair_j)
+
+    def cut(self, width: float):
+        """Index of the pairs that forward_window_pairs(points, width)
+        returns, for width <= self.width, in their order: all of them
+        (a slice) at this width, else a boolean mask."""
+        if width == self.width:
+            return slice(None)
+        if not width < self.width:
+            raise DomainError(
+                f"cannot cut width {width} from pairs enumerated at "
+                f"{self.width}")
+        return self.ends <= np.repeat(_reach(self.ys, width), self.counts)
 
 
 def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     """Enumerate a guaranteed superset of pairs within circular width."""
     n = len(points)
-    order = np.argsort(points, kind="stable")
-    ys = points[order]
+    # the values of points[argsort(points, kind="stable")], without the
+    # permutation, which only `order` needs
+    ys = np.sort(points)
     doubled = np.concatenate([ys, ys + 1.0])
-    # inflated upper endpoints make the searchsorted cut a strict superset
-    # of the exact predicate (doubled[j] - ys[i] <= width)
-    hi = np.nextafter(ys + width * (1.0 + 2.0 ** -40), np.inf)
     starts = np.arange(1, n + 1)
-    counts = np.clip(np.searchsorted(doubled, hi, side="right"),
+    counts = np.clip(np.searchsorted(doubled, _reach(ys, width),
+                                     side="right"),
                      starts, starts + (n - 1))
-    del hi
     counts -= starts
     total = int(counts.sum())
     if total > MAX_WINDOW_PAIRS:
         raise ResourceError(
             f"window enumeration would touch {total} candidate pairs "
             f"(cap {MAX_WINDOW_PAIRS}); narrow the window")
-    # pair k of run i sits at starts[i] + (k - run_starts[i]).  The pair
-    # arrays reach ~10^7 entries at N = 10^6, so each is built in place,
-    # n-sized temporaries are dropped first, and pair_i comes last, once
-    # the gaps no longer need a gathered copy of ys beside it
+    # pair k of run i sits at doubled[starts[i] + (k - run_starts[i])].
+    # The pair arrays reach ~10^7 entries at N = 10^6, so each is built in
+    # place and n-sized temporaries are dropped first
     pair_j = np.arange(total)
     if total:
-        run_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        pair_j += np.repeat(starts - run_starts, counts)
-        del run_starts
-    gaps = doubled[pair_j]
-    gaps -= np.repeat(ys, counts)
-    np.remainder(pair_j, n, out=pair_j)
-    pair_i = np.repeat(np.arange(n), counts)
-    return PairWindows(order=order, pos_i=pair_i, pos_j=pair_j, gaps=gaps)
+        starts -= np.cumsum(counts) - counts
+        pair_j += np.repeat(starts, counts)
+    del starts
+    ends = doubled[pair_j]
+    del pair_j, doubled
+    gaps = ends - np.repeat(ys, counts)
+    return PairWindows(width=width, points=points, ys=ys, counts=counts,
+                       ends=ends, gaps=gaps)
 
 
-def _window(sample: UnitSample, s: float) -> float:
+def window_width(sample: UnitSample, s: float) -> float:
+    """The window s/N of a statistic at scale s, checked: positive, below
+    the wrap-around scale 1/2, and resolved by the sample's err_bound."""
     if not s > 0:
         raise DomainError(f"s must be positive, got {s}")
     w = s / sample.n_max
@@ -96,14 +156,28 @@ def _window(sample: UnitSample, s: float) -> float:
     return w
 
 
-def pair_corr(sample: UnitSample, s: float) -> float:
+def _pairs_at(sample: UnitSample, width: float, windows):
+    """(enumeration, index of its pairs at `width`): `windows`, a wider
+    enumeration of the sample's points, cut to `width`, or with None a
+    fresh enumeration at `width`, read whole."""
+    if windows is None:
+        windows = forward_window_pairs(sample.points, width)
+    elif len(windows.counts) != sample.n_max:
+        raise DomainError(
+            f"pairs enumerated over {len(windows.counts)} points but sample "
+            f"has N = {sample.n_max}")
+    return windows, windows.cut(width)
+
+
+def pair_corr(sample: UnitSample, s: float,
+              windows: PairWindows | None = None) -> float:
     """Ordered pairs at circular distance <= s/N, divided by N.
 
     Sorted windowed enumeration; ties at exactly s/N count as inside.
     """
-    w = _window(sample, s)
-    pw = forward_window_pairs(sample.points, w)
-    inside = int(np.count_nonzero(pw.gaps <= w))
+    w = window_width(sample, s)
+    pw, keep = _pairs_at(sample, w, windows)
+    inside = int(np.count_nonzero(pw.gaps[keep] <= w))
     return 2.0 * inside / sample.n_max
 
 
@@ -113,7 +187,7 @@ def pair_corr_bruteforce(sample: UnitSample, s: float,
     n = sample.n_max
     if n > cap:
         raise ResourceError(f"oracle cap is N <= {cap}, got {n}")
-    w = _window(sample, s)
+    w = window_width(sample, s)
     pts = sample.points
     inside_total = 0
     block = max(1, 2_000_000 // max(n, 1))
@@ -127,29 +201,55 @@ def pair_corr_bruteforce(sample: UnitSample, s: float,
     return (inside_total - n) / n  # remove the n diagonal self-pairs
 
 
-def pair_corr_smoothed(sample: UnitSample, F: Mollifier) -> float:
+def pair_corr_smoothed(sample: UnitSample, F: Mollifier,
+                       windows: PairWindows | None = None) -> float:
     """(1/N) * sum over ordered pairs of F(y_n - y_m)."""
     if F.N != sample.n_max:
         raise DomainError(
             f"window built for N = {F.N} but sample has N = {sample.n_max}")
-    pw = forward_window_pairs(sample.points, F.edge_f)
-    return 2.0 * float(F.eval_array(pw.gaps).sum()) / sample.n_max
+    pw, keep = _pairs_at(sample, F.edge_f, windows)
+    return 2.0 * float(F.eval_array(pw.gaps[keep]).sum()) / sample.n_max
 
 
-def triple_corr(sample: UnitSample, s1: float, s2: float) -> float:
+def _run_lengths(counts: np.ndarray, keep) -> np.ndarray:
+    """Pairs per run that `keep` (a slice or a per-pair mask) selects."""
+    if isinstance(keep, slice):
+        return counts
+    # int32 suffices below the MAX_WINDOW_PAIRS cap
+    kept = np.zeros(len(keep) + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    run_ends = np.cumsum(counts)
+    return kept[run_ends] - kept[run_ends - counts]
+
+
+def _degrees(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Pairs in `inside` at each sorted position, as either point.
+
+    Gaps grow along a run, so `inside`, a window test on them, holds a
+    prefix of every run: the pairs (i, j) of run i in it are j = i+1 ..
+    i+c_i.  Position i counts c_i, and the j cover one range of doubled
+    positions, which folds mod n."""
+    n = len(counts)
+    c = _run_lengths(counts, inside)
+    past = np.arange(1, n + 1)
+    past += c
+    cover = np.bincount(past, minlength=2 * n)
+    del past
+    np.negative(cover, out=cover)
+    cover[1:n + 1] += 1
+    np.cumsum(cover, out=cover)
+    return c + cover[:n] + cover[n:]
+
+
+def triple_corr(sample: UnitSample, s1: float, s2: float,
+                windows: PairWindows | None = None) -> float:
     """Pairwise-distinct (l, m, n) with l, n inside m's two windows, over N."""
-    w1 = _window(sample, s1)
-    w2 = _window(sample, s2)
-    n = sample.n_max
-    pw = forward_window_pairs(sample.points, max(w1, w2))
-    deg1 = np.zeros(n)
-    deg2 = np.zeros(n)
-    degmin = np.zeros(n)
-    for w, deg in ((w1, deg1), (w2, deg2), (min(w1, w2), degmin)):
-        inside = pw.gaps <= w
-        np.add.at(deg, pw.pos_i[inside], 1.0)
-        np.add.at(deg, pw.pos_j[inside], 1.0)
-    return float(np.sum(deg1 * deg2 - degmin)) / n
+    w1 = window_width(sample, s1)
+    w2 = window_width(sample, s2)
+    pw, keep = _pairs_at(sample, max(w1, w2), windows)
+    counts = _run_lengths(pw.counts, keep)
+    deg = {w: _degrees(counts, (pw.gaps <= w)[keep]) for w in {w1, w2}}
+    return float(np.sum(deg[w1] * deg[w2] - deg[min(w1, w2)])) / sample.n_max
 
 
 def level_spacings(sample: UnitSample) -> np.ndarray:

@@ -116,8 +116,13 @@ def precision_budget(x: DyadicRational, N: int, g: int) -> PrecisionBudget:
         raise DomainError(f"N must be >= 1, got {N}")
     remaining = np.arange(N - 1, -1, -1, dtype=np.int64)  # N - n, n = 1..N
     frac_bits = tuple((_ceil_log2_ratios(x, remaining) + g).tolist())
-    total = ceil_log2_ratio(x, N) + g + 1
-    return PrecisionBudget(total_bits=total, guard_bits=g, frac_bits=frac_bits)
+    return PrecisionBudget(total_bits=_total_bits(x, N, g), guard_bits=g,
+                           frac_bits=frac_bits)
+
+
+def _total_bits(x: DyadicRational, N: int, g: int) -> int:
+    """Operand width of the ladder: ceil(N log2 x) + g + 1."""
+    return ceil_log2_ratio(x, N) + g + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,6 +250,26 @@ def _block_length(total_bits: int, e: int, N: int) -> int:
     return max(1, min(N, math.isqrt(total_bits // e)))
 
 
+def _block_shape(x: DyadicRational, N: int, g: int,
+                 total_bits: int) -> tuple:
+    """(J, t): the ladder's steps per block, and the fraction bits
+    t = g + J * ceil(log2 x) + 2 of a block's window."""
+    J = _block_length(total_bits, x.exponent, N)
+    return J, g + J * ceil_log2_ratio(x, 1) + 2
+
+
+def ladder_work(x, N: int, g: int | None = None) -> int:
+    """Modelled cost of `ladder_frac_powers(x, xi, N, g)` in bit operations:
+    ceil(N / J) full-width products of total_bits each, plus N window
+    steps of t + e*J bits each, with the ladder's own J and t."""
+    x = as_dyadic(x)
+    if g is None:
+        g = default_guard_bits(N)
+    total = _total_bits(x, N, g)
+    J, t = _block_shape(x, N, g, total)
+    return -(-N // J) * total + N * (t + x.exponent * J)
+
+
 def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     """Blocked fixed-point evaluation of {xi * x^n}, n = 1..N.
 
@@ -296,8 +321,7 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     q, f = xi.numerator, xi.exponent
     budget = precision_budget(x, N, g)
     F = budget.frac_bits
-    J = _block_length(budget.total_bits, e, N)
-    t = g + J * ceil_log2_ratio(x, 1) + 2
+    J, t = _block_shape(x, N, g, budget.total_bits)
     pJ = p ** J
     keep = (1 << (t + e * J)) - 1
     masks = [(1 << (t + e * i)) - 1 for i in range(J)]

@@ -25,6 +25,9 @@ __all__ = [
     "outer_min_n", "inner_min_n", "window_fraction",
 ]
 
+#: points per block of `Mollifier.eval_array`
+EVAL_BLOCK = 1 << 16
+
 
 def window_fraction(s) -> Fraction:
     """Exact window parameter; floats convert by their exact binary value."""
@@ -141,25 +144,37 @@ class Mollifier:
         return slope if r >= 0.0 else -slope
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
+        """Values at every t of an array (a 0-d array for a scalar t).
+
+        Written block by block into one output array, so the temporaries
+        stay EVAL_BLOCK long whatever the input size."""
+        ts = np.asarray(ts, dtype=np.float64)
+        out = np.empty(ts.shape)
+        flat, flat_out = ts.reshape(-1), out.reshape(-1)
+        for lo in range(0, flat.size, EVAL_BLOCK):
+            self._eval_block(flat[lo:lo + EVAL_BLOCK],
+                             flat_out[lo:lo + EVAL_BLOCK])
+        return out
+
+    def _eval_block(self, t: np.ndarray, out: np.ndarray) -> None:
         # in-place ufuncs in the order of the scalar formula:
         # u = |t - round(t)|, v = clip((u - p) / delta, 0, 1),
         # peak * (1 - v^2 (3 - 2 v)), then the plateau and the zero tail
-        ts = np.asarray(ts, dtype=np.float64)
-        u = np.round(np.atleast_1d(ts))  # an array even for a scalar t
-        np.subtract(ts, u, out=u)
+        u = np.round(t)
+        np.subtract(t, u, out=u)
         np.abs(u, out=u)
         v = u - self.p_f
         v /= self.delta_f
-        np.clip(v, 0.0, 1.0, out=v)
-        vals = v * v
+        np.maximum(v, 0.0, out=v)
+        np.minimum(v, 1.0, out=v)
+        np.multiply(v, v, out=out)
         v *= 2.0
         np.subtract(3.0, v, out=v)
-        vals *= v
-        np.subtract(1.0, vals, out=vals)
-        vals *= self.peak
-        vals[u <= self.p_f] = self.peak
-        vals[u >= self.edge_f] = 0.0
-        return vals.reshape(ts.shape)
+        out *= v
+        np.subtract(1.0, out, out=out)
+        out *= self.peak
+        out[u <= self.p_f] = self.peak
+        out[u >= self.edge_f] = 0.0
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@ from __future__ import annotations
 import math
 import numbers
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -406,6 +408,7 @@ def _window_integral(terms: tuple, intervals, F: Mollifier,
     already spectral.  One running sum takes the pieces in order.
     """
     gs = [_powpair(n, m)[0] for n, m in terms]
+    g0 = gs[0] if len(gs) == 1 else None
     plateau = math.prod(float(F.peak) for _ in terms)
     xs_ref, ws_ref = gauss_rule(nodes)
     total = 0.0
@@ -418,7 +421,12 @@ def _window_integral(terms: tuple, intervals, F: Mollifier,
             if not x1 > x0:
                 continue
             xm = 0.5 * (x0 + x1)
-            u = max(abs(g(xm) - round(g(xm))) for g in gs)
+            # largest distance of a phase at the midpoint to an integer
+            if g0 is not None:
+                v = g0(xm)
+                u = abs(v - round(v))
+            else:
+                u = max(abs(v - round(v)) for v in [g(xm) for g in gs])
             if u >= F.edge_f:
                 continue
             if u <= F.p_f:
@@ -579,19 +587,36 @@ def cond_exp_cross(A, j: int, k: int, scheme: BlockScheme,
 # parity second moments
 # ---------------------------------------------------------------------------
 
+def _parity_draw(job: tuple) -> tuple:
+    """(sum of Y_k over odd k, over even k) at the draw x of one seed."""
+    A, scheme, G, mantissa_bits, seed = job
+    x = sample_x(A, mantissa_bits, seed)
+    return parity_block_sums(ladder_frac_powers(x, 1, scheme.N), scheme, G)
+
+
 def parity_moment_both(A, scheme: BlockScheme, G: CenteredMollifier,
-                       mc_samples: int, seed: int,
-                       mantissa_bits: int = 32) -> dict:
+                       mc_samples: int, seed: int, mantissa_bits: int = 32,
+                       workers: int | None = None) -> dict:
     """Monte Carlo second moments of the odd and even parity sums, sharing
-    one set of draws and one window enumeration per draw."""
+    one set of draws and one window enumeration per draw.
+
+    Draw i uses the seed seed + i.  The draws run in this process for
+    workers = 1, else on a pool of `workers` freshly started processes
+    (None or 0: one per CPU); the squares are summed in draw order either
+    way, so the moments do not depend on the worker count."""
     if mc_samples < 100:
         raise DomainError(f"mc_samples must be >= 100, got {mc_samples}")
+    jobs = [(A, scheme, G, mantissa_bits, seed + i)
+            for i in range(mc_samples)]
+    if workers == 1:
+        sums = [_parity_draw(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers or None,
+                                 mp_context=get_context("spawn")) as pool:
+            sums = list(pool.map(_parity_draw, jobs))
     sq_odd = 0.0
     sq_even = 0.0
-    for i in range(mc_samples):
-        x = sample_x(A, mantissa_bits, seed + i)
-        pts = ladder_frac_powers(x, 1, scheme.N)
-        y_odd, y_even = parity_block_sums(pts, scheme, G)
+    for y_odd, y_even in sums:
         sq_odd += y_odd * y_odd
         sq_even += y_even * y_even
     return {"odd": sq_odd / mc_samples, "even": sq_even / mc_samples}
@@ -599,10 +624,12 @@ def parity_moment_both(A, scheme: BlockScheme, G: CenteredMollifier,
 
 def parity_moment(A, scheme: BlockScheme, G: CenteredMollifier,
                   parity: str, mc_samples: int, seed: int,
-                  mantissa_bits: int = 32) -> ProbeReport:
+                  mantissa_bits: int = 32,
+                  workers: int | None = None) -> ProbeReport:
     if parity not in ("odd", "even"):
         raise DomainError(f"parity must be 'odd' or 'even', got {parity!r}")
-    both = parity_moment_both(A, scheme, G, mc_samples, seed, mantissa_bits)
+    both = parity_moment_both(A, scheme, G, mc_samples, seed, mantissa_bits,
+                              workers)
     measured = both[parity]
     envelope = float(scheme.N) ** 1.1
     return ProbeReport(
@@ -621,8 +648,10 @@ def parity_moment(A, scheme: BlockScheme, G: CenteredMollifier,
 def second_moment_slope(A, s: float, mc_samples: int, seed: int,
                         Ns: tuple = (2 ** 10, 3 ** 10),
                         parity: str = "odd",
-                        mantissa_bits: int = 32) -> tuple:
-    """log-log growth rate of the parity second moment along an N ladder."""
+                        mantissa_bits: int = 32,
+                        workers: int | None = None) -> tuple:
+    """log-log growth rate of the parity second moment along an N ladder;
+    `workers` as in `parity_moment_both`."""
     if len(Ns) < 2:
         raise DomainError("need at least two N values for a slope")
     moments = []
@@ -630,7 +659,7 @@ def second_moment_slope(A, s: float, mc_samples: int, seed: int,
         scheme = blocks(N)
         G = centered(make_outer(s, N))
         both = parity_moment_both(A, scheme, G, mc_samples, seed,
-                                  mantissa_bits)
+                                  mantissa_bits, workers)
         moments.append(both[parity])
     xs = np.log([float(N) for N in sorted(Ns)])
     ys = np.log(np.maximum(moments, 1e-300))

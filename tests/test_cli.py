@@ -128,6 +128,72 @@ def test_rows_do_not_depend_on_the_worker_count(capsys, argv):
     assert results[0]["rows"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("paircorr", "--control", "uniform", "--N", "2000,5000",
+     "--s", "0.5,1,2", "--samples", "3", "--smoothed"),
+    ("paircorr", "--A", "1.02", "--N", "1000", "--s", "0.25,1,3",
+     "--samples", "3", "--smoothed", "--delta", "1/4194304"),
+    ("triple", "--control", "uniform", "--N", "2000,5000",
+     "--s", "0.5,1,2", "--samples", "3"),
+    ("triple", "--A", "1.02", "--N", "1000", "--s", "0.25,1,3",
+     "--samples", "3"),
+], ids=["paircorr-uniform", "paircorr-ladder", "triple-uniform",
+        "triple-ladder"])
+def test_shared_enumeration_rows_are_byte_identical_across_workers(
+        capsys, argv):
+    rows = []
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert code == 0, err
+        rows.append(json.dumps(payload_of(out)["results"]["rows"]))
+    assert rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("argv, point_sets", [
+    (("paircorr", "--smoothed", "--control", "uniform", "--samples", "2"), 4),
+    (("paircorr", "--control", "uniform", "--samples", "1"), 2),
+    (("triple", "--control", "uniform", "--samples", "2"), 4),
+    (("sweep", "--A", "1.02", "--samples", "10"), 20),
+], ids=["paircorr-smoothed", "paircorr", "triple", "sweep"])
+def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
+                                       point_sets):
+    from powcorr import corr
+    widths = []
+    real = corr.forward_window_pairs
+    monkeypatch.setattr(corr, "forward_window_pairs",
+                        lambda pts, w: widths.append(w) or real(pts, w))
+    code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
+                       "--workers", "1")
+    assert code == 0, err
+    assert len(widths) == point_sets
+    # the widest window of the grid: the outer edge of the largest s with
+    # --smoothed, else its s/N
+    from powcorr.mollify import make_outer
+    widest = make_outer(2.0, 2000).edge_f if "--smoothed" in argv else 0.001
+    assert widths[-1] == widest
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("paircorr", "--smoothed", "--s", "0.5,600"), 3),
+    (("paircorr", "--smoothed", "--s", "0.5,x"), 2),
+    (("triple", "--s", "1,500"), 3),
+    (("paircorr", "--s", "0.5,1", "--smoothed", "--delta", "1/64"), 3),
+], ids=["wrap-around-s", "unparsable-s", "triple-wrap-around-s",
+        "ramp-wider-than-plateau"])
+def test_a_bad_s_exits_before_any_enumeration(capsys, monkeypatch, argv,
+                                              code):
+    from powcorr import corr
+    calls = []
+    real = corr.forward_window_pairs
+    monkeypatch.setattr(corr, "forward_window_pairs",
+                        lambda *a: calls.append(a) or real(*a))
+    got, out, err = run(capsys, *argv, "--control", "uniform", "--N", "1000",
+                        "--samples", "1")
+    assert got == code, err
+    assert out == ""
+    assert calls == []
+
+
 def test_json_and_csv_written_next_to_each_other(tmp_path, capsys):
     prefix = tmp_path / "report"
     code, out, _ = run(capsys, "paircorr", "--control", "uniform",
@@ -259,7 +325,7 @@ def test_sweep_work_cap_yields_partial_report_and_exit_5(tmp_path, capsys):
     prefix = tmp_path / "cap"
     code, _, err = run(capsys, "sweep", "--A", "1.02", "--N", "2000",
                        "--s", "1", "--samples", "12", "--seed", "1",
-                       "--workers", "1", "--work-cap", "30000000",
+                       "--workers", "1", "--work-cap", "8000000",
                        "--out", str(prefix))
     assert code == 5
     payload = json.loads((tmp_path / "cap.json").read_text())

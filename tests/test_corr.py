@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, DyadicRational, ResourceError, as_dyadic
-from powcorr.corr import (control_nalpha, golden_ratio_dyadic, level_spacings,
+from powcorr.corr import (control_nalpha, forward_window_pairs,
+                          golden_ratio_dyadic, level_spacings,
                           pair_corr, pair_corr_bruteforce,
                           pair_corr_smoothed, spacings_sup_exponential,
                           star_discrepancy, triple_corr, uniform_control)
@@ -169,3 +170,106 @@ def test_pair_corr_is_symmetric_under_shift(N, seed):
     rot = UnitSample(n_max=N, points=shifted, err_bound=0.0,
                      base=sample.base, xi=sample.xi)
     assert pair_corr(rot, 1.0) == pytest.approx(pair_corr(sample, 1.0))
+
+
+# ---- one enumeration per point set, cut to each width ----------------------
+
+#: edge points: 0, within 2^-50 of 0 and of 1 (wrap-around pairs), 1/2
+EDGE_POINTS = [0.0, 2.0 ** -52, 2.0 ** -50, 0.5, 1.0 - 2.0 ** -50,
+               math.nextafter(1.0, 0.0)]
+
+
+@st.composite
+def shared_enumeration_cases(draw):
+    """(sample, s values): duplicates, edge points and pairs exactly s/N
+    apart; the s values are unsorted and may repeat."""
+    from powcorr.hpgen import UnitSample
+    N = draw(st.sampled_from([8, 16, 32, 37, 50, 64]))
+    s_values = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 3.0]),
+                             min_size=1, max_size=5))
+    # a dyadic grid point y and y + s/N: exact float gaps when N = 2^k
+    grid = [k / 4096 for k in draw(st.lists(st.integers(0, 4095),
+                                            max_size=N // 4))]
+    grid += [(y + s / N) % 1.0 for y in grid for s in s_values[:1]]
+    pts = grid + draw(st.lists(st.sampled_from(EDGE_POINTS), max_size=6))
+    pts += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                         min_size=max(0, N - len(pts)), max_size=N))
+    pts = pts[:N]
+    pts += draw(st.lists(st.sampled_from(pts), min_size=N - len(pts),
+                         max_size=N - len(pts)))       # duplicates
+    sample = UnitSample(n_max=N, points=np.array(pts), err_bound=0.0,
+                        base=DyadicRational.from_int(2),
+                        xi=DyadicRational.from_int(1))
+    return sample, s_values
+
+
+def triple_by_add_at(sample, s1, s2) -> float:
+    """triple_corr's degree count written with np.add.at on a fresh
+    enumeration, as it was before the degrees came from the runs."""
+    w1, w2, n = s1 / sample.n_max, s2 / sample.n_max, sample.n_max
+    pw = forward_window_pairs(sample.points, max(w1, w2))
+    degs = []
+    for w in (w1, w2, min(w1, w2)):
+        deg = np.zeros(n)
+        inside = pw.gaps <= w
+        np.add.at(deg, pw.pos_i[inside], 1.0)
+        np.add.at(deg, pw.pos_j[inside], 1.0)
+        degs.append(deg)
+    return float(np.sum(degs[0] * degs[1] - degs[2])) / n
+
+
+@given(shared_enumeration_cases())
+@settings(max_examples=150, deadline=None)
+def test_cut_reproduces_a_fresh_enumeration(case):
+    sample, s_values = case
+    N = sample.n_max
+    windows = {s: (make_inner(s, N), make_outer(s, N)) for s in s_values}
+    widths = [s / N for s in s_values]
+    widths += [F.edge_f for pair in windows.values() for F in pair]
+    wide = forward_window_pairs(sample.points, max(widths))
+    for w in widths:
+        keep = wide.cut(w)
+        fresh = forward_window_pairs(sample.points, w)
+        # the same pairs in the same order, bit for bit
+        for field in ("gaps", "ends", "pos_i", "pos_j"):
+            got = getattr(wide, field)[keep]
+            want = getattr(fresh, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(wide.order, fresh.order)
+    for s in s_values:
+        assert pair_corr(sample, s, wide) == pair_corr(sample, s)
+        for F in windows[s]:
+            assert (pair_corr_smoothed(sample, F, wide)
+                    == pair_corr_smoothed(sample, F))
+        for s2 in s_values:
+            r3 = triple_corr(sample, s, s2)
+            assert triple_corr(sample, s, s2, wide) == r3
+            assert r3 == triple_by_add_at(sample, s, s2)
+
+
+def test_cut_tests_the_far_end_not_the_gap():
+    """At N = 8, s = 1/4 the run of y = 3 * 2^-58 reaches 0x1.0000000001003p-5;
+    the point one ulp past it is outside the run, yet its float gap from y
+    rounds onto the reach's own gap, so only the far end tells them apart."""
+    from powcorr.hpgen import UnitSample
+    pts = np.array([3 * 2.0 ** -58, float.fromhex("0x1.0000000001004p-5"),
+                    0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
+    sample = UnitSample(n_max=8, points=pts, err_bound=0.0,
+                        base=DyadicRational.from_int(2),
+                        xi=DyadicRational.from_int(1))
+    wide = forward_window_pairs(pts, 0.5 / 8)
+    fresh = forward_window_pairs(pts, 0.25 / 8)
+    keep = wide.cut(0.25 / 8)
+    assert len(wide.gaps[keep]) == len(fresh.gaps) == len(wide.gaps) - 1
+    assert pair_corr(sample, 0.25, wide) == pair_corr(sample, 0.25) == 0.0
+
+
+def test_cut_refuses_a_wider_width_and_another_sample():
+    sample = uniform_control(100, 3)
+    wide = forward_window_pairs(sample.points, 1.0 / 100)
+    with pytest.raises(DomainError):
+        wide.cut(2.0 / 100)
+    with pytest.raises(DomainError):
+        pair_corr(sample, 2.0, wide)
+    with pytest.raises(DomainError):
+        pair_corr(uniform_control(90, 3), 0.5, wide)

@@ -219,3 +219,23 @@ def test_vectorized_precision_budget_matches_scalar_schedule(x):
     assert all(type(F) is int for F in budget.frac_bits)
     assert all(budget.frac_bits[n - 1] == ceil_log2_exact(x, N - n) + g
                for n in range(1, N + 1, 37))
+
+
+def test_ladder_work_charges_the_blocked_ladder():
+    """ceil(N / J) full-width products plus N window steps of t + e*J bits,
+    with the ladder's own J and t."""
+    from powcorr.hpgen import ladder_work
+    for x, N, g in ((DyadicRational(3, 1), 59049, 32),
+                    (sample_x(as_dyadic(1.02), 64, 1), 20000, None),
+                    (DyadicRational(129, 7), 5, 40),
+                    (DyadicRational.from_int(3), 100, None)):
+        g_used = default_guard_bits(N) if g is None else g
+        total = precision_budget(x, N, g_used).total_bits
+        J = block_length(x, N, g_used)
+        t = g_used + J * ceil_log2_ratio(x, 1) + 2
+        assert ladder_work(x, N, g) == (math.ceil(N / J) * total
+                                        + N * (t + x.exponent * J))
+    # a block of J steps costs far less than J full-width steps did
+    x = sample_x(as_dyadic(1.02), 64, 1)
+    assert 3 * ladder_work(x, 20000) < 20000 * precision_budget(
+        x, 20000, default_guard_bits(20000)).total_bits

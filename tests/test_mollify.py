@@ -109,3 +109,36 @@ def test_sandwich_property_random_windows(s, N):
         t = rng.uniform(-0.6, 0.6)
         chi = chi_indicator(t, s, N)
         assert Fi.eval(t) - 1e-15 <= chi <= Fo.eval(t) + 1e-15
+
+
+def unblocked_eval(F: Mollifier, ts) -> np.ndarray:
+    """eval_array's formula on the whole input at once."""
+    ts = np.asarray(ts, dtype=np.float64)
+    u = np.abs(ts - np.round(ts))
+    v = np.clip((u - F.p_f) / F.delta_f, 0.0, 1.0)
+    vals = F.peak * (1.0 - v * v * (3.0 - 2.0 * v))
+    return np.where(u >= F.edge_f, 0.0, np.where(u <= F.p_f, F.peak, vals))
+
+
+def test_blockwise_eval_array_matches_the_unblocked_formula():
+    from powcorr.mollify import EVAL_BLOCK
+    F = make_outer(1.0, 1000)
+    rng = np.random.default_rng(5)
+    for size in (1, EVAL_BLOCK - 1, EVAL_BLOCK, EVAL_BLOCK + 1,
+                 2 * EVAL_BLOCK + 3):
+        # ramp points on both sides, far points and exact edges
+        ts = rng.uniform(-2.5e-3, 2.5e-3, size) + rng.integers(-2, 3, size)
+        ts[::7] = F.edge_f
+        ts[1::11] = -F.p_f
+        got = F.eval_array(ts)
+        assert got.shape == ts.shape
+        assert got.tobytes() == unblocked_eval(F, ts).tobytes()
+    grid = rng.uniform(-1.0, 1.0, (3, EVAL_BLOCK + 5))
+    for ts in (grid, grid[:, ::2], grid.T):          # 2-d, strided
+        got = F.eval_array(ts)
+        assert got.shape == ts.shape
+        assert got.tobytes() == unblocked_eval(F, ts).tobytes()
+    for t in (0.0, F.p_f, 0.5 * (F.p_f + F.edge_f), 0.3):
+        got = F.eval_array(t)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got.tobytes() == unblocked_eval(F, t).tobytes()

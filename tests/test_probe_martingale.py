@@ -156,6 +156,20 @@ def test_parity_moment_locked_values(scheme, G):
     assert rep.measured[0] == pytest.approx(482.7694507420416, rel=1e-9)
 
 
+def test_parity_moment_draws_on_a_pool_sum_in_draw_order(scheme, G):
+    # the one-process loop the pool replaced, summing squares in draw order
+    sq_odd = sq_even = 0.0
+    for i in range(100):
+        draw = ladder_frac_powers(sample_x(A32, 32, 31 + i), 1, scheme.N)
+        y_odd, y_even = parity_block_sums(draw, scheme, G)
+        sq_odd += y_odd * y_odd
+        sq_even += y_even * y_even
+    want = {"odd": sq_odd / 100, "even": sq_even / 100}
+    for workers in (1, 2, None):
+        assert parity_moment_both(A32, scheme, G, 100, 31,
+                                  workers=workers) == want
+
+
 def test_parity_moment_validates_inputs(scheme, G):
     with pytest.raises(DomainError):
         parity_moment(A32, scheme, G, "both", 100, 31)
