@@ -271,7 +271,7 @@ def cmd_fourier_check(cfg: ExperimentConfig):
     s0 = cfg.s_grid[0]
     N0 = max(cfg.n_values)
     G = mollify.centered(_window(cfg, s0, N0))
-    ladder = [{"L": L, "sup": fourier.truncation_sup(G, L).sup}
+    ladder = [{"L": L, "sup": fourier.truncation_sup(G, L)}
               for L in (16, 32, 64, 128, 256, 512, 1024)]
     monotone = all(b["sup"] <= a["sup"] + 1e-15
                    for a, b in zip(ladder, ladder[1:]))

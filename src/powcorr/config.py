@@ -8,10 +8,9 @@ command line, and is embedded verbatim in every emitted report.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict, fields
-from fractions import Fraction
 
-from .dyadic import DyadicRational, as_dyadic
-from .errors import PowcorrError
+from .dyadic import DyadicRational
+from .errors import DomainError, PowcorrError
 
 __all__ = ["ExperimentConfig", "UsageError", "parse_rational",
            "parse_config_file", "resolve_config", "is_power",
@@ -23,16 +22,13 @@ class UsageError(PowcorrError, ValueError):
 
 
 def parse_rational(text) -> DyadicRational:
-    """Dyadic value from "p/q" (exact, must be dyadic) or a decimal
-    literal (read as the nearest binary64, hence always dyadic)."""
+    """Dyadic value in the grammar of `DyadicRational.parse`; anything it
+    refuses is a usage error."""
     if isinstance(text, DyadicRational):
         return text
-    s = str(text).strip()
     try:
-        if "/" in s:
-            return as_dyadic(Fraction(s))
-        return as_dyadic(float(s))
-    except (ValueError, ZeroDivisionError) as exc:
+        return DyadicRational.parse(str(text))
+    except DomainError as exc:
         raise UsageError(f"cannot parse rational {text!r}: {exc}") from None
 
 

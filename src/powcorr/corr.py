@@ -294,10 +294,7 @@ def control_nalpha(alpha, N: int) -> UnitSample:
     """Negative control {n * alpha}: exact rational accumulation."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    if isinstance(alpha, DyadicRational):
-        a = alpha.as_fraction()
-    else:
-        a = Fraction(alpha)
+    a = as_dyadic(alpha).as_fraction()
     acc = Fraction(0)
     pts = np.empty(N, dtype=np.float64)
     for i in range(N):
@@ -316,11 +313,21 @@ def golden_ratio_dyadic(bits: int = 64) -> DyadicRational:
 
 
 def uniform_control(N: int, seed: int) -> UnitSample:
-    """Seeded i.i.d. uniform points; the baseline every statistic targets."""
+    """Seeded i.i.d. uniform points; the baseline every statistic targets.
+
+    The points are those of N calls of random.Random(seed).random(), drawn
+    in bulk: a numpy MT19937 takes over that generator's state, and each
+    point is CPython's ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two
+    consecutive 32-bit outputs a, b, exact in binary64."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    rng = random.Random(seed)
-    pts = np.array([rng.random() for _ in range(N)], dtype=np.float64)
+    key = random.Random(seed).getstate()[1]
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937",
+                "state": {"key": np.array(key[:-1], dtype=np.uint32),
+                          "pos": key[-1]}}
+    raw = mt.random_raw(2 * N)
+    pts = ((raw[0::2] >> 5) * 2.0 ** 26 + (raw[1::2] >> 6)) / 2.0 ** 53
     return UnitSample(n_max=N, points=pts, err_bound=0.0,
                       base=DyadicRational.from_int(2),
                       xi=DyadicRational.from_int(1))

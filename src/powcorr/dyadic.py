@@ -8,13 +8,16 @@ and the partition recurrences are all computed without rounding.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
 
-_PARSE_RE = re.compile(r"^\s*(-?\d+)\s*/\s*2\^(\d+)\s*$")
+#: "a" or "a/2^b", read exactly.  b has at most five digits: aligning two
+#: values for a comparison allocates integers of 2^b bits
+_PARSE_RE = re.compile(r"^\s*([-+]?\d+)\s*(?:/\s*2\^(\d{1,5}))?\s*$")
 
 
 @dataclass(frozen=True, order=False)
@@ -65,19 +68,22 @@ class DyadicRational:
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
-        """Accepts 'a/2^b', an integer literal, or a decimal float literal."""
+        """The one grammar for dyadic input: an integer, 'a/2^b' or 'p/q'
+        with q a power of two (all exact), or a finite decimal literal,
+        read as the nearest binary64 and hence dyadic."""
         m = _PARSE_RE.match(text)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        stripped = text.strip()
         try:
-            return cls.from_int(int(stripped))
-        except ValueError:
-            pass
-        try:
-            return cls.from_float(float(stripped))
-        except ValueError:
-            raise DomainError(f"cannot parse dyadic rational from {text!r}") from None
+            if m:
+                return cls(int(m.group(1)), int(m.group(2) or 0))
+            if "/" in text:
+                return cls.from_fraction(Fraction(text))
+            value = float(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            # a DomainError is a ValueError: its message passes unchanged
+            raise DomainError(str(exc)) from None
+        if not math.isfinite(value):
+            raise DomainError(f"{text!r} is not a finite number")
+        return cls.from_float(value)
 
     # ---- conversions ---------------------------------------------------
 

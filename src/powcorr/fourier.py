@@ -24,7 +24,7 @@ from .errors import DomainError
 from .mollify import CenteredMollifier, centered, make_outer
 
 __all__ = [
-    "FourierTruncation", "TruncationResult", "JacksonReport",
+    "FourierTruncation", "JacksonReport",
     "coefficients", "truncation_sup", "jackson_trend",
 ]
 
@@ -65,7 +65,7 @@ def _coefficient_table(G: CenteredMollifier, L: int) -> dict:
         half_red = math.pi * ((l * c) % (2 * d)) / d
         omega = _TWO_PI * l * delta_f
         h = _h_factor(omega, math.sin(half_red), math.cos(half_red))
-        coeffs[l] = F.peak * 2.0 * math.sin(theta) / (math.pi * l) * h
+        coeffs[l] = 2.0 * math.sin(theta) / (math.pi * l) * h
     return coeffs
 
 
@@ -79,7 +79,6 @@ class FourierTruncation:
 
     cutoff: int
     coeffs: dict
-    source: CenteredMollifier
 
     def __post_init__(self) -> None:
         if self.coeffs.get(0, 0.0) != 0.0:
@@ -98,51 +97,38 @@ class FourierTruncation:
 def coefficients(G: CenteredMollifier, L: int) -> FourierTruncation:
     if L < 1:
         raise DomainError(f"cutoff must be >= 1, got {L}")
-    return FourierTruncation(cutoff=L, coeffs=_coefficient_table(G, L),
-                             source=G)
+    return FourierTruncation(cutoff=L, coeffs=_coefficient_table(G, L))
 
 
-@dataclass(frozen=True)
-class TruncationResult:
-    sup: float
-    grid_size: int
-
-
-def truncation_sup(G: CenteredMollifier, L: int,
-                   grid_size: int | None = None) -> TruncationResult:
-    """Sup over a uniform grid of |G - partial Fourier sum up to L|."""
+def truncation_sup(G: CenteredMollifier, L: int) -> float:
+    """Sup of |G - partial Fourier sum up to L| over the uniform grid of
+    max(8L, 4096) points."""
     if L < 0:
         raise DomainError(f"cutoff must be >= 0, got {L}")
-    if grid_size is None:
-        grid_size = max(8 * L, 4096)
-    if grid_size < max(8 * L, 2):
-        raise DomainError(
-            f"grid_size {grid_size} cannot resolve cutoff {L} (need >= {8 * L})")
+    grid_size = max(8 * L, 4096)
     ts = np.arange(grid_size, dtype=np.float64) / grid_size
     gv = G.eval_array(ts)
     if L == 0:
         pv = np.zeros_like(gv)
     else:
         pv = coefficients(G, L).reconstruct_grid(grid_size)
-    return TruncationResult(sup=float(np.abs(gv - pv).max()),
-                            grid_size=grid_size)
+    return float(np.abs(gv - pv).max())
 
 
 @dataclass(frozen=True)
 class JacksonReport:
-    s: Fraction
     n_list: tuple
     cutoffs: tuple
     sups: tuple
     envelopes: tuple
     slope: float
-    residuals: tuple
     passed: bool
     sups_non_decreasing: bool
 
 
-def jackson_trend(s, n_list, cutoff_rule=None) -> JacksonReport:
-    """Fit log(truncation sup) against log(N^2 log L / L).
+def jackson_trend(s, n_list) -> JacksonReport:
+    """Fit log(truncation sup) against log(N^2 log L / L) at the cutoffs
+    L = N^3.
 
     The envelope is the derivative-bound-times-log(L)/L shape; the check
     passes when the fitted slope stays below 1.15, i.e. the measured error
@@ -152,15 +138,11 @@ def jackson_trend(s, n_list, cutoff_rule=None) -> JacksonReport:
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise DomainError(
             f"need at least 3 strictly increasing N values, got {list(ns)}")
-    if cutoff_rule is None:
-        cutoff_rule = lambda n: n ** 3
     sups, cutoffs, envelopes = [], [], []
     for n in ns:
-        L = int(cutoff_rule(n))
-        if L < 1:
-            raise DomainError(f"cutoff rule gave {L} for N = {n}")
+        L = n ** 3
         G = centered(make_outer(s, n))
-        sups.append(truncation_sup(G, L).sup)
+        sups.append(truncation_sup(G, L))
         cutoffs.append(L)
         envelopes.append(n * n * math.log(L) / L)
     usable = [(math.log(e), math.log(v))
@@ -172,10 +154,8 @@ def jackson_trend(s, n_list, cutoff_rule=None) -> JacksonReport:
     ys = np.array([u[1] for u in usable])
     xc = xs - xs.mean()
     slope = float(np.dot(xc, ys - ys.mean()) / np.dot(xc, xc))
-    resid = ys - (ys.mean() + slope * xc)
     non_decreasing = all(b >= a for a, b in zip(sups, sups[1:]))
     return JacksonReport(
-        s=Fraction(s), n_list=ns, cutoffs=tuple(cutoffs), sups=tuple(sups),
-        envelopes=tuple(envelopes), slope=slope,
-        residuals=tuple(float(r) for r in resid),
-        passed=slope <= 1.15, sups_non_decreasing=non_decreasing)
+        n_list=ns, cutoffs=tuple(cutoffs), sups=tuple(sups),
+        envelopes=tuple(envelopes), slope=slope, passed=slope <= 1.15,
+        sups_non_decreasing=non_decreasing)

@@ -146,7 +146,8 @@ class UnitSample:
         if pts.ndim != 1 or len(pts) != self.n_max:
             raise DomainError(
                 f"expected {self.n_max} points, got shape {pts.shape}")
-        if len(pts) and (pts.min() < 0.0 or pts.max() >= 1.0):
+        # a NaN fails both comparisons, so it is refused with the rest
+        if not np.all((pts >= 0.0) & (pts < 1.0)):
             raise DomainError("all points must lie in [0, 1)")
         if not (math.isfinite(self.err_bound) and self.err_bound >= 0.0):
             raise DomainError(f"bad err_bound {self.err_bound}")
@@ -383,18 +384,3 @@ def save_sample(sample: UnitSample, path) -> None:
             f"g={sample.guard_bits} err_bound={sample.err_bound:.17g}\n")
         for v in sample.points:
             fh.write(f"{v:.17g}\n")
-
-
-def load_sample(path) -> UnitSample:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        fields = dict(item.split("=", 1) for item in header)
-        pts = [float(line) for line in fh if line.strip()]
-    return UnitSample(
-        n_max=int(fields["N"]),
-        points=np.array(pts, dtype=np.float64),
-        err_bound=float(fields["err_bound"]),
-        base=DyadicRational.parse(fields["x"]),
-        xi=DyadicRational.parse(fields["xi"]),
-        guard_bits=int(fields["g"]),
-    )

@@ -11,7 +11,7 @@ makes integrals closed-form identities rather than quadrature results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -58,9 +58,8 @@ class Mollifier:
     """Even, 1-periodic plateau/ramp window.
 
     p is the plateau half-width, delta the ramp width; the support is
-    contained in the integers plus [-(p + delta), p + delta].  peak is the
-    plateau value, 1 for the genuine families (other values exist only so
-    tests can plant defects).
+    contained in the integers plus [-(p + delta), p + delta].  The plateau
+    value is 1.
     """
 
     s: Fraction
@@ -68,7 +67,6 @@ class Mollifier:
     delta: Fraction
     flavor: str
     p: Fraction
-    peak: float = 1.0
 
     def __post_init__(self) -> None:
         if self.flavor not in ("inner", "outer"):
@@ -92,19 +90,18 @@ class Mollifier:
 
     @property
     def integral(self) -> Fraction:
-        """Exact integral over one period: peak * (2p + delta)."""
-        return Fraction(self.peak) * (2 * self.p + self.delta)
+        """Exact integral over one period: 2p + delta."""
+        return 2 * self.p + self.delta
 
     @property
     def integral_sq(self) -> Fraction:
         """Exact integral of the square: each ramp contributes 13/35 * delta."""
-        return Fraction(self.peak) ** 2 * (
-            2 * self.p + 2 * Fraction(13, 35) * self.delta)
+        return 2 * self.p + 2 * Fraction(13, 35) * self.delta
 
     @property
     def deriv_sup(self) -> Fraction:
-        """Exact sup of |derivative|: peak * (3/2) / delta at ramp midpoints."""
-        return Fraction(self.peak) * Fraction(3, 2) / self.delta
+        """Exact sup of |derivative|: (3/2) / delta at ramp midpoints."""
+        return Fraction(3, 2) / self.delta
 
     # float mirrors used by the evaluators -------------------------------
 
@@ -123,25 +120,18 @@ class Mollifier:
     # evaluation ----------------------------------------------------------
 
     def eval(self, t: float) -> float:
-        """Value at t; reduction uses IEEE remainder, which is exact."""
+        """Value at t; reduction uses IEEE remainder, which is exact.
+
+        A scalar reference for `eval_array`, which every statistic and the
+        hypothesis verifier use; kept as an independent oracle for tests."""
         u = abs(math.remainder(t, 1.0))
         if u <= self.p_f:
-            return self.peak
+            return 1.0
         if u >= self.edge_f:
             return 0.0
         v = (u - self.p_f) / self.delta_f
         v = 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-        return self.peak * (1.0 - v * v * (3.0 - 2.0 * v))
-
-    def eval_deriv(self, t: float) -> float:
-        r = math.remainder(t, 1.0)
-        u = abs(r)
-        if u <= self.p_f or u >= self.edge_f:
-            return 0.0
-        v = (u - self.p_f) / self.delta_f
-        v = 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
-        slope = -self.peak * 6.0 * v * (1.0 - v) / self.delta_f
-        return slope if r >= 0.0 else -slope
+        return 1.0 - v * v * (3.0 - 2.0 * v)
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         """Values at every t of an array (a 0-d array for a scalar t).
@@ -159,7 +149,7 @@ class Mollifier:
     def _eval_block(self, t: np.ndarray, out: np.ndarray) -> None:
         # in-place ufuncs in the order of the scalar formula:
         # u = |t - round(t)|, v = clip((u - p) / delta, 0, 1),
-        # peak * (1 - v^2 (3 - 2 v)), then the plateau and the zero tail
+        # 1 - v^2 (3 - 2 v), then the plateau and the zero tail
         u = np.round(t)
         np.subtract(t, u, out=u)
         np.abs(u, out=u)
@@ -172,8 +162,7 @@ class Mollifier:
         np.subtract(3.0, v, out=v)
         out *= v
         np.subtract(1.0, out, out=out)
-        out *= self.peak
-        out[u <= self.p_f] = self.peak
+        out[u <= self.p_f] = 1.0
         out[u >= self.edge_f] = 0.0
 
 
@@ -184,20 +173,12 @@ class CenteredMollifier:
     base: Mollifier
     mean: Fraction
 
-    @property
-    def integral(self) -> Fraction:
-        return self.base.integral - self.mean
-
-    @property
-    def integral_sq(self) -> Fraction:
-        """Exact integral of the square of the centered function."""
-        return self.base.integral_sq - self.mean ** 2
-
     @cached_property
     def mean_f(self) -> float:
         return float(self.mean)
 
     def eval(self, t: float) -> float:
+        """Scalar reference for `eval_array`, kept as a test oracle."""
         return self.base.eval(t) - self.mean_f
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
@@ -205,8 +186,8 @@ class CenteredMollifier:
 
     @property
     def sup_abs(self) -> float:
-        """max(|peak - mean|, mean) over one period."""
-        return max(abs(self.base.peak - self.mean_f), self.mean_f)
+        """max(|1 - mean|, mean) over one period."""
+        return max(abs(1.0 - self.mean_f), self.mean_f)
 
 
 def centered(F: Mollifier) -> CenteredMollifier:
@@ -272,58 +253,71 @@ class HypothesisReport:
         return all(c.passed for c in self.checks)
 
 
-def _probe_points(F: Mollifier, count: int, seed: int) -> np.ndarray:
-    """Grid plus ramp-focused points, all on a coarse dyadic lattice.
+def _probe_points(F: Mollifier, seed: int) -> np.ndarray:
+    """4096 random grid points plus ramp-focused points, all on a coarse
+    dyadic lattice.
 
     The lattice (multiples of 2^-45) keeps t+1 and -t exact in binary64, so
     the periodicity and evenness checks can demand bit equality.
     """
     rng = np.random.default_rng(seed)
-    grid = rng.integers(0, 1 << 45, size=count).astype(np.float64) / (1 << 45)
+    grid = rng.integers(0, 1 << 45, size=4096).astype(np.float64) / (1 << 45)
     ramp = np.linspace(float(F.p), float(F.edge), 257)
     near = np.concatenate([ramp, -ramp, 1.0 + ramp])
     snapped = np.round(near * (1 << 45)) / (1 << 45)
     return np.concatenate([grid, snapped])
 
 
-def verify_hypotheses(F: Mollifier, s=None, N: int | None = None,
-                      grid_points: int = 4096, seed: int = 2026) -> HypothesisReport:
-    """Check the six window hypotheses; failures carry a witness point."""
-    s = F.s if s is None else window_fraction(s)
-    N = F.N if N is None else N
-    ts = _probe_points(F, grid_points, seed)
+def _deriv_abs(F: Mollifier, ts: np.ndarray) -> np.ndarray:
+    """|F'| at every t: 6 v (1 - v) / delta on the ramps, 0 elsewhere.
+
+    The operations and their order are those of the scalar slope
+    -6 v (1 - v) / delta, so every value is that double's magnitude."""
+    u = np.abs(ts - np.round(ts))
+    v = np.clip((u - F.p_f) / F.delta_f, 0.0, 1.0)
+    slope = 6.0 * v * (1.0 - v) / F.delta_f
+    return np.where((u <= F.p_f) | (u >= F.edge_f), 0.0, slope)
+
+
+def _first(ts: np.ndarray, bad: np.ndarray) -> float | None:
+    """The first t flagged in `bad`, or None."""
+    idx = np.flatnonzero(bad)
+    return float(ts[idx[0]]) if len(idx) else None
+
+
+def verify_hypotheses(F: Mollifier, seed: int = 2026) -> HypothesisReport:
+    """Check the six window hypotheses on `eval_array`, the evaluator every
+    statistic uses; failures carry a witness point."""
+    s, N = F.s, F.N
+    ts = _probe_points(F, seed)
+    vals = F.eval_array(ts)
     checks = []
 
-    bad = next((t for t in ts if F.eval(t) != F.eval(t + 1.0)
-                or F.eval(t) != F.eval(t - 1.0)), None)
+    bad = _first(ts, (vals != F.eval_array(ts + 1.0))
+                 | (vals != F.eval_array(ts - 1.0)))
     checks.append(HypothesisCheck(
         1, "periodicity F(t+1) = F(t)", bad is None, bad,
         "bit-exact on a dyadic lattice"))
 
-    bad = next((t for t in ts if F.eval(t) != F.eval(-t)), None)
+    bad = _first(ts, vals != F.eval_array(-ts))
     checks.append(HypothesisCheck(
         2, "evenness F(-t) = F(t)", bad is None, bad,
         "bit-exact on a dyadic lattice"))
 
     target = 2 * s / N
-    closed = Fraction(F.peak) * (2 * F.p + F.delta)
-    ok3 = (F.integral == closed) and abs(F.integral - target) <= Fraction(1, N * N)
+    ok3 = abs(F.integral - target) <= Fraction(1, N * N)
     checks.append(HypothesisCheck(
         3, "integral = 2s/N + O(1/N^2)", ok3, None,
         f"exact integral {F.integral}, target 2s/N = {target}"))
 
-    vals = F.eval_array(ts)
-    idx = np.nonzero((vals < 0.0) | (vals > 1.0))[0]
-    witness = float(ts[idx[0]]) if len(idx) else None
+    witness = _first(ts, (vals < 0.0) | (vals > 1.0))
     checks.append(HypothesisCheck(
-        4, "0 <= F <= 1", len(idx) == 0, witness,
+        4, "0 <= F <= 1", witness is None, witness,
         f"max value {vals.max()}, min value {vals.min()}"))
 
     bound = 1.5 / float(F.delta)
-    derivs = np.array([F.eval_deriv(t) for t in ts])
-    sup = float(np.abs(derivs).max())
     mid = float(F.p) + 0.5 * float(F.delta)
-    sup = max(sup, abs(F.eval_deriv(mid)))
+    sup = float(_deriv_abs(F, np.append(ts, mid)).max())
     ok5 = sup <= bound * (1.0 + 1e-12)
     checks.append(HypothesisCheck(
         5, "sup |F'| <= (3/2)/delta", ok5, None if ok5 else mid,

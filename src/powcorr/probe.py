@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ __all__ = [
     "BlockScheme", "FiltrationRun", "FiltrationPartition", "ProbeReport",
     "LevelInterval", "blocks", "mu", "filtration", "filtration_runs",
     "refinement_holds", "block_sum_Y", "parity_block_sums",
-    "parity_identity_check", "cond_exp_Z", "tower_check", "approx_gap",
+    "parity_identity_check", "cond_exp_Z", "tower_check",
     "cond_exp_cross", "parity_moment", "parity_moment_both",
     "second_moment_slope", "vdc_bound_check", "level_intervals",
     "convexity_measure", "pair_overlap_integral",
@@ -66,16 +65,9 @@ class ProbeReport:
     measured: tuple
     bound: float | None
     exponent: float | None
-    verdict: str                 # "pass" | "fail" | "reported"
+    # "reported": no probe tracks its envelope constant, so none asserts
+    verdict: str
     detail: str = ""
-
-    def __post_init__(self) -> None:
-        if self.verdict not in ("pass", "fail", "reported"):
-            raise DomainError(f"unknown verdict {self.verdict!r}")
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,9 +155,6 @@ class FiltrationPartition:
     """Dyadic partition of [A, A+1] driven by the recurrence
     z_{i+1} = z_i + 2^(-mu_k(z_i)); terminates at A+1 exactly."""
 
-    A: DyadicRational
-    k: int
-    K: int
     z: tuple
     mus: tuple
     N_k: int
@@ -243,8 +232,8 @@ def filtration(A, k: int, K: int,
     z.append(A + DyadicRational.from_int(1))
     if any(a > b for a, b in zip(mus, mus[1:])):
         raise NumericalError("atom widths failed to shrink monotonically")
-    return FiltrationPartition(A=A, k=k, K=K, z=tuple(z), mus=tuple(mus),
-                               N_k=total, runs=runs)
+    return FiltrationPartition(z=tuple(z), mus=tuple(mus), N_k=total,
+                               runs=runs)
 
 
 def refinement_holds(A, j: int, k: int, K: int) -> bool:
@@ -354,20 +343,6 @@ def parity_identity_check(sample: UnitSample, scheme: BlockScheme,
     return lhs, rhs, rel
 
 
-def _y_at(x: DyadicRational, k: int, scheme: BlockScheme,
-          G: CenteredMollifier) -> float:
-    """Pointwise Y_k(x) from a fresh certified power ladder at x."""
-    top = k * scheme.K
-    pts = ladder_frac_powers(x, 1, top).points
-    total = 0.0
-    for n_idx in range((k - 1) * scheme.K, top):   # 0-based larger exponent
-        if n_idx == 0:
-            continue
-        diffs = pts[n_idx] - pts[:n_idx]
-        total += float(G.eval_array(diffs).sum())
-    return total
-
-
 # ---------------------------------------------------------------------------
 # piecewise integration of products of F(x^n - x^m) over intervals
 # ---------------------------------------------------------------------------
@@ -403,13 +378,12 @@ def _window_integral(terms: tuple, intervals, F: Mollifier,
     `terms` of F(x^n - x^m) dx, piecewise exact.
 
     Pieces are delimited by the preimages of every factor's window
-    boundaries, so plateau pieces contribute peak^len(terms) * length
-    exactly and ramp pieces are analytic, where a small Gauss rule is
-    already spectral.  One running sum takes the pieces in order.
+    boundaries, so plateau pieces contribute their length exactly and
+    ramp pieces are analytic, where a small Gauss rule is already
+    spectral.  One running sum takes the pieces in order.
     """
     gs = [_powpair(n, m)[0] for n, m in terms]
     g0 = gs[0] if len(gs) == 1 else None
-    plateau = math.prod(float(F.peak) for _ in terms)
     xs_ref, ws_ref = gauss_rule(nodes)
     total = 0.0
     for lo, hi in intervals:
@@ -430,7 +404,7 @@ def _window_integral(terms: tuple, intervals, F: Mollifier,
             if u >= F.edge_f:
                 continue
             if u <= F.p_f:
-                total += plateau * (x1 - x0)
+                total += x1 - x0
                 continue
             half = 0.5 * (x1 - x0)
             pts = xm + half * xs_ref
@@ -499,55 +473,6 @@ def tower_check(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
                                    quad_cfg)
     rel = abs(weighted - direct) / max(abs(direct), 1e-12)
     return weighted, direct, rel
-
-
-def approx_gap(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
-               sample_count: int = 10, seed: int = 2026,
-               quad_cfg: QuadConfig = DEFAULT_QUAD,
-               max_atoms: int = 32) -> ProbeReport:
-    """Measured sup |Y - Z| over sampled x against the decay envelope
-    N^(41/10) * A^(-K/2)."""
-    if sample_count < 10:
-        raise DomainError(f"sample_count must be >= 10, got {sample_count}")
-    A = as_dyadic(A)
-    part = filtration(A, k, scheme.K)
-    if part.N_k <= max_atoms:
-        atom_ids = range(part.N_k)
-    else:
-        atom_ids = sorted({i * (part.N_k - 1) // (max_atoms - 1)
-                           for i in range(max_atoms)})
-    rng = random.Random(seed)
-    sup_gap = 0.0
-    widest = 0.0
-    for i in atom_ids:
-        z0, z1 = part.atom(i)
-        lo, hi = float(z0), float(z1)
-        widest = max(widest, hi - lo)
-        z_val = _integral_Y_certified(lo, hi, k, scheme, G, quad_cfg) / (hi - lo)
-        for _ in range(sample_count):
-            u = DyadicRational(rng.getrandbits(40), 40)
-            x = z0 + u * (z1 - z0)
-            sup_gap = max(sup_gap, abs(_y_at(x, k, scheme, G) - z_val))
-    # mean-value control: |Y - Z| <= atom width * sup |Y'|, with sup |Y'|
-    # bounded term by term through the exact ramp slope of F
-    hi_end = float(A) + 1.0
-    dsup = float(G.base.deriv_sup)
-    y_slope = sum(dsup * (n * hi_end ** (n - 1) - m * hi_end ** (m - 1))
-                  for n, m in _block_terms(k, scheme.K))
-    mv_bound = widest * y_slope
-    envelope = float(scheme.N) ** 4.1 * float(A) ** (-scheme.K / 2.0)
-    verdict = "pass" if sup_gap <= mv_bound else "fail"
-    return ProbeReport(
-        quantity="approx_gap",
-        params={"A": A, "N": scheme.N, "K": scheme.K, "k": k,
-                "samples": sample_count, "seed": seed},
-        measured=(sup_gap,),
-        bound=envelope,
-        exponent=4.1,
-        verdict=verdict,
-        detail=f"mean-value control {mv_bound:.6g} from exact ramp slope; "
-               f"envelope constant untracked, reported as trend",
-    )
 
 
 def cond_exp_cross(A, j: int, k: int, scheme: BlockScheme,
@@ -821,13 +746,12 @@ def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:
     return _preimage_intervals(m1, m2, af, af + 1, w)
 
 
-def convexity_measure(f_spec, interval, s: float, N: int,
-                      slack: float = 0.25) -> tuple:
+def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
     """(exact preimage measure, bound) for {x in [a,b]:
     dist(f(x), Z) <= s/N} with f increasing and convex.
 
     The bound is 4s(b-a)/N + 4s/(N f'(a)); the measure must stay below
-    bound * (1 + slack) or the run is declared numerically broken.
+    1.25 times the bound or the run is declared numerically broken.
     """
     if isinstance(f_spec, int):
         n, m = f_spec, 0
@@ -853,7 +777,7 @@ def convexity_measure(f_spec, interval, s: float, N: int,
     measure = float(sum(p.length for p in pieces))
     bound = float(4 * window_fraction(s) * (bf - af) / N
                   + 4 * window_fraction(s) / (N * deriv_a))
-    if measure > bound * (1.0 + slack):
+    if measure > bound * 1.25:
         raise NumericalError(
             "preimage measure exceeded the convexity bound",
             coarse=measure, fine=bound)

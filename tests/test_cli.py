@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from powcorr import NumericalError
+from powcorr import DyadicRational
 from powcorr.cli import main
-from powcorr.hpgen import load_sample
 from powcorr import probe
 
 
@@ -29,8 +29,9 @@ def test_gen_writes_the_canonical_small_sample(tmp_path, capsys):
     assert code == 0
     lines = path.read_text().splitlines()
     assert lines[1:] == ["0.5", "0.25", "0.375"]
-    back = load_sample(path)
-    assert back.n_max == 3
+    header = dict(item.split("=", 1) for item in lines[0].split())
+    assert int(header["N"]) == 3
+    assert DyadicRational.parse(header["x"]) == DyadicRational(3, 1)
     payload = payload_of(out)
     assert payload["schema"] == 1
     assert payload["command"] == "gen"
@@ -72,6 +73,21 @@ def test_bad_rational_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_a_reported_x_is_accepted_back_as_input(capsys):
+    # reports print bases as p/2^e; --x must take that form verbatim and
+    # rebuild the very sample the sweep measured
+    code, out, err = run(capsys, "sweep", "--A", "1.02", "--N", "200",
+                         "--samples", "10", "--workers", "1")
+    assert code in (0, 1), err
+    row = payload_of(out)["results"]["rows"][3]
+    assert "/2^" in row["x"]
+    code, out, err = run(capsys, "paircorr", "--x", row["x"], "--N", "200",
+                         "--s", str(row["s"]))
+    assert code == 0, err
+    again = payload_of(out)["results"]["rows"]
+    assert [r["r2"] for r in again] == [row["r2"]]
+
+
 @pytest.mark.parametrize("argv", [
     ("paircorr", "--N", "abc"),
     ("paircorr", "--s", "x"),
@@ -79,8 +95,15 @@ def test_bad_rational_is_a_usage_error(capsys):
     ("gen", "--x", "3/2", "--N", "5", "--out", "/no/dir/f"),
     ("paircorr", "--control", "uniform", "--N", "100", "--samples", "1",
      "--out", "/no/dir/f"),
+    ("paircorr", "--x", "inf", "--N", "100"),
+    ("paircorr", "--x", "1e400", "--N", "100"),
+    ("paircorr", "--x", "nan", "--N", "100"),
+    ("paircorr", "--A", "inf", "--N", "100", "--samples", "1"),
+    ("paircorr", "--x", "3/2", "--xi=-inf", "--N", "100"),
+    ("sweep", "--A", "inf", "--N", "100", "--samples", "10"),
 ], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
-        "unwritable-out"])
+        "unwritable-out", "x-inf", "x-overflow", "x-nan", "A-inf", "xi-inf",
+        "sweep-A-inf"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

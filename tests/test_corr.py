@@ -117,6 +117,16 @@ def test_uniform_control_is_near_poisson_at_moderate_n():
     assert all(abs(v / 2.0 - 1.0) < 0.2 for v in vals)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 4242, 2 ** 40 + 3, 123456789])
+def test_uniform_control_draws_the_points_of_random_random(seed):
+    # the bulk draw must reproduce N calls of random.Random(seed).random()
+    # bit for bit
+    rng = random.Random(seed)
+    loop = np.array([rng.random() for _ in range(50_000)])
+    got = uniform_control(50_000, seed).points
+    assert got.tobytes() == loop.tobytes()
+
+
 def test_spacings_ecdf_shape():
     sample = uniform_control(3000, 3)
     ecdf = level_spacings(sample)

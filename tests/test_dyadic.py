@@ -71,3 +71,25 @@ def test_float_of_1_02_is_dyadic_but_not_51_over_50():
     assert d.as_fraction() != Fraction(51, 50)
     assert float(d) == 1.02
 
+
+@pytest.mark.parametrize("text, value", [
+    ("3/2^1", Fraction(3, 2)),
+    ("-38170074242229842421/2^64", Fraction(-38170074242229842421, 2 ** 64)),
+    ("3/2", Fraction(3, 2)),
+    ("+6/8", Fraction(3, 4)),
+    (" 5 / 2^2 ", Fraction(5, 4)),
+    ("12345678901234567890123", Fraction(12345678901234567890123)),
+    ("0.375", Fraction(3, 8)),
+    ("1.02", Fraction(1.02)),
+])
+def test_parse_grammar(text, value):
+    assert DyadicRational.parse(text).as_fraction() == value
+
+
+@pytest.mark.parametrize("text", [
+    "1/3", "3/0", "inf", "-inf", "nan", "1e400", "abc", "2^3", "1/2^-1",
+    "5 / 4", "1/2^100000", "9" * 5000 + "/2^3",
+], ids=lambda text: text if len(text) < 20 else "5000-digit-numerator")
+def test_parse_refuses_non_dyadic_and_non_finite_input(text):
+    with pytest.raises(DomainError):
+        DyadicRational.parse(text)

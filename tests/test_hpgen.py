@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from powcorr import DyadicRational, DomainError, PrecisionError, as_dyadic
 from powcorr.hpgen import (UnitSample, _block_length, ceil_log2_ratio,
                            default_guard_bits, exact_frac_powers,
-                           ladder_frac_powers, load_sample, precision_budget,
+                           ladder_frac_powers, precision_budget,
                            required_guard_bits, sample_x, save_sample,
                            ensure_window_resolution)
 
@@ -93,17 +93,37 @@ def test_ladder_rejects_x_below_one():
         ladder_frac_powers(DyadicRational(1, 1), 1, 10)
 
 
+def read_sample(path) -> UnitSample:
+    """A sample file read back: a key=value header line, then one point
+    per line."""
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    fields = dict(item.split("=", 1) for item in header.split())
+    return UnitSample(n_max=int(fields["N"]),
+                      points=np.array([float(v) for v in lines]),
+                      err_bound=float(fields["err_bound"]),
+                      base=DyadicRational.parse(fields["x"]),
+                      xi=DyadicRational.parse(fields["xi"]),
+                      guard_bits=int(fields["g"]))
+
+
 def test_save_load_roundtrip(tmp_path):
     x = sample_x(DyadicRational(3, 1), 64, 5)
     sample = ladder_frac_powers(x, 1, 50)
     path = tmp_path / "sample.txt"
     save_sample(sample, path)
-    back = load_sample(path)
+    back = read_sample(path)
     assert back.n_max == sample.n_max
     assert back.base == sample.base
     assert back.xi == sample.xi
     assert back.err_bound == sample.err_bound
     assert np.array_equal(back.points, sample.points)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0, -0.5])
+def test_unit_sample_refuses_points_outside_the_unit_interval(bad):
+    with pytest.raises(DomainError):
+        UnitSample(n_max=3, points=[0.1, bad, 0.2], err_bound=0.0,
+                   base=DyadicRational(3, 1), xi=DyadicRational.from_int(1))
 
 
 def test_window_resolution_guard_rejects_coarse_samples():

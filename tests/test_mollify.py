@@ -116,8 +116,8 @@ def unblocked_eval(F: Mollifier, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=np.float64)
     u = np.abs(ts - np.round(ts))
     v = np.clip((u - F.p_f) / F.delta_f, 0.0, 1.0)
-    vals = F.peak * (1.0 - v * v * (3.0 - 2.0 * v))
-    return np.where(u >= F.edge_f, 0.0, np.where(u <= F.p_f, F.peak, vals))
+    vals = 1.0 - v * v * (3.0 - 2.0 * v)
+    return np.where(u >= F.edge_f, 0.0, np.where(u <= F.p_f, 1.0, vals))
 
 
 def test_blockwise_eval_array_matches_the_unblocked_formula():
@@ -142,3 +142,54 @@ def test_blockwise_eval_array_matches_the_unblocked_formula():
         got = F.eval_array(t)
         assert isinstance(got, np.ndarray) and got.shape == ()
         assert got.tobytes() == unblocked_eval(F, t).tobytes()
+
+
+def _with_eval_array(F: Mollifier, defect):
+    """F whose eval_array(ts) is defect(genuine eval_array, ts)."""
+    class Planted(Mollifier):
+        def eval_array(self, ts):
+            genuine = lambda t: Mollifier.eval_array(self, t)
+            return defect(genuine, np.asarray(ts, dtype=np.float64))
+    return Planted(s=F.s, N=F.N, delta=F.delta, flavor=F.flavor, p=F.p)
+
+
+@pytest.mark.parametrize("index, defect", [
+    # halving every value beyond |t| = 1 keeps F even but not periodic
+    (1, lambda ev, ts: np.where(np.abs(ts) >= 1.0, 0.5, 1.0) * ev(ts)),
+    # a shift by a lattice step keeps F periodic but no longer even
+    (2, lambda ev, ts: ev(ts + 2.0 ** -20)),
+    # scaling by 3/2 lifts the plateau above 1
+    (4, lambda ev, ts: 1.5 * ev(ts)),
+], ids=["periodicity", "evenness", "bounds"])
+def test_hypotheses_catch_planted_eval_array_defects(index, defect):
+    F = _with_eval_array(make_outer(1.0, 100), defect)
+    report = verify_hypotheses(F)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.index for c in failed] == [index]
+    t = failed[0].witness
+    assert t is not None
+    v = F.eval_array(t)
+    if index == 1:
+        assert v != F.eval_array(t + 1.0) or v != F.eval_array(t - 1.0)
+    elif index == 2:
+        assert v != F.eval_array(-t)
+    else:
+        assert not 0.0 <= v <= 1.0
+
+
+def test_derivative_check_matches_a_scalar_slope_loop():
+    # hypothesis 5 reads |F'| off arrays; a scalar loop over the same
+    # points, reducing by IEEE remainder, must give the same sup, digit
+    # for digit in the report
+    from powcorr.mollify import _probe_points
+    for F in (make_outer(1.0, 100), make_inner(0.5, 1000)):
+        ts = list(_probe_points(F, 2026)) + [F.p_f + 0.5 * F.delta_f]
+        sup = 0.0
+        for t in ts:
+            u = abs(math.remainder(float(t), 1.0))
+            if F.p_f < u < F.edge_f:
+                v = min(max((u - F.p_f) / F.delta_f, 0.0), 1.0)
+                sup = max(sup, abs(-6.0 * v * (1.0 - v) / F.delta_f))
+        check = verify_hypotheses(F).checks[4]
+        assert check.detail == (f"measured sup {sup}, bound "
+                                f"{1.5 / float(F.delta)}")

@@ -13,11 +13,10 @@ import pytest
 from powcorr import DomainError, DyadicRational, ResourceError
 from powcorr.hpgen import ladder_frac_powers, sample_x
 from powcorr.mollify import centered, make_outer
-from powcorr.probe import (approx_gap, block_sum_Y, blocks, cond_exp_Z,
-                           cond_exp_cross, parity_block_sums,
-                           parity_identity_check, parity_moment,
-                           parity_moment_both, second_moment_slope,
-                           tower_check)
+from powcorr.probe import (block_sum_Y, blocks, cond_exp_Z, cond_exp_cross,
+                           parity_block_sums, parity_identity_check,
+                           parity_moment, parity_moment_both,
+                           second_moment_slope, tower_check)
 
 A32 = DyadicRational(3, 1)
 
@@ -118,20 +117,6 @@ def test_tower_property(scheme, G, k):
 def test_tower_locked_values(scheme, G):
     weighted, _, _ = tower_check(A32, 1, scheme, G)
     assert weighted == pytest.approx(0.00011313543387472336, rel=1e-8)
-
-
-def test_approx_gap_within_mean_value_bound(scheme, G):
-    rep = approx_gap(A32, 1, scheme, G)
-    assert rep.verdict == "pass"
-    # the sampled sup finds the plateau spike near x = 2 where x^2 - x
-    # is an integer, far above the atom average
-    assert rep.measured[0] == pytest.approx(0.9973948445523811, rel=1e-9)
-    assert rep.measured[0] <= rep.bound
-
-
-def test_approx_gap_requires_enough_samples(scheme, G):
-    with pytest.raises(DomainError):
-        approx_gap(A32, 1, scheme, G, sample_count=3)
 
 
 def test_cond_exp_cross_locked_values(scheme, G):

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from powcorr import DomainError, DyadicRational, NumericalError, as_dyadic
-from powcorr.mollify import Mollifier, make_outer
+from powcorr import probe
+from powcorr.mollify import make_outer
 from powcorr.probe import (convexity_measure, level_intervals,
                            pair_overlap_integral, vdc_bound_check)
 
@@ -182,11 +183,12 @@ def test_overlap_rejects_bad_exponent_order():
         pair_overlap_integral(5, 2, 3, A32, F)
 
 
-def test_overlap_envelope_catches_planted_defect():
-    # a peak-3 window triples the integrand; the fitted envelope for the
-    # genuine peak-1 family must then fail and the probe must refuse
+def test_overlap_envelope_catches_planted_defect(monkeypatch):
+    # an envelope constant planted below the measured value must make the
+    # probe refuse rather than report
     F = make_outer(1.0, 50)
-    bad = Mollifier(s=F.s, N=50, delta=F.delta, flavor="outer",
-                    p=F.p, peak=3.0)
+    A = as_dyadic(Fraction(9, 4))
+    value, _ = pair_overlap_integral(2, 1, 1, A, F)
+    monkeypatch.setattr(probe, "C_OVERLAP_EQUAL", 0.5 * value * F.N)
     with pytest.raises(NumericalError):
-        pair_overlap_integral(2, 1, 1, as_dyadic(Fraction(9, 4)), bad)
+        pair_overlap_integral(2, 1, 1, A, F)
