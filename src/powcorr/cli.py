@@ -64,8 +64,6 @@ def _sample_for(cfg: ExperimentConfig, idx: int, N: int) -> hpgen.UnitSample:
         return corr.uniform_control(N, cfg.seed + idx)
     if cfg.control == "nalpha":
         return corr.control_nalpha(corr.golden_ratio_dyadic(), N)
-    if cfg.control != "none":
-        raise UsageError(f"unknown control mode {cfg.control!r}")
     if cfg.x is not None:
         x = parse_rational(cfg.x)
     else:
@@ -454,50 +452,16 @@ def cmd_sweep(cfg: ExperimentConfig):
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    add = sp.add_argument
-    add("--config", default=None, help="key=value config file")
-    add("--A", dest="A", default=None, help="left endpoint of [A, A+1]")
-    add("--x", dest="x", default=None, help="pin the base x (rational)")
-    add("--xi", dest="xi", default=None, help="multiplier xi (rational)")
-    add("--mantissa-bits", dest="mantissa_bits", type=int, default=None)
-    add("--seed", dest="seed", type=int, default=None)
-    add("--N", dest="n_values", default=None,
-        help="comma-separated N values")
-    add("--s", dest="s_grid", default=None,
-        help="comma-separated window scales")
-    add("--guard-bits", dest="guard_bits", type=int, default=None)
-    add("--delta", dest="delta", default=None, help="window ramp width")
-    add("--flavor", dest="flavor", choices=("inner", "outer"), default=None)
-    add("--smoothed", dest="smoothed", action="store_const", const=True,
-        default=None, help="also report smoothed pair statistics")
-    add("--control", dest="control", choices=("none", "uniform", "nalpha"),
-        default=None)
-    add("--samples", dest="samples", type=int, default=None)
-    add("--q", dest="q", type=float, default=None,
-        help="required fraction of samples within tolerance")
-    add("--tol", dest="tol", type=float, default=None)
-    add("--subsequence", dest="subsequence", action="store_const", const=True,
-        default=None, help="restrict sweeps to N = M^20")
-    add("--work-cap", dest="work_cap", type=int, default=None)
-    add("--k", dest="k", type=int, default=None, help="block index")
-    add("--j", dest="j", type=int, default=None, help="coarser block index")
-    add("--atom-index", dest="atom_index", type=int, default=None)
-    add("--parity", dest="parity", choices=("odd", "even"), default=None)
-    add("--mc-samples", dest="mc_samples", type=int, default=None)
-    add("--sample-count", dest="sample_count", type=int, default=None)
-    add("--l", dest="l_values", default=None,
-        help="comma-separated frequency multipliers")
-    add("--n-powers", dest="n_powers", default=None,
-        help="comma-separated larger exponents")
-    add("--m-powers", dest="m_powers", default=None,
-        help="comma-separated smaller exponents")
-    add("--m1", dest="m1", type=int, default=None)
-    add("--m2", dest="m2", type=int, default=None)
-    add("--a", dest="a", default=None, help="interval left endpoint")
-    add("--b", dest="b", default=None, help="interval right endpoint")
-    add("--out", dest="out", default=None,
-        help="output path (sample file for gen, else JSON/CSV prefix)")
-    add("--workers", dest="workers", type=int, default=None)
+    """--config, then one text-valued flag per ExperimentConfig field; the
+    field's parser reads the text, so argparse checks no value."""
+    sp.add_argument("--config", default=None, help="key=value config file")
+    for f in dataclasses.fields(ExperimentConfig):
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            sp.add_argument(flag, dest=f.name, action="store_const",
+                            const="true", help=f.metadata["help"])
+        else:
+            sp.add_argument(flag, dest=f.name, help=f.metadata["help"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,12 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-
-
 def _resolve(args: argparse.Namespace) -> ExperimentConfig:
     file_values = parse_config_file(args.config) if args.config else {}
-    flag_values = {key: getattr(args, key, None) for key in _FLAG_KEYS}
+    flag_values = {f.name: getattr(args, f.name)
+                   for f in dataclasses.fields(ExperimentConfig)}
     return resolve_config(file_values, flag_values)
 
 

@@ -7,7 +7,7 @@ command line, and is embedded verbatim in every emitted report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, field, fields
 
 from .dyadic import DyadicRational
 from .errors import DomainError, PowcorrError
@@ -38,7 +38,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise UsageError(f"cannot parse boolean {text!r}")
+    raise ValueError("expected true or false")
 
 
 def _list_of(kind):
@@ -46,42 +46,81 @@ def _list_of(kind):
     return lambda text: tuple(kind(v) for v in text.split(",") if v.strip())
 
 
+def _rational(text: str) -> str:
+    """The text itself, once `DyadicRational.parse` accepts it."""
+    DyadicRational.parse(text)
+    return text
+
+
+def _one_of(*names):
+    """Parser of one name from a fixed set."""
+    def parse(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return parse
+
+
+def _setting(default, parse, help, flag=None):
+    """A field with its one parser of flag and file text, its help text and
+    its flag (None: --name, underscores as dashes)."""
+    return field(default=default,
+                 metadata={"parse": parse, "help": help, "flag": flag})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a command needs; unset optionals fall back to defaults."""
+    """Everything a command needs; unset optionals fall back to defaults.
 
-    A: str = "3/2"
-    x: str | None = None
-    xi: str = "1"
-    mantissa_bits: int = 64
-    seed: int = 1
-    n_values: tuple = (1024,)
-    s_grid: tuple = (1.0,)
-    guard_bits: int | None = None
-    delta: str | None = None
-    flavor: str = "outer"
-    smoothed: bool = False
-    control: str = "none"
-    samples: int = 10
-    q: float = 0.9
-    tol: float = 0.15
-    subsequence: bool = False
-    work_cap: int = 2 ** 34
-    k: int = 1
-    j: int = 1
-    atom_index: int = 0
-    parity: str = "odd"
-    mc_samples: int = 200
-    sample_count: int = 10
-    l_values: tuple = (1,)
-    n_powers: tuple = (2,)
-    m_powers: tuple = (1,)
-    m1: int = 2
-    m2: int = 1
-    a: str = "3/2"
-    b: str = "5/2"
-    out: str | None = None
-    workers: int | None = None
+    The fields are the one list of settings: each is a config-file key and
+    a flag, and flag text and file text go through the same parser."""
+
+    A: str = _setting("3/2", _rational, "left endpoint of [A, A+1]")
+    x: str | None = _setting(None, _rational, "pin the base x (rational)")
+    xi: str = _setting("1", _rational, "multiplier xi (rational)")
+    mantissa_bits: int = _setting(64, int, "dyadic depth of each drawn x")
+    seed: int = _setting(1, int, "seed of sample 0; sample i uses seed + i")
+    n_values: tuple = _setting((1024,), _list_of(int),
+                               "comma-separated N values", "--N")
+    s_grid: tuple = _setting((1.0,), _list_of(float),
+                             "comma-separated window scales", "--s")
+    guard_bits: int | None = _setting(None, int,
+                                      "ladder guard bits (default: budgeted)")
+    delta: str | None = _setting(None, _rational, "window ramp width")
+    flavor: str = _setting("outer", _one_of("inner", "outer"),
+                           "inner (below) or outer (above) smoothed window")
+    smoothed: bool = _setting(False, _parse_bool,
+                              "also report smoothed pair statistics")
+    control: str = _setting("none", _one_of("none", "uniform", "nalpha"),
+                            "none (powers), uniform or nalpha points")
+    samples: int = _setting(10, int, "point sets per N")
+    q: float = _setting(0.9, float,
+                        "required fraction of samples within tolerance")
+    tol: float = _setting(0.15, float, "tolerance on r2 / 2s around 1")
+    subsequence: bool = _setting(False, _parse_bool,
+                                 "restrict sweeps to N = M^20")
+    work_cap: int = _setting(2 ** 34, int, "sweep ladder work cap")
+    k: int = _setting(1, int, "block index")
+    j: int = _setting(1, int, "coarser block index")
+    atom_index: int = _setting(0, int, "filtration atom of probe z")
+    parity: str = _setting("odd", _one_of("odd", "even"),
+                           "odd or even blocks in probe moment")
+    mc_samples: int = _setting(200, int, "Monte Carlo draws of probe moment")
+    sample_count: int = _setting(10, int, "atoms sampled by probe condexp")
+    l_values: tuple = _setting((1,), _list_of(int),
+                               "comma-separated frequency multipliers", "--l")
+    n_powers: tuple = _setting((2,), _list_of(int),
+                               "comma-separated larger exponents")
+    m_powers: tuple = _setting((1,), _list_of(int),
+                               "comma-separated smaller exponents")
+    m1: int = _setting(2, int, "first smaller exponent")
+    m2: int = _setting(1, int, "second smaller exponent")
+    a: str = _setting("3/2", _rational, "interval left endpoint")
+    b: str = _setting("5/2", _rational, "interval right endpoint")
+    out: str | None = _setting(
+        None, str, "output path (sample file for gen, else JSON/CSV prefix)")
+    workers: int | None = _setting(None, int,
+                                   "worker processes (0: one per CPU)")
 
     def __post_init__(self) -> None:
         if any(s <= 0 for s in self.s_grid):
@@ -105,18 +144,17 @@ class ExperimentConfig:
                 for k, v in asdict(self).items()}
 
 
-_FIELD_PARSERS = {
-    "A": str, "x": str, "xi": str, "a": str, "b": str,
-    "delta": str, "flavor": str, "control": str, "parity": str, "out": str,
-    "mantissa_bits": int, "seed": int, "samples": int, "k": int, "j": int,
-    "atom_index": int, "mc_samples": int, "sample_count": int, "m1": int,
-    "m2": int, "guard_bits": int, "work_cap": int, "workers": int,
-    "q": float, "tol": float,
-    "smoothed": _parse_bool, "subsequence": _parse_bool,
-    "n_values": _list_of(int), "l_values": _list_of(int),
-    "n_powers": _list_of(int), "m_powers": _list_of(int),
-    "s_grid": _list_of(float),
-}
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
+
+
+def _parse_setting(key: str, text: str):
+    """The value of setting `key` written as `text`, by its one parser."""
+    if key not in _PARSERS:
+        raise UsageError(f"unknown key {key!r}")
+    try:
+        return _PARSERS[key](text)
+    except ValueError as exc:
+        raise UsageError(f"bad value {text!r} for {key}: {exc}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -136,32 +174,21 @@ def parse_config_file(path) -> dict:
                     f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_PARSERS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _FIELD_PARSERS[key](val.strip())
-            except UsageError:
-                raise
-            except (ValueError, TypeError) as exc:
-                raise UsageError(
-                    f"{path}:{lineno}: bad value for {key}: {exc}") from None
+                values[key] = _parse_setting(key, val.strip())
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
 def resolve_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
-    """Defaults, then config file, then explicit flags."""
+    """Defaults, then config file, then explicit flags; flag text is parsed
+    as a file line would be."""
     merged = dict(file_values)
-    valid = {f.name for f in fields(ExperimentConfig)}
     for key, val in flag_values.items():
-        if val is None:
-            continue
-        if key not in valid:
-            raise UsageError(f"unknown option {key!r}")
-        try:
-            merged[key] = (_FIELD_PARSERS[key](val) if isinstance(val, str)
+        if val is not None:
+            merged[key] = (_parse_setting(key, val) if isinstance(val, str)
                            else val)
-        except ValueError as exc:
-            raise UsageError(f"bad value {val!r} for {key}: {exc}") from None
     return ExperimentConfig(**merged)
 
 

@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 #: largest N the quadratic oracle will accept
-DEFAULT_ORACLE_CAP = 4000
+ORACLE_CAP = 4000
 #: cap on enumerated candidate pairs in the windowed counter
 MAX_WINDOW_PAIRS = 80_000_000
 
@@ -181,12 +181,11 @@ def pair_corr(sample: UnitSample, s: float,
     return 2.0 * inside / sample.n_max
 
 
-def pair_corr_bruteforce(sample: UnitSample, s: float,
-                         cap: int = DEFAULT_ORACLE_CAP) -> float:
+def pair_corr_bruteforce(sample: UnitSample, s: float) -> float:
     """Quadratic reference counter with identical tie semantics."""
     n = sample.n_max
-    if n > cap:
-        raise ResourceError(f"oracle cap is N <= {cap}, got {n}")
+    if n > ORACLE_CAP:
+        raise ResourceError(f"oracle cap is N <= {ORACLE_CAP}, got {n}")
     w = window_width(sample, s)
     pts = sample.points
     inside_total = 0
@@ -306,10 +305,10 @@ def control_nalpha(alpha, N: int) -> UnitSample:
                       xi=DyadicRational.from_int(1))
 
 
-def golden_ratio_dyadic(bits: int = 64) -> DyadicRational:
-    """(sqrt(5) - 1) / 2 truncated to a bits-deep dyadic."""
-    num = math.isqrt(5 << (2 * (bits - 1))) - (1 << (bits - 1))
-    return DyadicRational(num, bits)
+def golden_ratio_dyadic() -> DyadicRational:
+    """(sqrt(5) - 1) / 2 truncated to a 64-bit-deep dyadic."""
+    num = math.isqrt(5 << 126) - (1 << 63)
+    return DyadicRational(num, 64)
 
 
 def uniform_control(N: int, seed: int) -> UnitSample:

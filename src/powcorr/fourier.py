@@ -23,10 +23,7 @@ import numpy as np
 from .errors import DomainError
 from .mollify import CenteredMollifier, centered, make_outer
 
-__all__ = [
-    "FourierTruncation", "JacksonReport",
-    "coefficients", "truncation_sup", "jackson_trend",
-]
+__all__ = ["JacksonReport", "coefficients", "truncation_sup", "jackson_trend"]
 
 _TWO_PI = 2.0 * math.pi
 
@@ -52,66 +49,40 @@ def _h_factor(omega: float, sin_half: float, cos_half: float) -> float:
     return 6.0 * (2.0 * sin_half - omega * cos_half) / omega ** 3
 
 
-def _coefficient_table(G: CenteredMollifier, L: int) -> dict:
-    """Exact-phase closed-form c_l for l = 0..L."""
+def coefficients(G: CenteredMollifier, L: int) -> np.ndarray:
+    """Exact-phase closed-form c_0..c_L of the centered window.
+
+    The window is even, so c_{-l} = c_l and every coefficient is real;
+    c_0 is zero because the window is centered."""
+    if L < 1:
+        raise DomainError(f"cutoff must be >= 1, got {L}")
     F = G.base
     center = F.p + F.delta / 2          # phase center p + delta/2
     a, b = center.numerator, center.denominator
     c, d = F.delta.numerator, F.delta.denominator
     delta_f = float(F.delta)
-    coeffs = {0: 0.0}
+    cs = np.zeros(L + 1)
     for l in range(1, L + 1):
         theta = _TWO_PI * ((l * a) % b) / b
         half_red = math.pi * ((l * c) % (2 * d)) / d
         omega = _TWO_PI * l * delta_f
         h = _h_factor(omega, math.sin(half_red), math.cos(half_red))
-        coeffs[l] = 2.0 * math.sin(theta) / (math.pi * l) * h
-    return coeffs
-
-
-@dataclass(frozen=True)
-class FourierTruncation:
-    """Real cosine coefficients of the centered window up to |l| <= cutoff.
-
-    coeffs maps l >= 0 to c_l; the window is even so c_{-l} = c_l and every
-    coefficient is real.  c_0 is identically zero (the source is centered).
-    """
-
-    cutoff: int
-    coeffs: dict
-
-    def __post_init__(self) -> None:
-        if self.coeffs.get(0, 0.0) != 0.0:
-            raise DomainError("centered source must have zero mean mode")
-
-    def reconstruct_grid(self, grid_size: int) -> np.ndarray:
-        """Partial sum sampled at j/grid_size, j = 0..grid_size-1, via FFT."""
-        if grid_size < 2 * self.cutoff + 1:
-            raise DomainError("grid must resolve the highest mode")
-        spec = np.zeros(grid_size // 2 + 1, dtype=np.complex128)
-        for l, v in self.coeffs.items():
-            spec[l] = v * grid_size
-        return np.fft.irfft(spec, grid_size)
-
-
-def coefficients(G: CenteredMollifier, L: int) -> FourierTruncation:
-    if L < 1:
-        raise DomainError(f"cutoff must be >= 1, got {L}")
-    return FourierTruncation(cutoff=L, coeffs=_coefficient_table(G, L))
+        cs[l] = 2.0 * math.sin(theta) / (math.pi * l) * h
+    return cs
 
 
 def truncation_sup(G: CenteredMollifier, L: int) -> float:
     """Sup of |G - partial Fourier sum up to L| over the uniform grid of
-    max(8L, 4096) points."""
+    max(8L, 4096) points; the partial sum is one inverse real FFT."""
     if L < 0:
         raise DomainError(f"cutoff must be >= 0, got {L}")
     grid_size = max(8 * L, 4096)
     ts = np.arange(grid_size, dtype=np.float64) / grid_size
     gv = G.eval_array(ts)
-    if L == 0:
-        pv = np.zeros_like(gv)
-    else:
-        pv = coefficients(G, L).reconstruct_grid(grid_size)
+    spec = np.zeros(grid_size // 2 + 1, dtype=np.complex128)
+    if L:
+        spec[:L + 1] = coefficients(G, L) * grid_size
+    pv = np.fft.irfft(spec, grid_size)
     return float(np.abs(gv - pv).max())
 
 

@@ -37,7 +37,7 @@ FLOAT64_QUANTUM = Fraction(1, 2 ** 53)
 
 #: work cap for the exact oracle, in units of (steps x operand bits);
 #: N ~ 2000 with 64-bit bases sits two orders of magnitude below it.
-DEFAULT_ORACLE_WORK_CAP = 2 ** 31
+ORACLE_WORK_CAP = 2 ** 31
 
 _ONE_MINUS = math.nextafter(1.0, 0.0)
 
@@ -184,8 +184,7 @@ def _big_ratio_to_unit_float(num: int, den: int) -> float:
     return v if v < 1.0 else _ONE_MINUS
 
 
-def exact_frac_powers(x, xi, N: int,
-                      work_cap: int = DEFAULT_ORACLE_WORK_CAP) -> UnitSample:
+def exact_frac_powers(x, xi, N: int) -> UnitSample:
     """Exact oracle: {xi * x^n} as (xi_num * x_num^n mod 2^E) / 2^E.
 
     Runs a single running product modulo 2^(f + N*e), from which every
@@ -198,10 +197,10 @@ def exact_frac_powers(x, xi, N: int,
     p, e = x.numerator, x.exponent
     q, f = xi.numerator, xi.exponent
     work = N * (f + N * max(e, 1))
-    if work > work_cap:
+    if work > ORACLE_WORK_CAP:
         raise ResourceError(
-            f"exact oracle work estimate {work} exceeds cap {work_cap} "
-            f"(N={N}, base exponent {e})")
+            f"exact oracle work estimate {work} exceeds cap "
+            f"{ORACLE_WORK_CAP} (N={N}, base exponent {e})")
     full_shift = f + N * e
     full_mod = 1 << full_shift
     pts = np.empty(N, dtype=np.float64)

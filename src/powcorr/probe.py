@@ -348,6 +348,7 @@ def parity_identity_check(sample: UnitSample, scheme: BlockScheme,
 # ---------------------------------------------------------------------------
 
 def _powpair(n: int, m: int):
+    # fast path: the generic form pays x ** 0 and 0 * x ** -1 per Newton step
     if m == 0:
         return (lambda x: x ** n - 1.0,
                 lambda x: n * x ** (n - 1))

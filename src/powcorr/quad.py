@@ -79,12 +79,13 @@ def certify(run, setting: int, rel_tol: float, floor: float, what: str):
 
 
 def monotone_root(g, dg, target: float, lo: float, hi: float,
-                  max_iter: int = 80, x0: float | None = None) -> float:
+                  x0: float | None = None) -> float:
     """Root of g(x) = target on [lo, hi] for strictly increasing g.
 
-    Newton iteration with a bisection safeguard; returns a float root
-    accurate to a few ulps.  An optional starting point skips the slow
-    bracket-middle warmup when a good estimate is already known.
+    At most 80 steps of Newton iteration with a bisection safeguard;
+    returns a float root accurate to a few ulps.  An optional starting
+    point skips the slow bracket-middle warmup when a good estimate is
+    already known.
     """
     glo = g(lo) - target
     ghi = g(hi) - target
@@ -95,7 +96,7 @@ def monotone_root(g, dg, target: float, lo: float, hi: float,
     if ghi == 0:
         return hi
     x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
-    for _ in range(max_iter):
+    for _ in range(80):
         val = g(x) - target
         if val > 0:
             hi = x
@@ -121,8 +122,6 @@ def monotone_root(g, dg, target: float, lo: float, hi: float,
 @lru_cache(maxsize=64)
 def _cheb(n: int):
     """Chebyshev-Lobatto points (descending) and differentiation matrix."""
-    if n == 0:
-        return np.zeros((1, 1)), np.ones(1)
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
@@ -181,9 +180,9 @@ def _panel_levin(l, n, m, p: DyadicRational, q: DyadicRational,
     return u[0] * e_q - u[-1] * e_p
 
 
-def _snap_between(x: float, lo: DyadicRational, hi: DyadicRational,
-                  grid_bits: int = 40) -> DyadicRational:
-    cand = DyadicRational(int(round(x * (1 << grid_bits))), grid_bits)
+def _snap_between(x: float, lo: DyadicRational,
+                  hi: DyadicRational) -> DyadicRational:
+    cand = DyadicRational(int(round(x * (1 << 40))), 40)
     if not lo < cand < hi:
         cand = lo + DyadicRational(1, 1) * (hi - lo)  # midpoint fallback
     return cand

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: JSON envelopes, exit codes, files."""
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,9 @@ import pytest
 
 from powcorr import NumericalError
 from powcorr import DyadicRational
-from powcorr.cli import main
+from powcorr.cli import _resolve, build_parser, main
+from powcorr.config import (ExperimentConfig, parse_config_file,
+                            resolve_config)
 from powcorr import probe
 
 
@@ -67,6 +70,60 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize("line, argv", [
+    ("flavor = inmer", ("fourier-check", "--N", "10")),
+    ("parity = bogus", ("probe", "moment")),
+    ("control = bogus", ("paircorr", "--N", "100")),
+], ids=["flavor", "parity", "control"])
+def test_a_bad_name_in_a_config_file_is_a_usage_error(tmp_path, capsys,
+                                                      line, argv):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+#: a non-default text for every setting; the two switches take no text
+SETTING_TEXTS = {
+    "A": "5/4", "x": "3/2", "xi": "3", "mantissa_bits": "32", "seed": "7",
+    "n_values": "10,20", "s_grid": "0.5,1", "guard_bits": "12",
+    "delta": "1/2^10", "flavor": "inner", "smoothed": "true",
+    "control": "uniform", "samples": "3", "q": "0.5", "tol": "0.2",
+    "subsequence": "true", "work_cap": "1000", "k": "2", "j": "3",
+    "atom_index": "4", "parity": "even", "mc_samples": "5",
+    "sample_count": "6", "l_values": "1,2", "n_powers": "3,4",
+    "m_powers": "1,2", "m1": "3", "m2": "2", "a": "5/4", "b": "9/4",
+    "out": "report", "workers": "2",
+}
+SWITCHES = ("smoothed", "subsequence")
+
+
+def test_one_flag_per_setting_reads_text_as_a_config_line(tmp_path):
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert sorted(SETTING_TEXTS) == sorted(names)
+    parser = build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    for sp in commands.values():
+        dests = [a.dest for a in sp._actions if a.dest != "help"
+                 and a.option_strings]
+        assert sorted(dests) == sorted(names + ["config"])
+    flag_of = {a.dest: a.option_strings
+               for a in commands["paircorr"]._actions}
+    short = {"n_values": "--N", "s_grid": "--s", "l_values": "--l"}
+    for key, text in SETTING_TEXTS.items():
+        flag = short.get(key, "--" + key.replace("_", "-"))
+        assert flag_of[key] == [flag]
+        argv = ["paircorr", flag] + ([] if key in SWITCHES else [text])
+        from_flag = _resolve(parser.parse_args(argv))
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {text}\n")
+        from_file = resolve_config(parse_config_file(path), {})
+        assert from_flag == from_file != ExperimentConfig(), key
+
+
 def test_bad_rational_is_a_usage_error(capsys):
     code, _, err = run(capsys, "gen", "--x", "1/3", "--N", "5",
                        "--out", "/tmp/never.txt")
@@ -101,9 +158,12 @@ def test_a_reported_x_is_accepted_back_as_input(capsys):
     ("paircorr", "--A", "inf", "--N", "100", "--samples", "1"),
     ("paircorr", "--x", "3/2", "--xi=-inf", "--N", "100"),
     ("sweep", "--A", "inf", "--N", "100", "--samples", "10"),
+    ("paircorr", "--samples", "abc"),
+    ("fourier-check", "--flavor", "inmer"),
+    ("probe", "moment", "--parity", "bogus"),
 ], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
         "unwritable-out", "x-inf", "x-overflow", "x-nan", "A-inf", "xi-inf",
-        "sweep-A-inf"])
+        "sweep-A-inf", "samples-abc", "flavor-inmer", "parity-bogus"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -107,7 +107,7 @@ def test_golden_ratio_control_is_locked_and_far_from_poisson():
 
 
 def test_golden_ratio_dyadic_value():
-    g = golden_ratio_dyadic(64)
+    g = golden_ratio_dyadic()
     assert abs(float(g) - (math.sqrt(5.0) - 1.0) / 2.0) < 1e-18
 
 
