@@ -381,17 +381,15 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
              f"<= bound {bound:.3g}")
         return results, rows, EXIT_OK
 
-    if mode == "overlap":
-        F = mollify.make_outer(s0, N0, _delta_arg(cfg))
-        value, bound = probe.pair_overlap_integral(
-            cfg.n_powers[0], cfg.m1, cfg.m2, A, F)
-        results = {"n": cfg.n_powers[0], "m1": cfg.m1, "m2": cfg.m2,
-                   "value": value, "bound": bound}
-        _say(f"PASS window-product overlap n={cfg.n_powers[0]} "
-             f"m1={cfg.m1} m2={cfg.m2}: {value:.3g} <= {bound:.3g}")
-        return results, None, EXIT_OK
-
-    raise UsageError(f"unknown probe mode {mode!r}")
+    # mode == "overlap", the last of PROBE_MODES, which argparse enforces
+    F = mollify.make_outer(s0, N0, _delta_arg(cfg))
+    value, bound = probe.pair_overlap_integral(
+        cfg.n_powers[0], cfg.m1, cfg.m2, A, F)
+    results = {"n": cfg.n_powers[0], "m1": cfg.m1, "m2": cfg.m2,
+               "value": value, "bound": bound}
+    _say(f"PASS window-product overlap n={cfg.n_powers[0]} "
+         f"m1={cfg.m1} m2={cfg.m2}: {value:.3g} <= {bound:.3g}")
+    return results, None, EXIT_OK
 
 
 def cmd_sweep(cfg: ExperimentConfig):
@@ -464,8 +462,13 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
             sp.add_argument(flag, dest=f.name, help=f.metadata["help"])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):      # sub-parsers inherit it; --help exits 0
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="powcorr",
         description="Correlation statistics of fractional parts of"
                     " xi * x^n, with exactness probes for every"
@@ -534,9 +537,8 @@ def _check_out_dir(out: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _resolve(args)
         if cfg.out:
             _check_out_dir(cfg.out)

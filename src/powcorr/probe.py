@@ -6,7 +6,7 @@ block, the dyadic interval filtration whose atom widths track the local
 oscillation scale, conditional expectations of Y over filtration atoms,
 and the oscillatory/level-set integral bounds the argument rests on.
 Everything that can be exact is exact: partition points are dyadic
-rationals, level-set endpoints are certified by rational sign checks,
+rationals, level-set endpoints are certified by integer sign checks,
 and phases of high-frequency integrals reduce modulo one in integer
 arithmetic.
 """
@@ -348,10 +348,6 @@ def parity_identity_check(sample: UnitSample, scheme: BlockScheme,
 # ---------------------------------------------------------------------------
 
 def _powpair(n: int, m: int):
-    # fast path: the generic form pays x ** 0 and 0 * x ** -1 per Newton step
-    if m == 0:
-        return (lambda x: x ** n - 1.0,
-                lambda x: n * x ** (n - 1))
     return (lambda x: x ** n - x ** m,
             lambda x: n * x ** (n - 1) - m * x ** (m - 1))
 
@@ -638,56 +634,37 @@ class LevelInterval:
         return self.hi - self.lo
 
 
-def _dyadic_parts(fr: Fraction) -> tuple:
-    den = fr.denominator
-    e = den.bit_length() - 1
-    if (1 << e) != den:
-        raise DomainError(f"endpoint {fr} is not a dyadic rational")
-    return fr.numerator, e
+def _scaled_g(c: int, e: int, n: int, m: int) -> int:
+    """2^(e n) * g(c / 2^e) for g(x) = x^n - x^m, exactly."""
+    return c ** n - (c ** m << (e * (n - m)))
 
 
-def _sign_at(c: int, e: int, n: int, m: int, target: Fraction) -> int:
-    """Exact sign of (c/2^e)^n - (c/2^e)^m - target, integers only."""
-    if m:
-        lhs = c ** n - (c ** m << (e * (n - m)))
-    else:
-        lhs = c ** n - (1 << (e * n))
-    val = target.denominator * lhs - (target.numerator << (e * n))
+def _sign_at(c: int, e: int, n: int, m: int, t: int, d: int) -> int:
+    """Exact sign of g(c / 2^e) - t/d, integers only."""
+    val = d * _scaled_g(c, e, n, m) - (t << (e * n))
     return (val > 0) - (val < 0)
 
 
-def _certified_root(n: int, m: int, target: Fraction, lo: Fraction,
-                    hi: Fraction, seed: float | None = None) -> float:
-    """Root of x^n - x^m = target on [lo, hi], certified by exact integer
-    sign checks around a float Newton estimate."""
-    lo_c, lo_e = _dyadic_parts(lo)
-    hi_c, hi_e = _dyadic_parts(hi)
-    if _sign_at(lo_c, lo_e, n, m, target) >= 0:
-        return float(lo)
-    if _sign_at(hi_c, hi_e, n, m, target) <= 0:
-        return float(hi)
-    g, dg = _powpair(n, m)
-    r = monotone_root(g, dg, float(target), float(lo), float(hi), x0=seed)
-    se = 48
-    center = int(round(r * (1 << se)))
-    lo_grid = -((-lo_c << se) >> lo_e)          # ceil(lo * 2^se)
-    hi_grid = (hi_c << se) >> hi_e              # floor(hi * 2^se)
+def _certified_root(n: int, m: int, t: int, d: int, seed: float,
+                    a_c: int, b_c: int, e: int) -> float:
+    """Root of x^n - x^m = t/d on [a_c, b_c] / 2^e, whose ends the caller
+    has found below and above t/d: the 2^-48 grid bracket around the seed
+    whose ends have exact signs <= 0 and >= 0, else exact bisection."""
+    center = int(round(seed * (1 << 48)))
+    lo_grid = -((-a_c << 48) >> e)              # ceil(a * 2^48)
+    hi_grid = (b_c << 48) >> e                  # floor(b * 2^48)
     for spread in (4, 64, 4096, 1 << 20):
         blo = max(center - spread, lo_grid)
         bhi = min(center + spread, hi_grid)
-        if blo <= bhi and _sign_at(blo, se, n, m, target) <= 0 \
-                and _sign_at(bhi, se, n, m, target) >= 0:
-            return (blo + bhi) / 2 / float(1 << se)
-    # certified bisection fallback on an exact dyadic grid
-    e = max(lo_e, hi_e)
-    a_c = lo_c << (e - lo_e)
-    b_c = hi_c << (e - hi_e)
+        if blo <= bhi and _sign_at(blo, 48, n, m, t, d) <= 0 \
+                and _sign_at(bhi, 48, n, m, t, d) >= 0:
+            return (blo + bhi) / 2 / float(1 << 48)
     for _ in range(80):
         a_c <<= 1
         b_c <<= 1
         e += 1
         mid = (a_c + b_c) >> 1
-        if _sign_at(mid, e, n, m, target) <= 0:
+        if _sign_at(mid, e, n, m, t, d) <= 0:
             a_c = mid
         else:
             b_c = mid
@@ -701,33 +678,42 @@ def _root_seeds(n: int, m: int, a_f: float, b_f: float,
     Seeds only; every returned value is re-certified in exact arithmetic.
     """
     grid = np.linspace(a_f, b_f, 4097)
-    gv = grid ** n - (grid ** m if m else 1.0)
-    xs = np.interp(targets, gv, grid)
+    xs = np.interp(targets, grid ** n - grid ** m, grid)
     for _ in range(8):
-        gx = xs ** n - (xs ** m if m else 1.0)
-        dgx = n * xs ** (n - 1) - (m * xs ** (m - 1) if m else 0.0)
+        gx = xs ** n - xs ** m
+        dgx = n * xs ** (n - 1) - m * xs ** (m - 1)
         xs = np.clip(xs - (gx - targets) / dgx, a_f, b_f)
     return xs
 
 
-def _preimage_intervals(n: int, m: int, a: Fraction, b: Fraction,
+def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
                         w: Fraction) -> list:
-    """Certified intervals where x^n - x^m lies within w of an integer."""
-    g_a = a ** n - a ** m
-    g_b = b ** n - b ** m
-    m_lo, m_hi = math.floor(g_a), math.ceil(g_b)
-    w_f = float(w)
-    ms = np.arange(m_lo, m_hi + 1, dtype=float)
-    lo_seeds = _root_seeds(n, m, float(a), float(b), ms - w_f)
-    hi_seeds = _root_seeds(n, m, float(a), float(b), ms + w_f)
+    """Certified intervals where x^n - x^m lies within w of an integer.
+
+    Window ends M -+ w are the targets t/d, d = w's denominator; one at or
+    below g(a) clips to a, one at or above g(b) to b, decided exactly.  The
+    rest share one seed pass and are certified by _certified_root."""
+    e = max(a.exponent, b.exponent)
+    a_c, b_c = (x.numerator << (e - x.exponent) for x in (a, b))
+    scale, d, r = e * n, w.denominator, w.numerator
+    ga, gb = _scaled_g(a_c, e, n, m), _scaled_g(b_c, e, n, m)
+    da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
+    a_f, b_f = float(a), float(b)
+
+    def end(t: int, seed: float) -> float:
+        if t << scale <= da:
+            return a_f
+        if t << scale >= db:
+            return b_f
+        return _certified_root(n, m, t, d, seed, a_c, b_c, e)
+
+    ms = range(ga >> scale, -(-gb >> scale) + 1)
+    targets = np.array(ms, dtype=float) + [[-float(w)], [float(w)]]
+    lo_seeds, hi_seeds = _root_seeds(n, m, a_f, b_f, targets).tolist()
     out = []
-    for idx, M in enumerate(range(m_lo, m_hi + 1)):
-        lo_t, hi_t = M - w, M + w
-        if hi_t < g_a or lo_t > g_b:
-            continue
-        lo = _certified_root(n, m, lo_t, a, b, seed=float(lo_seeds[idx]))
-        hi = _certified_root(n, m, hi_t, a, b, seed=float(hi_seeds[idx]))
-        if hi > lo:
+    for M, lo_seed, hi_seed in zip(ms, lo_seeds, hi_seeds):
+        lo, hi = end(M * d - r, lo_seed), end(M * d + r, hi_seed)
+        if hi > lo:                  # windows outside [g(a), g(b)] give lo = hi
             out.append(LevelInterval(M=M, lo=lo, hi=hi))
     return out
 
@@ -743,8 +729,7 @@ def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:
     w = 4 * window_fraction(s) / N
     if not w < Fraction(1, 2):
         raise DomainError(f"window 4s/N = {float(w)} reaches 1/2")
-    af = A.as_fraction()
-    return _preimage_intervals(m1, m2, af, af + 1, w)
+    return _preimage_intervals(m1, m2, A, A + DyadicRational.from_int(1), w)
 
 
 def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
@@ -774,7 +759,7 @@ def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
     w = window_fraction(s) / N
     if not w < Fraction(1, 2):
         raise DomainError(f"window s/N = {float(w)} reaches 1/2")
-    pieces = _preimage_intervals(n, m, af, bf, w)
+    pieces = _preimage_intervals(n, m, a, b, w)
     measure = float(sum(p.length for p in pieces))
     bound = float(4 * window_fraction(s) * (bf - af) / N
                   + 4 * window_fraction(s) / (N * deriv_a))
@@ -825,10 +810,9 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
                 f"m1 = {m1} is below the computed feasibility threshold "
                 f"N0 = {n0} for (n={n}, m2={m2}, A={A})")
     _check_power_scale(n, float(A) + 1.0)
-    af = A.as_fraction()
     edge = F.edge                      # exact half-width of the support
-    supports = [(piece.lo, piece.hi)
-                for piece in _preimage_intervals(n, m1, af, af + 1, edge)]
+    supports = [(piece.lo, piece.hi) for piece in _preimage_intervals(
+        n, m1, A, A + DyadicRational.from_int(1), edge)]
     fine = certify(
         lambda nodes: _window_integral(((n, m1), (n, m2)), supports, F, nodes),
         quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15, "overlap quadrature")

@@ -78,14 +78,12 @@ def certify(run, setting: int, rel_tol: float, floor: float, what: str):
     return fine
 
 
-def monotone_root(g, dg, target: float, lo: float, hi: float,
-                  x0: float | None = None) -> float:
+def monotone_root(g, dg, target: float, lo: float, hi: float) -> float:
     """Root of g(x) = target on [lo, hi] for strictly increasing g.
 
-    At most 80 steps of Newton iteration with a bisection safeguard;
-    returns a float root accurate to a few ulps.  An optional starting
-    point skips the slow bracket-middle warmup when a good estimate is
-    already known.
+    At most 80 steps of Newton iteration with a bisection safeguard,
+    started at the bracket middle; returns a float root accurate to a few
+    ulps.
     """
     glo = g(lo) - target
     ghi = g(hi) - target
@@ -95,7 +93,7 @@ def monotone_root(g, dg, target: float, lo: float, hi: float,
         return lo
     if ghi == 0:
         return hi
-    x = 0.5 * (lo + hi) if x0 is None else min(max(x0, lo), hi)
+    x = 0.5 * (lo + hi)
     for _ in range(80):
         val = g(x) - target
         if val > 0:

@@ -161,15 +161,38 @@ def test_a_reported_x_is_accepted_back_as_input(capsys):
     ("paircorr", "--samples", "abc"),
     ("fourier-check", "--flavor", "inmer"),
     ("probe", "moment", "--parity", "bogus"),
+    ("paircorr", "--frobnicate", "1"),
+    ("probe", "bogus"),
+    (),
 ], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
         "unwritable-out", "x-inf", "x-overflow", "x-nan", "A-inf", "xi-inf",
-        "sweep-A-inf", "samples-abc", "flavor-inmer", "parity-bogus"])
+        "sweep-A-inf", "samples-abc", "flavor-inmer", "parity-bogus",
+        "unknown-flag", "unknown-probe-mode", "no-command"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["probe", "--help"])
+    assert stop.value.code == 0
+    assert "overlap" in capsys.readouterr().out
+
+
+def test_probe_count_certifies_a_window_end_next_to_g_of_a(capsys):
+    # one window end lies within binary64 rounding of g(A): exact signs
+    # put it inside (A, A + 1), where a float bracket check refused it
+    code, out, err = run(capsys, "probe", "count", "--m1", "6", "--m2", "3",
+                         "--A", "944338296909/2^39",
+                         "--s", "0.09486551160935515", "--N", "1")
+    assert code == 0, err
+    results = payload_of(out)["results"]
+    assert 0 < results["window_measure"] <= results["window_bound"]
+    assert all(r["lo"] < r["hi"] for r in results["rows"])
 
 
 def test_a_failed_out_write_is_a_usage_error(tmp_path, capsys):

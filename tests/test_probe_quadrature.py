@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, DyadicRational, NumericalError, as_dyadic
 from powcorr import probe
@@ -192,3 +193,118 @@ def test_overlap_envelope_catches_planted_defect(monkeypatch):
     monkeypatch.setattr(probe, "C_OVERLAP_EQUAL", 0.5 * value * F.N)
     with pytest.raises(NumericalError):
         pair_overlap_integral(2, 1, 1, A, F)
+
+
+# ---------------------------------------------------------------------------
+# level-set roots against exact signs
+
+STEP = Fraction(1, 1 << 48)
+#: anchors p = c/4 where g(p) = p^n - p^m is exact in binary64 for n <= 12
+ANCHORS = [Fraction(c, 4) for c in range(5, 11)]
+
+
+def _g(x: Fraction, n: int, m: int) -> Fraction:
+    return x ** n - x ** m
+
+
+def _half_width(g_end: Fraction, nudge) -> float:
+    """A window half-width below 1/2 with a window end M -+ w exactly on
+    g_end (nudge 0), one binary64 step from it (nudge -1 or 1), or an
+    eighth when g_end sits on an integer or a half-integer."""
+    f = g_end - math.floor(g_end)
+    w = min(f, 1 - f)
+    w = float(w) if 0 < w < Fraction(1, 2) else 0.125
+    return w if nudge == 0 else math.nextafter(w, nudge * math.inf)
+
+
+def _check_against_signs(n, m, a, b, w, ivs) -> None:
+    """Ends clip to a or b exactly where M - w <= g(a) or M + w >= g(b);
+    interior ends lie within 4 grid steps 2^-48 of their exact root.  An
+    M whose window meets (g(a), g(b)) is missing only if its exact
+    preimage is shorter than 8 grid steps."""
+    ga, gb = _g(a, n, m), _g(b, n, m)
+    got = {iv.M: iv for iv in ivs}
+    assert len(got) == len(ivs)
+    for M in range(math.floor(ga - w), math.ceil(gb + w) + 1):
+        lo_t, hi_t = M - w, M + w
+        if not (hi_t > ga and lo_t < gb):
+            assert M not in got
+        elif M not in got:
+            assert (lo_t <= ga and _g(a + 8 * STEP, n, m) >= hi_t) or (
+                hi_t >= gb and _g(b - 8 * STEP, n, m) <= lo_t)
+        else:
+            for x, t in ((got[M].lo, lo_t), (got[M].hi, hi_t)):
+                if t <= ga:
+                    assert x == float(a)
+                elif t >= gb:
+                    assert x == float(b)
+                else:
+                    x = Fraction(x)
+                    assert _g(x - 4 * STEP, n, m) <= t <= _g(x + 4 * STEP,
+                                                             n, m)
+
+
+@given(st.integers(1, 12), st.data())
+@settings(max_examples=100, deadline=None)
+def test_convexity_pieces_match_exact_signs(n, data):
+    m = data.draw(st.integers(0, n - 1), label="m")
+    p = data.draw(st.sampled_from(ANCHORS), label="anchor")
+    # about 8 to 64 windows inside an interval of width 2^-k next to p
+    slope = n * float(p + Fraction(1, 8)) ** (n - 1)
+    k = max(3, math.ceil(math.log2(slope / 64))) + data.draw(
+        st.integers(0, 3), label="k")
+    a, b = (p, p + Fraction(1, 1 << k)) if data.draw(st.booleans(),
+                                                     label="left") \
+        else (p - Fraction(1, 1 << k), p)
+    s = _half_width(_g(p, n, m), data.draw(st.sampled_from((-1, 0, 1)),
+                                           label="nudge"))
+    ad, bd = as_dyadic(a), as_dyadic(b)
+    ivs = probe._preimage_intervals(n, m, ad, bd, Fraction(s))
+    _check_against_signs(n, m, a, b, Fraction(s), ivs)
+    measure, _ = convexity_measure((n, m), (ad, bd), s, 1)
+    assert measure == float(sum(iv.length for iv in ivs))
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=50, deadline=None)
+def test_level_intervals_match_exact_signs(m1, data):
+    m2 = data.draw(st.integers(1, m1 - 1), label="m2")
+    A = data.draw(st.sampled_from(ANCHORS[:3]), label="A")
+    end = data.draw(st.sampled_from((A, A + 1)), label="end")
+    s = _half_width(_g(end, m1, m2), data.draw(st.sampled_from((-1, 0, 1)),
+                                               label="nudge")) / 4
+    ivs = level_intervals(m1, m2, as_dyadic(A), s, 1)
+    _check_against_signs(m1, m2, A, A + 1, 4 * Fraction(s), ivs)
+
+
+def test_convexity_measure_certifies_a_window_end_next_to_g_of_a():
+    # one window end lies within binary64 rounding of g(a); a float
+    # bracket check refused that root although the exact signs bracket it
+    a = DyadicRational(1385316916043, 40)
+    measure, bound = convexity_measure((5, 4), (a, a + DyadicRational(1, 3)),
+                                       0.3449602169916573, 1)
+    assert 0 < measure <= bound
+
+
+def test_certified_root_from_far_seeds_takes_wide_spreads_then_bisection(
+        monkeypatch):
+    # x^5 - x^2 = 7 on [3/2, 5/2]: a seed 1000 grid steps off needs the
+    # 4096-step bracket, one 2^-20 off (2^28 steps) the exact bisection
+    n, m, t = 5, 2, 7
+    root = float(probe._root_seeds(n, m, 1.5, 2.5, np.array([7.0]))[0])
+    real = probe._sign_at
+    exps = []
+
+    def counted(c, e, *rest):
+        exps.append(e)
+        return real(c, e, *rest)
+
+    monkeypatch.setattr(probe, "_sign_at", counted)
+    for offset, steps, bisected in ((1000 * 2.0 ** -48, 4096, False),
+                                    (2.0 ** -20, 4, True)):
+        exps.clear()
+        x = Fraction(probe._certified_root(n, m, t, 1, root + offset,
+                                           3, 5, 1))
+        assert _g(x - steps * STEP, n, m) <= t <= _g(x + steps * STEP, n, m)
+        assert len(exps) > 80 if bisected else set(exps) == {48}
+        assert len(exps) >= 4

@@ -47,14 +47,6 @@ def test_monotone_root_rejects_unbracketed_targets():
         monotone_root(lambda x: x, lambda x: 1.0, 5.0, 0.0, 1.0)
 
 
-def test_monotone_root_with_seed_matches_unseeded():
-    g = lambda x: x ** 5 - x
-    dg = lambda x: 5 * x ** 4 - 1
-    plain = monotone_root(g, dg, 7.0, 1.0, 2.0)
-    seeded = monotone_root(g, dg, 7.0, 1.0, 2.0, x0=plain)
-    assert abs(seeded - plain) <= 4.0 * math.ulp(plain)
-
-
 @given(st.floats(min_value=1.05, max_value=2.8),
        st.integers(min_value=2, max_value=9))
 @settings(max_examples=100, deadline=None)
