@@ -14,7 +14,6 @@ arithmetic.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .hpgen import UnitSample, ladder_frac_powers, sample_x
 from .corr import forward_window_pairs
 from .mollify import (CenteredMollifier, Mollifier, centered, make_outer,
                       window_fraction)
-from .quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_rule,
+from .quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_panels,
                    monotone_root, oscillatory_power_integral)
 
 __all__ = [
@@ -369,47 +368,38 @@ def _term_cuts(n: int, m: int, lo: float, hi: float, F: Mollifier) -> list:
     return cuts
 
 
-def _window_integral(terms: tuple, intervals, F: Mollifier,
-                     nodes: int) -> float:
-    """Sum over `intervals` of the integral of the product over (n, m) in
-    `terms` of F(x^n - x^m) dx, piecewise exact.
+def _window_integral(terms: tuple, intervals, F: Mollifier):
+    """run(nodes): the sum over `intervals` of the integral of the product
+    over (n, m) in `terms` of F(x^n - x^m) dx, piecewise exact.
 
     Pieces are delimited by the preimages of every factor's window
     boundaries, so plateau pieces contribute their length exactly and
     ramp pieces are analytic, where a small Gauss rule is already
-    spectral.  One running sum takes the pieces in order.
+    spectral.  Cuts and piece kinds are found once; each run integrates the
+    same ramps at its node count and adds the pieces in order.
     """
     gs = [_powpair(n, m)[0] for n, m in terms]
-    g0 = gs[0] if len(gs) == 1 else None
-    xs_ref, ws_ref = gauss_rule(nodes)
-    total = 0.0
+    pieces = []                                  # (x0, x1, is_ramp)
     for lo, hi in intervals:
-        if not hi > lo:
-            continue
-        cuts = {c for n, m in terms for c in _term_cuts(n, m, lo, hi, F)}
+        cuts = {c for n, m in set(terms) for c in _term_cuts(n, m, lo, hi, F)}
         edges = [lo] + sorted(cuts) + [hi]
         for x0, x1 in zip(edges[:-1], edges[1:]):
-            if not x1 > x0:
-                continue
             xm = 0.5 * (x0 + x1)
             # largest distance of a phase at the midpoint to an integer
-            if g0 is not None:
-                v = g0(xm)
-                u = abs(v - round(v))
-            else:
-                u = max(abs(v - round(v)) for v in [g(xm) for g in gs])
-            if u >= F.edge_f:
-                continue
-            if u <= F.p_f:
-                total += x1 - x0
-                continue
-            half = 0.5 * (x1 - x0)
-            pts = xm + half * xs_ref
-            vals = F.eval_array(gs[0](pts))
-            for g in gs[1:]:
-                vals = vals * F.eval_array(g(pts))
-            total += half * float(np.dot(ws_ref, vals))
-    return total
+            u = max(abs(v - round(v)) for v in [g(xm) for g in gs])
+            if x1 > x0 and u < F.edge_f:
+                pieces.append((x0, x1, u > F.p_f))
+    ramps = [(x0, x1) for x0, x1, is_ramp in pieces if is_ramp]
+
+    def run(nodes: int) -> float:
+        ramp_vals = iter(gauss_panels(ramps, nodes, lambda pts: math.prod(
+            F.eval_array(g(pts)) for g in gs)))
+        total = 0.0
+        for x0, x1, is_ramp in pieces:
+            total += next(ramp_vals) if is_ramp else x1 - x0
+        return total
+
+    return run
 
 
 def _block_terms(k: int, K: int):
@@ -429,27 +419,27 @@ def _integral_Y_certified(lo: float, hi: float, k: int, scheme: BlockScheme,
                           G: CenteredMollifier, cfg: QuadConfig) -> float:
     """integral over [lo, hi] of Y_k, one window integral per (n, m) term."""
     _check_power_scale(k * scheme.K, hi)
+    term_runs = [_window_integral(((n, m),), ((lo, hi),), G.base)
+                 for n, m in _block_terms(k, scheme.K)]
 
     def run(nodes: int) -> float:
         total = 0.0
-        for n, m in _block_terms(k, scheme.K):
-            total += _window_integral(((n, m),), ((lo, hi),), G.base, nodes)
+        for term_run in term_runs:
+            total += term_run(nodes)
         return total - G.mean_f * (hi - lo) * _term_count(k, scheme.K)
 
     return certify(run, cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
                    "window-piece quadrature")
 
 
-def cond_exp_Z(A, k: int, scheme: BlockScheme, G, atom_index: int,
-               quad_cfg: QuadConfig = DEFAULT_QUAD) -> float:
+def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
+               atom_index: int, quad_cfg: QuadConfig = DEFAULT_QUAD) -> float:
     """Average of Y_k over one atom of the level-k partition.
 
-    A constant G short-circuits to constant * term count; otherwise each
-    (n, m) term is integrated over its window preimages with fresh exact
-    power evaluations at the piece boundaries.
+    Each (n, m) term is integrated piecewise between the preimages of its
+    window boundaries, on binary64 phases x^n - x^m: the doubling check
+    certifies truncation only (see quad.certify).
     """
-    if isinstance(G, numbers.Real) and not isinstance(G, bool):
-        return float(G) * _term_count(k, scheme.K)
     part = filtration(as_dyadic(A), k, scheme.K)
     z0, z1 = part.atom(atom_index)
     lo, hi = float(z0), float(z1)
@@ -479,6 +469,8 @@ def cond_exp_cross(A, j: int, k: int, scheme: BlockScheme,
     argument needs these to vanish at scale log N / N^(29/10)."""
     if k - j < 2:
         raise DomainError(f"need k - j >= 2, got j={j}, k={k}")
+    if atom_sample < 1:
+        raise DomainError(f"need at least one sampled atom, got {atom_sample}")
     A = as_dyadic(A)
     part = filtration(A, j, scheme.K)
     count = min(atom_sample, part.N_k)
@@ -814,7 +806,7 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
     supports = [(piece.lo, piece.hi) for piece in _preimage_intervals(
         n, m1, A, A + DyadicRational.from_int(1), edge)]
     fine = certify(
-        lambda nodes: _window_integral(((n, m1), (n, m2)), supports, F, nodes),
+        _window_integral(((n, m1), (n, m2)), supports, F),
         quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15, "overlap quadrature")
 
     N = F.N

@@ -1,12 +1,13 @@
 """Quadrature engines for the proof probes.
 
-Three tools live here: cached Gauss-Legendre rules with the doubling
-certification every quadrature-backed probe uses, a safeguarded Newton
-root finder for strictly increasing maps, and a Levin collocation
-integrator for exponentials exp(2*pi*i*l*(x^n - x^m)) whose cycle count
-makes node-per-oscillation quadrature impossible.  Phases are only ever
-reduced modulo one at dyadic panel endpoints, in exact rational
-arithmetic, so no precision is lost to the size of x^n.
+Three tools live here: cached Gauss-Legendre rules, one compound Gauss
+evaluator (`gauss_panels`) and the doubling certification every
+quadrature-backed probe uses; a safeguarded Newton root finder for
+strictly increasing maps; and a Levin collocation integrator for
+exp(2*pi*i*l*(x^n - x^m)) whose cycle count makes node-per-oscillation
+quadrature impossible.  Phases are only ever reduced modulo one at dyadic
+panel endpoints, in exact rational arithmetic, so no precision is lost to
+the size of x^n.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .dyadic import DyadicRational, as_dyadic
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "QuadConfig", "gauss_rule", "certify", "monotone_root",
+    "QuadConfig", "gauss_rule", "gauss_panels", "certify", "monotone_root",
     "oscillatory_power_integral", "power_diff",
 ]
 
@@ -57,6 +58,19 @@ def gauss_rule(nodes: int):
     xs.setflags(write=False)
     ws.setflags(write=False)
     return xs, ws
+
+
+def gauss_panels(panels, nodes: int, f) -> list:
+    """Gauss-Legendre integral of f over each (lo, hi) of `panels`: one
+    call of f on the (panels x nodes) array of nodes, then one dot product
+    of each panel's row with the weights."""
+    if not panels:
+        return []
+    xs, ws = gauss_rule(nodes)
+    half = [0.5 * (hi - lo) for lo, hi in panels]
+    mid = np.array([[0.5 * (hi + lo)] for lo, hi in panels])
+    vals = f(mid + np.multiply.outer(half, xs))
+    return [h * np.dot(ws, row).item() for h, row in zip(half, vals)]
 
 
 def certify(run, setting: int, rel_tol: float, floor: float, what: str):
@@ -142,22 +156,15 @@ def _exact_phase(l: int, n: int, m: int, p: DyadicRational) -> float:
     return float((l * (q ** n - q ** m)) % 1)
 
 
-def _phase_delta(l: int, n: int, m: int, xs, p: float):
-    return l * (power_diff(xs, p, n) - power_diff(xs, p, m))
-
-
 def _panel_direct(l, n, m, p: DyadicRational, q: DyadicRational,
                   osc: float, refine: int) -> complex:
-    pf, qf = float(p), float(q)
+    pf = float(p)
     nodes = int(math.ceil(NODES_PER_OSC * max(osc, 1.0))) + 16
-    nodes = min(nodes * refine, 8000)
-    xs, ws = gauss_rule(nodes)
-    half = 0.5 * (qf - pf)
-    mid = 0.5 * (qf + pf)
-    pts = mid + half * xs
-    phase = _exact_phase(l, n, m, p) + _phase_delta(l, n, m, pts, pf)
-    vals = np.exp(2j * np.pi * phase)
-    return half * complex(np.dot(ws, vals))
+    anchor = _exact_phase(l, n, m, p)
+    return gauss_panels(
+        [(pf, float(q))], min(nodes * refine, 8000),
+        lambda pts: np.exp(2j * np.pi * (anchor + l * (
+            power_diff(pts, pf, n) - power_diff(pts, pf, m)))))[0]
 
 
 def _panel_levin(l, n, m, p: DyadicRational, q: DyadicRational,

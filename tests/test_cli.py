@@ -349,6 +349,16 @@ def test_probe_overlap_below_threshold_maps_to_domain_exit(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_probe_condexp_without_sampled_atoms_is_a_domain_error(capsys, count):
+    code, out, err = run(capsys, "probe", "condexp", "--N", "1024", "--j",
+                         "1", "--k", "3", "--sample-count", count)
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("domain error:")
+
+
 def test_numerical_certification_failure_maps_to_exit_4(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericalError("doubling check failed", coarse=1.0, fine=2.0)

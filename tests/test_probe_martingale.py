@@ -87,12 +87,6 @@ def test_parity_identity_refuses_giant_samples(scheme, G):
         parity_identity_check(big, blocks(59049), centered(make_outer(1.0, 59049)))
 
 
-def test_cond_exp_of_constant_is_the_constant_times_term_count(scheme):
-    # E[c | atom] integrates c * (number of pair terms) over the atom and
-    # divides by its length: block 3 at K = 2 has 9 pair terms
-    assert cond_exp_Z(A32, 3, scheme, 2.5, 0) == 22.5
-
-
 def test_cond_exp_Z_locked_value(scheme, G):
     assert cond_exp_Z(A32, 1, scheme, G, 0) == pytest.approx(
         0.0004451328438329319, rel=1e-8)

@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, DyadicRational, NumericalError, as_dyadic
 from powcorr import probe
-from powcorr.mollify import make_outer
-from powcorr.probe import (convexity_measure, level_intervals,
-                           pair_overlap_integral, vdc_bound_check)
+from powcorr.mollify import Mollifier, centered, make_outer
+from powcorr.probe import (blocks, cond_exp_Z, convexity_measure,
+                           filtration, level_intervals, pair_overlap_integral,
+                           vdc_bound_check)
+from powcorr.quad import gauss_rule
 
 A32 = DyadicRational(3, 1)
 B52 = DyadicRational(5, 1)
@@ -193,6 +195,97 @@ def test_overlap_envelope_catches_planted_defect(monkeypatch):
     monkeypatch.setattr(probe, "C_OVERLAP_EQUAL", 0.5 * value * F.N)
     with pytest.raises(NumericalError):
         pair_overlap_integral(2, 1, 1, A, F)
+
+
+# ---------------------------------------------------------------------------
+# window-piece integrals: one decomposition, any node count
+
+def per_piece_reference(terms, intervals, F, nodes):
+    """Reference: every cut found again at each node count, scalar
+    midpoint phases, one Gauss rule and one dot product per ramp piece,
+    one running sum."""
+    gs = [lambda x, n=n, m=m: x ** n - x ** m for n, m in terms]
+    xs, ws = gauss_rule(nodes)
+    total = 0.0
+    for lo, hi in intervals:
+        if not hi > lo:
+            continue
+        cuts = {c for n, m in terms
+                for c in probe._term_cuts(n, m, lo, hi, F)}
+        edges = [lo] + sorted(cuts) + [hi]
+        for x0, x1 in zip(edges[:-1], edges[1:]):
+            if not x1 > x0:
+                continue
+            xm = 0.5 * (x0 + x1)
+            u = max(abs(v - round(v)) for v in [g(xm) for g in gs])
+            if u >= F.edge_f:
+                continue
+            if u <= F.p_f:
+                total += x1 - x0
+                continue
+            half = 0.5 * (x1 - x0)
+            vals = F.eval_array(gs[0](xm + half * xs))
+            for g in gs[1:]:
+                vals = vals * F.eval_array(g(xm + half * xs))
+            total += half * float(np.dot(ws, vals))
+    return total
+
+
+def overlap_supports(n, m1, F):
+    return [(piece.lo, piece.hi) for piece in probe._preimage_intervals(
+        n, m1, A32, A32 + DyadicRational.from_int(1), F.edge)]
+
+
+@pytest.mark.parametrize("term", [(3, 1), (3, 2), (4, 1), (4, 3)])
+def test_window_integral_of_a_Y_term_matches_the_per_piece_loop(term):
+    F = make_outer(1.0, 1024)
+    z0, z1 = filtration(A32, 2, 2).atom(1)
+    atom = ((float(z0), float(z1)),)
+    run = probe._window_integral((term,), atom, F)
+    for nodes in (12, 24):
+        assert run(nodes) == per_piece_reference((term,), atom, F, nodes)
+
+
+@pytest.mark.parametrize("tup", [(6, 3, 3), (8, 6, 2), (9, 6, 3)])
+def test_window_integral_of_overlap_supports_matches_the_per_piece_loop(tup):
+    n, m1, m2 = tup
+    F = make_outer(1.0, 100)
+    supports = overlap_supports(n, m1, F)
+    terms = ((n, m1), (n, m2))
+    run = probe._window_integral(terms, supports, F)
+    for nodes in (12, 24):
+        assert run(nodes) == per_piece_reference(terms, supports, F, nodes)
+
+
+def test_each_certified_window_integral_decomposes_once(monkeypatch):
+    # the coarse and fine runs of one doubling check share their pieces,
+    # so each (n, m, lo, hi) is cut once per certificate, and a run
+    # evaluates every ramp piece in one window call per factor
+    calls = []
+    evals = []
+    term_cuts = probe._term_cuts
+    eval_array = Mollifier.eval_array
+
+    def counted(n, m, lo, hi, F):
+        calls.append((n, m, lo, hi))
+        return term_cuts(n, m, lo, hi, F)
+
+    def counted_eval(self, ts):
+        evals.append(np.shape(ts))
+        return eval_array(self, ts)
+
+    monkeypatch.setattr(probe, "_term_cuts", counted)
+    monkeypatch.setattr(Mollifier, "eval_array", counted_eval)
+    cond_exp_Z(A32, 2, blocks(1024), centered(make_outer(1.0, 1024)), 0)
+    assert len(calls) == 5 and len(set(calls)) == 5      # block 2: 5 terms
+    calls.clear()
+    F = make_outer(1.0, 100)
+    evals.clear()
+    pair_overlap_integral(6, 3, 3, A32, F)
+    assert sorted(calls) == sorted(
+        (6, 3, lo, hi) for lo, hi in overlap_supports(6, 3, F))
+    ramps = evals[0][0]
+    assert ramps > 1 and evals == [(ramps, 12)] * 2 + [(ramps, 24)] * 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ from hypothesis import given, settings, strategies as st
 from powcorr import DomainError, NumericalError
 from powcorr.mollify import centered, make_outer
 from powcorr.probe import blocks, cond_exp_Z, pair_overlap_integral
-from powcorr.quad import (DEFAULT_QUAD, QuadConfig, gauss_rule, monotone_root,
-                          oscillatory_power_integral, power_diff)
+from powcorr.quad import (DEFAULT_QUAD, QuadConfig, gauss_panels, gauss_rule,
+                          monotone_root, oscillatory_power_integral,
+                          power_diff)
 
 
 def test_gauss_rule_integrates_polynomials_exactly():
@@ -27,6 +28,24 @@ def test_gauss_rule_integrates_polynomials_exactly():
         num = float((ws * xs ** deg).sum())
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
         assert num == pytest.approx(exact, abs=1e-14)
+    # the compound rule: one call of f on every panel's nodes at once
+    panels = [(-1.0, 0.25), (0.25, 2.0), (2.0, 3.5)]
+    shapes = []
+
+    def power(deg):
+        def f(x):
+            shapes.append(x.shape)
+            return x ** deg
+        return f
+
+    for deg in range(0, 12):
+        got = gauss_panels(panels, 6, power(deg))
+        want = [(b ** (deg + 1) - a ** (deg + 1)) / (deg + 1)
+                for a, b in panels]
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-14)
+    assert shapes == [(3, 6)] * 12
+    assert gauss_panels([], 6, power(1)) == []
+    assert len(shapes) == 12
 
 
 def test_monotone_root_explicit_cube_root():
