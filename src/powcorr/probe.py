@@ -8,7 +8,8 @@ and the oscillatory/level-set integral bounds the argument rests on.
 Everything that can be exact is exact: partition points are dyadic
 rationals, level-set endpoints are certified by integer sign checks,
 and phases of high-frequency integrals reduce modulo one in integer
-arithmetic.
+arithmetic, once per panel edge; both rest on one primitive,
+`quad.scaled_g`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .corr import forward_window_pairs
 from .mollify import (CenteredMollifier, Mollifier, centered, make_outer,
                       window_fraction)
 from .quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_panels,
-                   monotone_root, oscillatory_power_integral)
+                   monotone_root, oscillatory_power_integral, scaled_g)
 
 __all__ = [
     "BlockScheme", "FiltrationRun", "FiltrationPartition", "ProbeReport",
@@ -282,8 +283,9 @@ def _window_F_sums_by_block(points: np.ndarray, scheme: BlockScheme,
     """Sorted window enumeration; returns (per-pair F values, block index
     of each pair's larger exponent)."""
     pw = forward_window_pairs(points, F.edge_f)
-    orig_i = pw.order[pw.pos_i]
-    orig_j = pw.order[pw.pos_j]
+    order = pw.order                             # an argsort per access
+    orig_i = order[pw.pos_i]
+    orig_j = order[pw.pos_j]
     larger = np.maximum(orig_i, orig_j)          # 0-based; power = larger + 1
     vals = F.eval_array(pw.gaps)
     return vals, larger // scheme.K + 1
@@ -626,14 +628,9 @@ class LevelInterval:
         return self.hi - self.lo
 
 
-def _scaled_g(c: int, e: int, n: int, m: int) -> int:
-    """2^(e n) * g(c / 2^e) for g(x) = x^n - x^m, exactly."""
-    return c ** n - (c ** m << (e * (n - m)))
-
-
 def _sign_at(c: int, e: int, n: int, m: int, t: int, d: int) -> int:
     """Exact sign of g(c / 2^e) - t/d, integers only."""
-    val = d * _scaled_g(c, e, n, m) - (t << (e * n))
+    val = d * scaled_g(c, e, n, m) - (t << (e * n))
     return (val > 0) - (val < 0)
 
 
@@ -688,7 +685,7 @@ def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
     e = max(a.exponent, b.exponent)
     a_c, b_c = (x.numerator << (e - x.exponent) for x in (a, b))
     scale, d, r = e * n, w.denominator, w.numerator
-    ga, gb = _scaled_g(a_c, e, n, m), _scaled_g(b_c, e, n, m)
+    ga, gb = scaled_g(a_c, e, n, m), scaled_g(b_c, e, n, m)
     da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
     a_f, b_f = float(a), float(b)
 
@@ -766,17 +763,18 @@ def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
 # overlap integral of two window factors
 # ---------------------------------------------------------------------------
 
-def _overlap_threshold(n: int, m1: int, m2: int, A: DyadicRational) -> int:
+def _overlap_threshold(m2: int, A: DyadicRational) -> int:
     """Least exponent m making (floor(A^m - A^m2) - 2)^2 >= A^m.
 
     Feasibility of the sparse-overlap bound only needs the gap between
     consecutive level values of x^n - x^m to dominate sqrt(A^m); raising
     both sides of that inequality to the power 2m/(n - m) removes n from
-    the test, so the threshold depends on (m1, m2, A) alone."""
-    af = A.as_fraction()
+    the test, so the threshold depends on (m2, A) alone.  With
+    A = c / 2^e both sides are compared in integers."""
+    c, e = A.numerator, A.exponent
     for m in range(m2 + 1, 501):
-        L = math.floor(af ** m - af ** m2)
-        if L >= 3 and Fraction(L - 2) ** 2 >= af ** m:
+        L = scaled_g(c, e, m, m2) >> (e * m)
+        if L >= 3 and ((L - 2) ** 2 << (e * m)) >= c ** m:
             return m
     raise DomainError("no feasible overlap threshold below 500")
 
@@ -796,7 +794,7 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
     if not A > DyadicRational.from_int(1):
         raise DomainError(f"A must exceed 1, got {A}")
     if m1 > m2:
-        n0 = _overlap_threshold(n, m1, m2, A)
+        n0 = _overlap_threshold(m2, A)
         if m1 < n0:
             raise DomainError(
                 f"m1 = {m1} is below the computed feasibility threshold "

@@ -6,8 +6,8 @@ quadrature-backed probe uses; a safeguarded Newton root finder for
 strictly increasing maps; and a Levin collocation integrator for
 exp(2*pi*i*l*(x^n - x^m)) whose cycle count makes node-per-oscillation
 quadrature impossible.  Phases are only ever reduced modulo one at dyadic
-panel endpoints, in exact rational arithmetic, so no precision is lost to
-the size of x^n.
+panel endpoints, in integer arithmetic and once per endpoint per
+certificate (`scaled_g`), so no precision is lost to the size of x^n.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import DomainError, NumericalError
 
 __all__ = [
     "QuadConfig", "gauss_rule", "gauss_panels", "certify", "monotone_root",
-    "oscillatory_power_integral", "power_diff",
+    "oscillatory_power_integral", "power_diff", "scaled_g",
 ]
 
 
@@ -150,29 +150,26 @@ def power_diff(x, p: float, n: int):
     return p ** n * np.expm1(n * np.log1p((np.asarray(x, dtype=float) - p) / p))
 
 
-def _exact_phase(l: int, n: int, m: int, p: DyadicRational) -> float:
-    """Fractional part of l*(p^n - p^m) for dyadic p, reduced exactly."""
-    q = p.as_fraction()
-    return float((l * (q ** n - q ** m)) % 1)
+def scaled_g(c: int, e: int, n: int, m: int) -> int:
+    """2^(e n) * g(c / 2^e) for g(x) = x^n - x^m, exactly: the one exact
+    phase primitive of the oscillatory integrals and the level-set probes."""
+    return c ** n - (c ** m << (e * (n - m)))
 
 
-def _panel_direct(l, n, m, p: DyadicRational, q: DyadicRational,
+def _panel_direct(l, n, m, p: float, q: float, anchor: float,
                   osc: float, refine: int) -> complex:
-    pf = float(p)
     nodes = int(math.ceil(NODES_PER_OSC * max(osc, 1.0))) + 16
-    anchor = _exact_phase(l, n, m, p)
     return gauss_panels(
-        [(pf, float(q))], min(nodes * refine, 8000),
+        [(p, q)], min(nodes * refine, 8000),
         lambda pts: np.exp(2j * np.pi * (anchor + l * (
-            power_diff(pts, pf, n) - power_diff(pts, pf, m)))))[0]
+            power_diff(pts, p, n) - power_diff(pts, p, m)))))[0]
 
 
-def _panel_levin(l, n, m, p: DyadicRational, q: DyadicRational,
-                 nodes: int) -> complex:
-    pf, qf = float(p), float(q)
+def _panel_levin(l, n, m, p: float, q: float, anchor_p: float,
+                 anchor_q: float, nodes: int) -> complex:
     D, t = _cheb(nodes - 1)
-    half = 0.5 * (qf - pf)
-    mid = 0.5 * (qf + pf)
+    half = 0.5 * (q - p)
+    mid = 0.5 * (q + p)
     xs = mid + half * t          # xs[0] = q, xs[-1] = p
     dphi = l * (n * xs ** (n - 1) - m * xs ** (m - 1))
     M = D / half + 2j * np.pi * np.diag(dphi)
@@ -180,9 +177,8 @@ def _panel_levin(l, n, m, p: DyadicRational, q: DyadicRational,
         u = np.linalg.solve(M, np.ones(nodes, dtype=complex))
     except np.linalg.LinAlgError:
         u, *_ = np.linalg.lstsq(M, np.ones(nodes, dtype=complex), rcond=None)
-    e_q = np.exp(2j * np.pi * _exact_phase(l, n, m, q))
-    e_p = np.exp(2j * np.pi * _exact_phase(l, n, m, p))
-    return u[0] * e_q - u[-1] * e_p
+    return (u[0] * np.exp(2j * np.pi * anchor_q)
+            - u[-1] * np.exp(2j * np.pi * anchor_p))
 
 
 def _snap_between(x: float, lo: DyadicRational,
@@ -193,8 +189,7 @@ def _snap_between(x: float, lo: DyadicRational,
     return cand
 
 
-def _power_panels(l: int, n: int, m: int, a: DyadicRational,
-                  b: DyadicRational) -> list:
+def _power_panels(n: int, a: DyadicRational, b: DyadicRational) -> list:
     """Panel edges with at most a doubling of the phase speed per panel."""
     ratio = 2.0 ** (1.0 / max(n - 1, 1))
     edges = [a]
@@ -206,19 +201,20 @@ def _power_panels(l: int, n: int, m: int, a: DyadicRational,
     return edges
 
 
-def _osc_count(l, n, m, p: DyadicRational, q: DyadicRational) -> float:
-    qp, pp = q.as_fraction(), p.as_fraction()
-    return float(l * ((qp ** n - qp ** m) - (pp ** n - pp ** m)))
-
-
 def oscillatory_power_integral(l: int, n: int, m: int, a, b,
                                cfg: QuadConfig = DEFAULT_QUAD) -> complex:
     """integral over [a, b] of exp(2*pi*i*l*(x^n - x^m)) dx.
 
-    Low-cycle panels use direct Gauss-Legendre with the phase anchored
-    exactly at the panel's left edge; high-cycle panels use Levin
-    collocation, whose cost is independent of the cycle count.  The whole
-    integral is recomputed at a finer setting and must agree to rel_tol.
+    The panel edges, each panel's cycle count and its phase anchors are
+    found once and shared by both runs of the doubling check: l*g is
+    evaluated exactly at every edge (`scaled_g`, at the edges' common
+    exponent), and the cycle count and the fractional parts of l*g at the
+    panel's ends are correctly rounded quotients of those integers, equal
+    to the exact rationals' binary64 roundings.  Low-cycle panels use
+    direct Gauss-Legendre with the phase anchored at the panel's left edge;
+    high-cycle panels use Levin collocation, whose cost is independent of
+    the cycle count.  The whole integral is recomputed at a finer setting
+    and must agree to rel_tol.
     """
     a, b = as_dyadic(a), as_dyadic(b)
     if not (DyadicRational(1, 0) < a < b):
@@ -227,16 +223,21 @@ def oscillatory_power_integral(l: int, n: int, m: int, a, b,
         raise DomainError("l, n, m must be integers")
     if not (n > m >= 1 and l >= 1):
         raise DomainError(f"need n > m >= 1 and l >= 1, got l={l}, n={n}, m={m}")
-    edges = _power_panels(l, n, m, a, b)
+    edges = _power_panels(n, a, b)
+    e = max(x.exponent for x in edges)
+    one = 1 << (e * n)                  # l * g(edge) = its integer / one
+    ends = [(float(x), l * scaled_g(x.numerator << (e - x.exponent), e, n, m))
+            for x in edges]
+    panels = [(p, q, (gp % one) / one, (gq % one) / one, (gq - gp) / one)
+              for (p, gp), (q, gq) in zip(ends, ends[1:])]
 
     def run(refine: int) -> complex:
         total = 0.0 + 0.0j
-        for p, q in zip(edges[:-1], edges[1:]):
-            osc = _osc_count(l, n, m, p, q)
+        for p, q, anchor_p, anchor_q, osc in panels:
             if osc <= DIRECT_OSC_LIMIT:
-                total += _panel_direct(l, n, m, p, q, osc, refine)
+                total += _panel_direct(l, n, m, p, q, anchor_p, osc, refine)
             else:
-                total += _panel_levin(l, n, m, p, q,
+                total += _panel_levin(l, n, m, p, q, anchor_p, anchor_q,
                                       cfg.levin_nodes + 12 * (refine - 1))
         return total
 

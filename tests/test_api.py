@@ -3,12 +3,14 @@
 import importlib
 import importlib.util
 import pkgutil
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import powcorr
+from powcorr import DyadicRational, quad
 
 MODULES = ["powcorr"] + [f"powcorr.{info.name}"
                          for info in pkgutil.iter_modules(powcorr.__path__)]
@@ -55,3 +57,20 @@ def test_benchmark_probe_ops_run_and_check_clean(monkeypatch):
     for op in ops:
         problems, _ = op.check(op.canon(op.call()))
         assert problems == [], op.label
+
+
+def test_benchmark_panel_count_matches_the_integrator(monkeypatch):
+    # perfbench fills its VDC_SLOTS cost profile by a float model of
+    # quad._power_panels; the model must count the panels the integrator
+    # makes, on vdc draws taken the way the benchmark takes them
+    workloads = load_perfbench("workloads", monkeypatch)
+    rng = random.Random(3)
+    for _ in range(400):
+        rng.randint(1, 8)                        # l
+        n = rng.randint(2, 20)
+        rng.randint(1, n - 1)                    # m
+        ai = rng.randint(1, 120)
+        gap = rng.randint(1, 127 - ai)
+        a, b = DyadicRational(64 + ai, 6), DyadicRational(64 + ai + gap, 6)
+        assert workloads._panel_count(n, float(a), float(b)) == \
+            len(quad._power_panels(n, a, b)) - 1, (n, a, b)

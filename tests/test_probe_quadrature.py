@@ -168,6 +168,24 @@ def test_overlap_below_feasibility_threshold_is_refused():
     assert "6" in str(err.value)
 
 
+def test_overlap_threshold_matches_fraction_loop():
+    # the integer comparison against the Fraction loop it replaced, on
+    # bases with exponents 1 to 6 of the 2^-6 grid and a few at 2^-52
+    def reference(m2, A):
+        af = A.as_fraction()
+        for m in range(m2 + 1, 501):
+            L = math.floor(af ** m - af ** m2)
+            if L >= 3 and Fraction(L - 2) ** 2 >= af ** m:
+                return m
+        return None
+
+    bases = [DyadicRational(num, 6) for num in range(65, 192)]
+    bases += [DyadicRational.from_float(1.0 + k / 7.0) for k in (1, 3, 5, 9)]
+    for m2 in range(1, 15):
+        for A in bases:
+            assert probe._overlap_threshold(m2, A) == reference(m2, A), (m2, A)
+
+
 def test_overlap_equal_exponents_match_dense_oracle():
     F = make_outer(1.0, 50)
     value, bound = pair_overlap_integral(3, 1, 1, DyadicRational(2, 0), F)

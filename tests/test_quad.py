@@ -7,17 +7,18 @@ dense Riemann sum is affordable.
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powcorr import DomainError, NumericalError
+from powcorr import DomainError, DyadicRational, NumericalError, quad
 from powcorr.mollify import centered, make_outer
 from powcorr.probe import blocks, cond_exp_Z, pair_overlap_integral
-from powcorr.quad import (DEFAULT_QUAD, QuadConfig, gauss_panels, gauss_rule,
-                          monotone_root, oscillatory_power_integral,
+from powcorr.quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_panels,
+                          gauss_rule, monotone_root, oscillatory_power_integral,
                           power_diff)
 
 
@@ -114,6 +115,107 @@ def test_oscillatory_integral_levin_regime_decays():
     lo = abs(oscillatory_power_integral(1, 4, 1, 1.5, 2.0))
     hi = abs(oscillatory_power_integral(64, 4, 1, 1.5, 2.0))
     assert hi < lo / 8.0
+
+
+def fraction_oscillatory_integral(l, n, m, a, b, cfg=DEFAULT_QUAD):
+    """(integral, panel kinds) by the per-panel evaluation the integrator
+    had before its phases moved to integers: both runs recompute every
+    panel's cycle count and its phase anchors from Fraction powers."""
+    edges = quad._power_panels(n, a, b)
+    kinds = set()
+
+    def phase(p):
+        f = p.as_fraction()
+        return float((l * (f ** n - f ** m)) % 1)
+
+    def run(refine):
+        total = 0.0 + 0.0j
+        for p, q in zip(edges[:-1], edges[1:]):
+            fp, fq = p.as_fraction(), q.as_fraction()
+            osc = float(l * ((fq ** n - fq ** m) - (fp ** n - fp ** m)))
+            pf, qf = float(p), float(q)
+            if osc <= quad.DIRECT_OSC_LIMIT:
+                kinds.add("direct")
+                nodes = int(math.ceil(quad.NODES_PER_OSC * max(osc, 1.0))) + 16
+                anchor = phase(p)
+                total += gauss_panels(
+                    [(pf, qf)], min(nodes * refine, 8000),
+                    lambda pts: np.exp(2j * np.pi * (anchor + l * (
+                        power_diff(pts, pf, n) - power_diff(pts, pf, m)))))[0]
+                continue
+            kinds.add("levin")
+            nodes = cfg.levin_nodes + 12 * (refine - 1)
+            D, t = quad._cheb(nodes - 1)
+            half, mid = 0.5 * (qf - pf), 0.5 * (qf + pf)
+            xs = mid + half * t
+            dphi = l * (n * xs ** (n - 1) - m * xs ** (m - 1))
+            M = D / half + 2j * np.pi * np.diag(dphi)
+            try:
+                u = np.linalg.solve(M, np.ones(nodes, dtype=complex))
+            except np.linalg.LinAlgError:
+                u, *_ = np.linalg.lstsq(M, np.ones(nodes, dtype=complex),
+                                        rcond=None)
+            e_q = np.exp(2j * np.pi * phase(q))
+            e_p = np.exp(2j * np.pi * phase(p))
+            total += u[0] * e_q - u[-1] * e_p
+        return total
+
+    return certify(run, 1, cfg.rel_tol, 1e-13, "oscillatory quadrature"), kinds
+
+
+def _vdc_draws(count, seed):
+    # (l, n, m, a, b) drawn like the vdc gate's tuples but with l up to 64,
+    # n up to 20, [a, b] inside [65/64, 191/64] on the 2^-6 grid
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 20)
+        ai = rng.randint(1, 120)
+        gap = rng.randint(1, 127 - ai)
+        yield (rng.choice((1, 2, 5, 8, 64)), n, rng.randint(1, n - 1),
+               DyadicRational(64 + ai, 6), DyadicRational(64 + ai + gap, 6))
+
+
+@pytest.mark.parametrize("cfg", [DEFAULT_QUAD, QuadConfig(levin_nodes=36)])
+def test_oscillatory_integral_matches_fraction_panels_bit_for_bit(cfg):
+    third = DyadicRational(3, 1)
+    named = [((1, 2, 1, third, DyadicRational(5, 1)), {"direct"}),
+             ((64, 4, 1, third, DyadicRational(2, 0)), {"levin"}),
+             ((3, 6, 1, DyadicRational(65, 6), DyadicRational(150, 6)),
+              {"direct", "levin"})]
+    for args, want in named:
+        value, kinds = fraction_oscillatory_integral(*args, cfg)
+        assert kinds == want
+        assert repr(oscillatory_power_integral(*args, cfg)) == repr(value)
+    seen = set()
+    for args in _vdc_draws(24, 10):
+        value, kinds = fraction_oscillatory_integral(*args, cfg)
+        seen |= kinds
+        assert repr(oscillatory_power_integral(*args, cfg)) == repr(value), args
+    assert seen == {"direct", "levin"}
+
+
+def test_oscillatory_integral_evaluates_each_edge_phase_once(monkeypatch):
+    # both doubling runs read one decomposition: one exact phase per edge
+    calls = []
+
+    def counted(c, e, n, m):
+        calls.append(c)
+        return real(c, e, n, m)
+
+    real = quad.scaled_g
+    monkeypatch.setattr(quad, "scaled_g", counted)
+    a, b = DyadicRational(65, 6), DyadicRational(150, 6)
+    oscillatory_power_integral(3, 6, 1, a, b)
+    edges = quad._power_panels(6, a, b)
+    assert len(edges) == 7
+    e = max(x.exponent for x in edges)
+    assert calls == [x.numerator << (e - x.exponent) for x in edges]
+
+
+def test_scaled_g_is_exact_at_dyadic_points():
+    for c, e, n, m in ((3, 1, 2, 1), (65, 6, 9, 3), (2 ** 40 + 17, 40, 20, 19)):
+        x = Fraction(c, 2 ** e)
+        assert quad.scaled_g(c, e, n, m) == (x ** n - x ** m) * 2 ** (e * n)
 
 
 def test_oscillatory_integral_domain_errors():
