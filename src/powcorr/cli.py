@@ -325,6 +325,13 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
         return {"rows": rows}, rows, EXIT_OK
 
     if mode == "z":
+        terms = sum(n - 1 for n in scheme.block(cfg.k))    # pairs m < n
+        atoms = 1 << probe.mu(A, cfg.k, scheme.K)          # <= the count
+        if atoms * terms <= probe.TOWER_WORK_CAP:          # cheap to walk
+            atoms = probe.filtration_runs(A, cfg.k, scheme.K)[1]
+        if atoms * terms > probe.TOWER_WORK_CAP:
+            raise ResourceError(f"tower check over at least {atoms} atoms x "
+                                f"{terms} terms exceeds {probe.TOWER_WORK_CAP}")
         z_val = probe.cond_exp_Z(A, cfg.k, scheme, G, cfg.atom_index)
         weighted, direct, rel = probe.tower_check(A, cfg.k, scheme, G)
         ok = rel <= 1e-6

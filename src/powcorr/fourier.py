@@ -102,8 +102,8 @@ def jackson_trend(s, n_list) -> JacksonReport:
     L = N^3.
 
     The envelope is the derivative-bound-times-log(L)/L shape; the check
-    passes when the fitted slope stays below 1.15, i.e. the measured error
-    decays at least as fast as the envelope.
+    passes when the fitted slope is at most 1.15: a cap on how fast the
+    error falls against the envelope, not a test that it falls as fast.
     """
     ns = tuple(int(n) for n in n_list)
     if len(ns) < 3 or any(b <= a for a, b in zip(ns, ns[1:])):

@@ -6,10 +6,10 @@ block, the dyadic interval filtration whose atom widths track the local
 oscillation scale, conditional expectations of Y over filtration atoms,
 and the oscillatory/level-set integral bounds the argument rests on.
 Everything that can be exact is exact: partition points are dyadic
-rationals, level-set endpoints are certified by integer sign checks,
-and phases of high-frequency integrals reduce modulo one in integer
-arithmetic, once per panel edge; both rest on one primitive,
-`quad.scaled_g`.
+rationals, level-set endpoint signs are proven by a binary64 filter or,
+where it cannot decide, by integer checks, and phases of high-frequency
+integrals reduce modulo one in integer arithmetic, once per panel edge;
+the integer work rests on one primitive, `quad.scaled_g`.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ __all__ = [
 
 #: refuse to materialize partitions with more atoms than this
 DEFAULT_ATOM_CAP = 1_000_000
+#: `probe z` refuses tower checks over more atoms x (n, m) terms than this
+TOWER_WORK_CAP = 1_000_000
 #: largest N for the direct double-sum side of the parity identity
 IDENTITY_N_CAP = 4096
 #: fitted envelope constants for the overlap integral bounds, frozen after
@@ -664,7 +666,7 @@ def _root_seeds(n: int, m: int, a_f: float, b_f: float,
                 targets: np.ndarray) -> np.ndarray:
     """Vectorized Newton estimates for x^n - x^m = target, one per target.
 
-    Seeds only; every returned value is re-certified in exact arithmetic.
+    Seeds only; every returned value is re-certified.
     """
     grid = np.linspace(a_f, b_f, 4097)
     xs = np.interp(targets, grid ** n - grid ** m, grid)
@@ -675,36 +677,66 @@ def _root_seeds(n: int, m: int, a_f: float, b_f: float,
     return xs
 
 
+def _sign_filter(n: int, m: int, c: np.ndarray,
+                 targets: np.ndarray) -> np.ndarray:
+    """sign(g(c / 2^48) - t/d) where binary64 proves it, else 0, at grid
+    points 0 < c < 2^53, for the float targets fl(fl(M) -+ fl(w)) of
+    t/d = M -+ w, M >= 0, w < 1/2.
+
+    x = c / 2^48 is exact.  With u = 2^-53, gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.4) and
+    m' = max(m, 1): repeated multiplication gives p_k = x^k (1 + theta),
+    |theta| <= gamma_(k-1), p_0 = 1; the target is within 4u(1 + u)|t/d|
+    of t/d; v = fl(fl(p_n - p_m) - target) adds two roundings, so
+    |v - (g(x) - t/d)| <= gamma_(n+1) x^n + gamma_(m'+1) x^m + gamma_5 |t/d|.
+    As (n + 5) u <= 1/10, gamma_k <= (10/9) k u, x^k <= (9/8) p_k and
+    |t/d| <= (9/8)|target|: the bound is below 1.25 u S < 2u fl(S), S =
+    (n + 1) p_n + (m' + 1) p_m + 5 |target| (three roundings).  Where |v|
+    > 2u fl(S), v has the exact sign; overflow leaves it undecided."""
+    x = c * 2.0 ** -48
+    p, p_m = x, (x if m == 1 else np.ones_like(x))
+    for k in range(2, n + 1):
+        p = p * x
+        if k == m:
+            p_m = p
+    v = (p - p_m) - targets
+    bound = 2.0 ** -52 * ((n + 1) * p + (max(m, 1) + 1) * p_m
+                          + 5 * np.abs(targets))
+    return np.where(np.abs(v) > bound, np.sign(v), 0.0)
+
+
 def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
                         w: Fraction) -> list:
     """Certified intervals where x^n - x^m lies within w of an integer.
 
-    Window ends M -+ w are the targets t/d, d = w's denominator; one at or
-    below g(a) clips to a, one at or above g(b) to b, decided exactly.  The
-    rest share one seed pass and are certified by _certified_root."""
+    Window ends M -+ w are the targets t/d, d = w's denominator.  An end is
+    the middle of _certified_root's first grid bracket where _sign_filter
+    proves its end signs (never if it clips: g increases); else it is a if
+    t/d <= g(a), b if t/d >= g(b) (integer tests), or _certified_root's."""
     e = max(a.exponent, b.exponent)
     a_c, b_c = (x.numerator << (e - x.exponent) for x in (a, b))
     scale, d, r = e * n, w.denominator, w.numerator
     ga, gb = scaled_g(a_c, e, n, m), scaled_g(b_c, e, n, m)
     da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
     a_f, b_f = float(a), float(b)
-
-    def end(t: int, seed: float) -> float:
-        if t << scale <= da:
-            return a_f
-        if t << scale >= db:
-            return b_f
-        return _certified_root(n, m, t, d, seed, a_c, b_c, e)
-
     ms = range(ga >> scale, -(-gb >> scale) + 1)
     targets = np.array(ms, dtype=float) + [[-float(w)], [float(w)]]
-    lo_seeds, hi_seeds = _root_seeds(n, m, a_f, b_f, targets).tolist()
-    out = []
-    for M, lo_seed, hi_seed in zip(ms, lo_seeds, hi_seeds):
-        lo, hi = end(M * d - r, lo_seed), end(M * d + r, hi_seed)
-        if hi > lo:                  # windows outside [g(a), g(b)] give lo = hi
-            out.append(LevelInterval(M=M, lo=lo, hi=hi))
-    return out
+    seeds = _root_seeds(n, m, a_f, b_f, targets)
+    ends = np.full(targets.shape, np.nan)    # nan: not decided yet
+    hi_grid = (b_c << 48) >> e               # floor(b * 2^48)
+    if hi_grid < 1 << 53:                    # grid points exact in binary64
+        center = np.rint(seeds * 2.0 ** 48).astype(np.int64)
+        blo = np.maximum(center - 4, -((-a_c << 48) >> e))
+        bhi = np.minimum(center + 4, hi_grid)
+        ok = (_sign_filter(n, m, blo, targets) < 0) \
+            & (_sign_filter(n, m, bhi, targets) > 0)
+        ends[ok] = ((blo + bhi) / 2 / 2.0 ** 48)[ok]
+    for side, j in zip(*np.nonzero(np.isnan(ends))):
+        t = ms[j] * d + (r if side else -r)
+        ends[side, j] = a_f if t << scale <= da else b_f if t << scale >= db \
+            else _certified_root(n, m, t, d, float(seeds[side, j]), a_c, b_c, e)
+    return [LevelInterval(M=M, lo=lo, hi=hi)  # lo = hi: window outside
+            for M, lo, hi in zip(ms, *ends.tolist()) if hi > lo]
 
 
 def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:

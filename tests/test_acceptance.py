@@ -224,7 +224,9 @@ def test_gate_second_moment_growth(capsys):
 def test_gate_truncation_trend(capsys):
     """Fourier truncation error is non-increasing along a doubling cutoff
     ladder, and the fitted trend against the derivative-bound envelope at
-    N in {10, 20, 40}, L = N^3 should stay within slope 1.15."""
+    N in {10, 20, 40}, L = N^3 should stay within slope 1.15.  That cap
+    bounds how fast the error falls against the envelope, not how slowly;
+    the gate is red by design (README)."""
     G = centered(make_outer(1.0, 10))
     sups = [truncation_sup(G, L) for L in (16, 32, 64, 128, 256, 512,
                                            1024)]

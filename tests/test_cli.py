@@ -378,6 +378,28 @@ def test_probe_z_reports_tower_property(capsys):
     assert "PASS" in err
 
 
+def test_probe_z_refuses_an_oversized_tower_check_before_quadrature(
+        capsys, monkeypatch):
+    # level 8 at A = 3/2, N = 1024: 595,287 atoms x 29 (n, m) terms
+    def explode(*args, **kwargs):
+        raise AssertionError("quadrature ran before the work cap")
+    monkeypatch.setattr(probe, "cond_exp_Z", explode)
+    monkeypatch.setattr(probe, "tower_check", explode)
+    code, out, err = run(capsys, "probe", "z", "--A", "3/2", "--N", "1024",
+                         "--k", "8")
+    assert code == 5
+    assert out == ""
+    assert f"595287 atoms x 29 terms exceeds {probe.TOWER_WORK_CAP}" in err
+    # far above the cap, the lower bound 2^mu(A) on the count refuses
+    # before the runs are walked
+    monkeypatch.setattr(probe, "filtration_runs", explode)
+    code, _, err = run(capsys, "probe", "z", "--A", "3/2", "--N", "1024",
+                       "--k", "500")
+    assert code == 5
+    lower = 1 << probe.mu(DyadicRational(3, 1), 500, 2)
+    assert f"at least {lower} atoms x 1997 terms" in err
+
+
 def test_probe_vdc_rows(capsys):
     code, out, _ = run(capsys, "probe", "vdc", "--l", "1,2",
                        "--n-powers", "2,3", "--m-powers", "1",

@@ -419,3 +419,89 @@ def test_certified_root_from_far_seeds_takes_wide_spreads_then_bisection(
         assert _g(x - steps * STEP, n, m) <= t <= _g(x + steps * STEP, n, m)
         assert len(exps) > 80 if bisected else set(exps) == {48}
         assert len(exps) >= 4
+
+
+# ---------------------------------------------------------------------------
+# the binary64 sign filter in front of the exact signs
+
+@given(st.integers(2, 12), st.data())
+@settings(max_examples=300, deadline=None)
+def test_sign_filter_decides_only_exact_signs(n, data):
+    # a target t/d = M -+ w on g(c0 / 2^48), or one binary64 step of w off
+    # it, for a grid point c0 next to an anchor; the filter is asked at c0,
+    # where rounding decides, at the bracket ends c0 -+ 4, a few steps off
+    # and up to 2^40 steps away.  "Undecided" is always allowed.
+    m = data.draw(st.integers(0, n - 1), label="m")
+    p = data.draw(st.sampled_from(ANCHORS), label="anchor")
+    c0 = int(p * (1 << 48)) + data.draw(st.integers(-(1 << 40), 1 << 40),
+                                        label="c0")
+    g0 = _g(Fraction(c0, 1 << 48), n, m)
+    w = Fraction(_half_width(g0, data.draw(st.sampled_from((-1, 0, 1)),
+                                           label="nudge")))
+    M, side = (math.floor(g0), 1) if g0 - math.floor(g0) <= Fraction(1, 2) \
+        else (math.ceil(g0), -1)
+    t, d = M * w.denominator + side * w.numerator, w.denominator
+    target = float(M) + side * float(w)    # as _preimage_intervals rounds it
+    offsets = data.draw(st.lists(st.one_of(
+        st.integers(-8, 8), st.integers(-(1 << 40), 1 << 40)), max_size=12),
+        label="offsets")
+    c = np.array([c0 + o for o in (0, -4, 4, *offsets)], dtype=np.int64)
+    signs = probe._sign_filter(n, m, c, np.full(len(c), target))
+    for ci, sign in zip(c.tolist(), signs.tolist()):
+        if sign:
+            assert sign == probe._sign_at(ci, 48, n, m, t, d)
+    # and it is no empty shortcut: 2^20 steps from the root it decides
+    assert signs[np.abs(c - c0) >= 1 << 20].all()
+
+
+def _filter_off(n, m, c, targets):
+    return np.zeros(c.shape)
+
+
+@pytest.mark.parametrize("n, m, a, b, s, N", [
+    # n = 12, m = 0: 115 windows over [5/4, 3/2]
+    (12, 0, DyadicRational(5, 2), A32, 1.0, 100),
+    # a window end within binary64 rounding of g(a)
+    (5, 4, DyadicRational(1385316916043, 40),
+     DyadicRational(1385316916043, 40) + DyadicRational(1, 3),
+     0.3449602169916573, 1),
+    # two M, every end clipped: [g(a), g(b)] = [3/4, 0.78]
+    (2, 1, A32, DyadicRational(97, 6), 0.3, 1),
+    # three M: the lowest and highest clip, the middle one has two roots
+    (2, 1, A32, DyadicRational(7, 2), 0.125, 1),
+    # three M: the middle window's lower end clips to a, its upper is a root
+    (3, 1, A32, DyadicRational(13, 3), 0.25, 1),
+])
+def test_exact_path_gives_the_filtered_intervals(monkeypatch, n, m, a, b,
+                                                  s, N):
+    filtered = probe._preimage_intervals(n, m, a, b, Fraction(s) / N)
+    measure = convexity_measure((n, m), (a, b), s, N)
+    real = probe._certified_root
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(probe, "_sign_filter", _filter_off)
+    monkeypatch.setattr(probe, "_certified_root", counted)
+    assert probe._preimage_intervals(n, m, a, b, Fraction(s) / N) == filtered
+    assert len(calls) == sum(x not in (float(a), float(b))
+                             for iv in filtered for x in (iv.lo, iv.hi))
+    assert convexity_measure((n, m), (a, b), s, N) == measure
+
+
+def test_exact_path_gives_the_filtered_level_intervals(monkeypatch):
+    filtered = level_intervals(3, 1, A32, 1.0, 100)
+    monkeypatch.setattr(probe, "_sign_filter", _filter_off)
+    assert level_intervals(3, 1, A32, 1.0, 100) == filtered
+
+
+def test_grid_points_past_2_to_53_take_the_integer_path(monkeypatch):
+    # on [40, 81/2] the grid points x 2^48 exceed 2^53, where binary64
+    # cannot hold them: the filter must not run, and every end is exact
+    monkeypatch.setattr(probe, "_sign_filter", None)
+    a, b, w = Fraction(40), Fraction(81, 2), Fraction(1, 100)
+    ivs = probe._preimage_intervals(3, 1, as_dyadic(a), as_dyadic(b), w)
+    assert len(ivs) > 2000
+    _check_against_signs(3, 1, a, b, w, ivs)
