@@ -325,7 +325,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
         return {"rows": rows}, rows, EXIT_OK
 
     if mode == "z":
-        terms = sum(n - 1 for n in scheme.block(cfg.k))    # pairs m < n
+        terms = probe._term_count(cfg.k, scheme.K)         # pairs m < n
         atoms = 1 << probe.mu(A, cfg.k, scheme.K)          # <= the count
         if atoms * terms <= probe.TOWER_WORK_CAP:          # cheap to walk
             atoms = probe.filtration_runs(A, cfg.k, scheme.K)[1]

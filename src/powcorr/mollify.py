@@ -94,11 +94,6 @@ class Mollifier:
         return 2 * self.p + self.delta
 
     @property
-    def integral_sq(self) -> Fraction:
-        """Exact integral of the square: each ramp contributes 13/35 * delta."""
-        return 2 * self.p + 2 * Fraction(13, 35) * self.delta
-
-    @property
     def deriv_sup(self) -> Fraction:
         """Exact sup of |derivative|: (3/2) / delta at ramp midpoints."""
         return Fraction(3, 2) / self.delta
@@ -183,11 +178,6 @@ class CenteredMollifier:
 
     def eval_array(self, ts: np.ndarray) -> np.ndarray:
         return self.base.eval_array(ts) - self.mean_f
-
-    @property
-    def sup_abs(self) -> float:
-        """max(|1 - mean|, mean) over one period."""
-        return max(abs(1.0 - self.mean_f), self.mean_f)
 
 
 def centered(F: Mollifier) -> CenteredMollifier:

@@ -43,6 +43,8 @@ __all__ = [
 
 #: refuse to materialize partitions with more atoms than this
 DEFAULT_ATOM_CAP = 1_000_000
+#: refuse level sets over more integer windows M than this
+WINDOW_CAP = 1 << 20
 #: `probe z` refuses tower checks over more atoms x (n, m) terms than this
 TOWER_WORK_CAP = 1_000_000
 #: largest N for the direct double-sum side of the parity identity
@@ -216,11 +218,10 @@ def filtration(A, k: int, K: int,
                atom_cap: int = DEFAULT_ATOM_CAP) -> FiltrationPartition:
     """Materialized partition; refuses when the atom count exceeds the cap."""
     A = as_dyadic(A)
-    est = float(A) ** ((k + 0.5) * K)
-    if est > atom_cap:
+    least = mu(A, k, K)               # every atom is at most 2^-mu(A) wide
+    if 1 << least > atom_cap:
         raise ResourceError(
-            f"estimated atom count A^((k+1/2)K) = {est:.4g} exceeds the "
-            f"cap {atom_cap}")
+            f"partition has at least 2^{least} atoms, above the cap {atom_cap}")
     runs, total = filtration_runs(A, k, K)
     if total > atom_cap:
         raise ResourceError(
@@ -350,43 +351,39 @@ def parity_identity_check(sample: UnitSample, scheme: BlockScheme,
 # piecewise integration of products of F(x^n - x^m) over intervals
 # ---------------------------------------------------------------------------
 
-def _powpair(n: int, m: int):
-    return (lambda x: x ** n - x ** m,
-            lambda x: n * x ** (n - 1) - m * x ** (m - 1))
+def _term_cuts(n: int, m: int, a: DyadicRational, b: DyadicRational,
+               F: Mollifier) -> np.ndarray:
+    """Sorted x in [a, b] where F(x^n - x^m) changes analytic piece: the
+    certified ends of the preimages of the plateau and of the support
+    windows, a and b included when an end clips there."""
+    return np.array(sorted({x for w in (F.p, F.edge)
+                            for iv in _preimage_intervals(n, m, a, b, w)
+                            for x in (iv.lo, iv.hi)}))
 
 
-def _term_cuts(n: int, m: int, lo: float, hi: float, F: Mollifier) -> list:
-    """x-locations inside (lo, hi) where F(g(x)) changes analytic piece."""
-    g, dg = _powpair(n, m)
-    glo, ghi = g(lo), g(hi)
-    offsets = sorted({-F.edge_f, -F.p_f, F.p_f, F.edge_f})
-    cuts = []
-    cursor = lo
-    for M in range(math.floor(glo), math.ceil(ghi) + 1):
-        for off in offsets:
-            target = M + off
-            if glo < target < ghi:
-                root = monotone_root(g, dg, target, cursor, hi)
-                cuts.append(root)
-                cursor = max(cursor, root)
-    return cuts
-
-
-def _window_integral(terms: tuple, intervals, F: Mollifier):
+def _window_integral(terms: tuple, cuts: list, intervals, F: Mollifier):
     """run(nodes): the sum over `intervals` of the integral of the product
     over (n, m) in `terms` of F(x^n - x^m) dx, piecewise exact.
 
-    Pieces are delimited by the preimages of every factor's window
-    boundaries, so plateau pieces contribute their length exactly and
-    ramp pieces are analytic, where a small Gauss rule is already
-    spectral.  Cuts and piece kinds are found once; each run integrates the
-    same ramps at its node count and adds the pieces in order.
+    Pieces are delimited by `cuts`, the `_term_cuts` arrays of the
+    distinct terms over a dyadic range that holds every interval: an
+    interval is split at the cuts strictly inside it.  Plateau pieces contribute
+    their length exactly and ramp pieces are analytic, where a small Gauss
+    rule is already spectral.  Piece kinds are found once; each run
+    integrates the same ramps at its node count and adds the pieces in
+    order.  (A zero plateau, which no factory makes, leaves its kink at the
+    integers uncut.)
     """
-    gs = [_powpair(n, m)[0] for n, m in terms]
+    gs = [lambda x, n=n, m=m: x ** n - x ** m for n, m in terms]
+    los, his = np.array(intervals, dtype=float).reshape(-1, 2).T
+    # c[first[i]:stop[i]]: the cuts of c strictly inside interval i
+    slices = [(c, np.searchsorted(c, los, "right"), np.searchsorted(c, his))
+              for c in cuts]
     pieces = []                                  # (x0, x1, is_ramp)
-    for lo, hi in intervals:
-        cuts = {c for n, m in set(terms) for c in _term_cuts(n, m, lo, hi, F)}
-        edges = [lo] + sorted(cuts) + [hi]
+    for i, (lo, hi) in enumerate(intervals):
+        inside = {x for c, first, stop in slices
+                  for x in c[first[i]:stop[i]].tolist()}
+        edges = [lo] + sorted(inside) + [hi]
         for x0, x1 in zip(edges[:-1], edges[1:]):
             xm = 0.5 * (x0 + x1)
             # largest distance of a phase at the midpoint to an integer
@@ -419,12 +416,21 @@ def _check_power_scale(top: int, hi: float) -> None:
             "scale (2^45); this probe caps k and A")
 
 
-def _integral_Y_certified(lo: float, hi: float, k: int, scheme: BlockScheme,
-                          G: CenteredMollifier, cfg: QuadConfig) -> float:
-    """integral over [lo, hi] of Y_k, one window integral per (n, m) term."""
-    _check_power_scale(k * scheme.K, hi)
-    term_runs = [_window_integral(((n, m),), ((lo, hi),), G.base)
-                 for n, m in _block_terms(k, scheme.K)]
+def _block_cuts(a: DyadicRational, b: DyadicRational, k: int,
+                scheme: BlockScheme, G: CenteredMollifier) -> list:
+    """The `_term_cuts` array of every (n, m) term of block k over [a, b]."""
+    _check_power_scale(k * scheme.K, float(b))
+    return [_term_cuts(n, m, a, b, G.base)
+            for n, m in _block_terms(k, scheme.K)]
+
+
+def _integral_Y_certified(lo: float, hi: float, cuts: list, k: int,
+                          scheme: BlockScheme, G: CenteredMollifier,
+                          cfg: QuadConfig) -> float:
+    """integral over [lo, hi] of Y_k, one window integral per (n, m) term,
+    cut by the term's `_block_cuts` array over a range holding [lo, hi]."""
+    term_runs = [_window_integral(((n, m),), (c,), ((lo, hi),), G.base)
+                 for (n, m), c in zip(_block_terms(k, scheme.K), cuts)]
 
     def run(nodes: int) -> float:
         total = 0.0
@@ -434,6 +440,15 @@ def _integral_Y_certified(lo: float, hi: float, k: int, scheme: BlockScheme,
 
     return certify(run, cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
                    "window-piece quadrature")
+
+
+def _atom_average(z0: DyadicRational, z1: DyadicRational, k: int,
+                  scheme: BlockScheme, G: CenteredMollifier,
+                  cfg: QuadConfig) -> float:
+    """Average of Y_k over [z0, z1], cut by the preimages inside it alone."""
+    lo, hi = float(z0), float(z1)
+    cuts = _block_cuts(z0, z1, k, scheme, G)
+    return _integral_Y_certified(lo, hi, cuts, k, scheme, G, cfg) / (hi - lo)
 
 
 def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
@@ -446,21 +461,23 @@ def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
     """
     part = filtration(as_dyadic(A), k, scheme.K)
     z0, z1 = part.atom(atom_index)
-    lo, hi = float(z0), float(z1)
-    return _integral_Y_certified(lo, hi, k, scheme, G, quad_cfg) / (hi - lo)
+    return _atom_average(z0, z1, k, scheme, G, quad_cfg)
 
 
 def tower_check(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
                 quad_cfg: QuadConfig = DEFAULT_QUAD) -> tuple:
-    """(length-weighted atom average of Z, direct integral of Y, rel gap)."""
+    """(length-weighted atom average of Z, direct integral of Y, rel gap);
+    the atoms and the direct integral share one set of cuts per term."""
     A = as_dyadic(A)
     part = filtration(A, k, scheme.K)
+    end = A + DyadicRational.from_int(1)
+    cuts = _block_cuts(A, end, k, scheme, G)
     weighted = 0.0
     for i in range(part.N_k):
         z0, z1 = part.atom(i)
-        lo, hi = float(z0), float(z1)
-        weighted += _integral_Y_certified(lo, hi, k, scheme, G, quad_cfg)
-    direct = _integral_Y_certified(float(A), float(A) + 1.0, k, scheme, G,
+        weighted += _integral_Y_certified(float(z0), float(z1), cuts, k,
+                                          scheme, G, quad_cfg)
+    direct = _integral_Y_certified(float(A), float(end), cuts, k, scheme, G,
                                    quad_cfg)
     rel = abs(weighted - direct) / max(abs(direct), 1e-12)
     return weighted, direct, rel
@@ -480,12 +497,8 @@ def cond_exp_cross(A, j: int, k: int, scheme: BlockScheme,
     count = min(atom_sample, part.N_k)
     atom_ids = sorted({i * (part.N_k - 1) // max(count - 1, 1)
                        for i in range(count)})
-    values = []
-    for i in atom_ids:
-        z0, z1 = part.atom(i)
-        lo, hi = float(z0), float(z1)
-        avg = _integral_Y_certified(lo, hi, k, scheme, G, quad_cfg) / (hi - lo)
-        values.append(avg)
+    values = [_atom_average(*part.atom(i), k, scheme, G, quad_cfg)
+              for i in atom_ids]
     worst = max(abs(v) for v in values)
     envelope = math.log(scheme.N) / float(scheme.N) ** 2.9
     return ProbeReport(
@@ -662,32 +675,20 @@ def _certified_root(n: int, m: int, t: int, d: int, seed: float,
     return (a_c + b_c) / 2 / float(1 << e)
 
 
-def _root_seeds(n: int, m: int, a_f: float, b_f: float,
-                targets: np.ndarray) -> np.ndarray:
-    """Vectorized Newton estimates for x^n - x^m = target, one per target.
-
-    Seeds only; every returned value is re-certified.
-    """
-    grid = np.linspace(a_f, b_f, 4097)
-    xs = np.interp(targets, grid ** n - grid ** m, grid)
-    for _ in range(8):
-        gx = xs ** n - xs ** m
-        dgx = n * xs ** (n - 1) - m * xs ** (m - 1)
-        xs = np.clip(xs - (gx - targets) / dgx, a_f, b_f)
-    return xs
-
-
 def _sign_filter(n: int, m: int, c: np.ndarray,
                  targets: np.ndarray) -> np.ndarray:
     """sign(g(c / 2^48) - t/d) where binary64 proves it, else 0, at grid
     points 0 < c < 2^53, for the float targets fl(fl(M) -+ fl(w)) of
-    t/d = M -+ w, M >= 0, w < 1/2.
+    t/d = M -+ w, M >= 0, w <= 1/2.
 
     x = c / 2^48 is exact.  With u = 2^-53, gamma_k = k u / (1 - k u)
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.4) and
     m' = max(m, 1): repeated multiplication gives p_k = x^k (1 + theta),
-    |theta| <= gamma_(k-1), p_0 = 1; the target is within 4u(1 + u)|t/d|
-    of t/d; v = fl(fl(p_n - p_m) - target) adds two roundings, so
+    |theta| <= gamma_(k-1), p_0 = 1; the target is within u(1 + u)(M + w)
+    + u|t/d| <= 4u(1 + u)|t/d| of t/d, as M + w <= 3|t/d| once w <= |M - w|,
+    which holds for every integer M >= 0 exactly when w <= 1/2 (at w = 1/2
+    neighbouring windows touch); v = fl(fl(p_n - p_m) - target) adds two
+    roundings, so
     |v - (g(x) - t/d)| <= gamma_(n+1) x^n + gamma_(m'+1) x^m + gamma_5 |t/d|.
     As (n + 5) u <= 1/10, gamma_k <= (10/9) k u, x^k <= (9/8) p_k and
     |t/d| <= (9/8)|target|: the bound is below 1.25 u S < 2u fl(S), S =
@@ -707,9 +708,12 @@ def _sign_filter(n: int, m: int, c: np.ndarray,
 
 def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
                         w: Fraction) -> list:
-    """Certified intervals where x^n - x^m lies within w of an integer.
+    """Certified intervals where x^n - x^m lies within w <= 1/2 of an
+    integer; refuses more than WINDOW_CAP windows M before allocating.
 
-    Window ends M -+ w are the targets t/d, d = w's denominator.  An end is
+    Window ends M -+ w are the targets t/d, d = w's denominator; at w = 1/2
+    the ends M + w and M + 1 - w are one target, certified to one float
+    twice (the `_sign_filter` bound holds up to w = 1/2).  An end is
     the middle of _certified_root's first grid bracket where _sign_filter
     proves its end signs (never if it clips: g increases); else it is a if
     t/d <= g(a), b if t/d >= g(b) (integer tests), or _certified_root's."""
@@ -719,9 +723,12 @@ def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
     ga, gb = scaled_g(a_c, e, n, m), scaled_g(b_c, e, n, m)
     da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
     a_f, b_f = float(a), float(b)
-    ms = range(ga >> scale, -(-gb >> scale) + 1)
+    ms = range(ga >> scale, -(-gb >> scale) + 1)   # floor g(a) .. ceil g(b)
+    if len(ms) > WINDOW_CAP:
+        raise ResourceError(f"{len(ms)} integer windows of x^{n} - x^{m} on "
+                            f"[{a}, {b}] exceed the cap {WINDOW_CAP}")
     targets = np.array(ms, dtype=float) + [[-float(w)], [float(w)]]
-    seeds = _root_seeds(n, m, a_f, b_f, targets)
+    seeds = monotone_root(n, m, a_f, b_f, targets)
     ends = np.full(targets.shape, np.nan)    # nan: not decided yet
     hi_grid = (b_c << 48) >> e               # floor(b * 2^48)
     if hi_grid < 1 << 53:                    # grid points exact in binary64
@@ -832,11 +839,12 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
                 f"m1 = {m1} is below the computed feasibility threshold "
                 f"N0 = {n0} for (n={n}, m2={m2}, A={A})")
     _check_power_scale(n, float(A) + 1.0)
-    edge = F.edge                      # exact half-width of the support
+    end = A + DyadicRational.from_int(1)
     supports = [(piece.lo, piece.hi) for piece in _preimage_intervals(
-        n, m1, A, A + DyadicRational.from_int(1), edge)]
+        n, m1, A, end, F.edge)]       # F.edge: exact half-width of the support
+    cuts = [_term_cuts(n, m, A, end, F) for m in {m1, m2}]
     fine = certify(
-        _window_integral(((n, m1), (n, m2)), supports, F),
+        _window_integral(((n, m1), (n, m2)), cuts, supports, F),
         quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15, "overlap quadrature")
 
     N = F.N

@@ -2,10 +2,10 @@
 
 Three tools live here: cached Gauss-Legendre rules, one compound Gauss
 evaluator (`gauss_panels`) and the doubling certification every
-quadrature-backed probe uses; a safeguarded Newton root finder for
-strictly increasing maps; and a Levin collocation integrator for
-exp(2*pi*i*l*(x^n - x^m)) whose cycle count makes node-per-oscillation
-quadrature impossible.  Phases are only ever reduced modulo one at dyadic
+quadrature-backed probe uses; the one float root finder of x^n - x^m,
+whose estimates the level-set probes certify; and a Levin collocation
+integrator for exp(2*pi*i*l*(x^n - x^m)) whose cycle count makes
+node-per-oscillation quadrature impossible.  Phases are only ever reduced modulo one at dyadic
 panel endpoints, in integer arithmetic and once per endpoint per
 certificate (`scaled_g`), so no precision is lost to the size of x^n.
 """
@@ -92,39 +92,21 @@ def certify(run, setting: int, rel_tol: float, floor: float, what: str):
     return fine
 
 
-def monotone_root(g, dg, target: float, lo: float, hi: float) -> float:
-    """Root of g(x) = target on [lo, hi] for strictly increasing g.
+def monotone_root(n: int, m: int, lo: float, hi: float,
+                  targets: np.ndarray) -> np.ndarray:
+    """Vectorized Newton estimates for x^n - x^m = target on [lo, hi], one
+    per target, clipped to [lo, hi]: a target outside [g(lo), g(hi)] gives
+    the nearer end.
 
-    At most 80 steps of Newton iteration with a bisection safeguard,
-    started at the bracket middle; returns a float root accurate to a few
-    ulps.
+    Seeds only; the level-set probes re-certify every value they keep.
     """
-    glo = g(lo) - target
-    ghi = g(hi) - target
-    if glo > 0 or ghi < 0:
-        raise DomainError("root not bracketed")
-    if glo == 0:
-        return lo
-    if ghi == 0:
-        return hi
-    x = 0.5 * (lo + hi)
-    for _ in range(80):
-        val = g(x) - target
-        if val > 0:
-            hi = x
-        elif val < 0:
-            lo = x
-        else:
-            return x
-        d = dg(x)
-        step = val / d if d > 0 else math.inf
-        nxt = x - step
-        if abs(nxt - x) <= 4.0 * math.ulp(x):
-            return nxt if lo < nxt < hi else x
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        x = nxt
-    return x
+    grid = np.linspace(lo, hi, 4097)
+    xs = np.interp(targets, grid ** n - grid ** m, grid)
+    for _ in range(8):
+        gx = xs ** n - xs ** m
+        dgx = n * xs ** (n - 1) - m * xs ** (m - 1)
+        xs = np.clip(xs - (gx - targets) / dgx, lo, hi)
+    return xs
 
 
 # ---------------------------------------------------------------------------

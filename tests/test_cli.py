@@ -341,6 +341,43 @@ def test_probe_partition_emits_the_hand_example(capsys):
     assert res["mus"] == [1, 3, 3, 3, 3]
 
 
+def test_probe_partition_refuses_by_the_exact_atom_bound(capsys):
+    # 2^mu(A) atoms at least: no float estimate A^((k+1/2)K) to overflow
+    code, out, err = run(capsys, "probe", "partition", "--A", "3/2",
+                         "--N", "1024", "--k", "900")
+    assert code == 5
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--N", "1000", "--m1", "40", "--m2", "1"),
+    ("overlap", "--N", "1000", "--n-powers", "30", "--m1", "29", "--m2", "29"),
+])
+def test_probe_level_sets_refuse_too_many_windows_before_allocating(
+        capsys, argv):
+    # about 2.5^40 and 2.5^30 integer windows M over [3/2, 5/2]
+    code, out, err = run(capsys, "probe", *argv, "--A", "3/2")
+    assert code == 5
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+    assert f"exceed the cap {probe.WINDOW_CAP}" in lines[0]
+
+
+def test_probe_overlap_of_touching_windows(capsys):
+    # s = 1/2, N = 2: plateau 1/4, ramp 1/4, so F.edge = 1/2 and the
+    # windows of neighbouring integers touch; the value is a dense
+    # 4 * 10^7-point trapezoid's
+    code, out, err = run(capsys, "probe", "overlap", "--A", "3/2", "--N", "2",
+                         "--s", "0.5", "--n-powers", "6", "--m1", "3",
+                         "--m2", "3")
+    assert code == 0, err
+    value = payload_of(out)["results"]["value"]
+    assert value == pytest.approx(0.6855969688054252, rel=1e-12)
+
+
 def test_probe_overlap_below_threshold_maps_to_domain_exit(capsys):
     code, _, err = run(capsys, "probe", "overlap", "--A", "3/2",
                        "--N", "100", "--s", "1", "--n-powers", "8",

@@ -79,13 +79,6 @@ def test_centered_mean_is_the_integral():
     assert abs(G.eval_array(ts).mean()) < 1e-6
 
 
-def test_integral_sq_matches_dense_quadrature():
-    F = make_outer(1.0, 128)
-    ts = np.linspace(-0.5, 0.5, 400001)
-    riemann = float((F.eval_array(ts) ** 2).sum() / (len(ts) - 1))
-    assert abs(float(F.integral_sq) - riemann) < 1e-6
-
-
 def test_window_fraction_exactness():
     assert window_fraction(0.5) == Fraction(1, 2)
     assert window_fraction(Fraction(3, 4)) == Fraction(3, 4)

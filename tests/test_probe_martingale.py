@@ -56,7 +56,8 @@ def test_block_sum_respects_the_crude_bound(sample, scheme, G):
     # |Y_k| <= (number of pair terms) * sup |G|
     k = 512
     terms = sum(n - 1 for n in scheme.block(k))
-    assert abs(block_sum_Y(sample, k, scheme, G)) <= terms * G.sup_abs
+    sup_abs = max(abs(1 - G.mean_f), G.mean_f)
+    assert abs(block_sum_Y(sample, k, scheme, G)) <= terms * sup_abs
 
 
 def test_parity_split_sums_to_all_blocks(sample, scheme, G):

@@ -5,6 +5,7 @@ Frozen constants below were produced by independent dense-grid oracles
 root sign checks; they are regression locks, not tautologies.
 """
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from powcorr.mollify import Mollifier, centered, make_outer
 from powcorr.probe import (blocks, cond_exp_Z, convexity_measure,
                            filtration, level_intervals, pair_overlap_integral,
                            vdc_bound_check)
-from powcorr.quad import gauss_rule
+from powcorr.quad import gauss_rule, monotone_root
 
 A32 = DyadicRational(3, 1)
 B52 = DyadicRational(5, 1)
@@ -218,18 +219,64 @@ def test_overlap_envelope_catches_planted_defect(monkeypatch):
 # ---------------------------------------------------------------------------
 # window-piece integrals: one decomposition, any node count
 
-def per_piece_reference(terms, intervals, F, nodes):
-    """Reference: every cut found again at each node count, scalar
+def scalar_newton_root(g, dg, target, lo, hi):
+    """Root of g(x) = target on [lo, hi] for increasing g: at most 80
+    Newton steps with a bisection safeguard from the bracket middle."""
+    glo, ghi = g(lo) - target, g(hi) - target
+    assert glo <= 0 <= ghi, "root not bracketed"
+    if glo == 0:
+        return lo
+    if ghi == 0:
+        return hi
+    x = 0.5 * (lo + hi)
+    for _ in range(80):
+        val = g(x) - target
+        if val > 0:
+            hi = x
+        elif val < 0:
+            lo = x
+        else:
+            return x
+        d = dg(x)
+        nxt = x - (val / d if d > 0 else math.inf)
+        if abs(nxt - x) <= 4.0 * math.ulp(x):
+            return nxt if lo < nxt < hi else x
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        x = nxt
+    return x
+
+
+def scalar_newton_cuts(n, m, lo, hi, F):
+    """Reference cuts inside (lo, hi): one scalar Newton root per window
+    boundary M -+ p, M -+ edge strictly between the float g(lo), g(hi),
+    each bracketed from the previous root on."""
+    g = lambda x: x ** n - x ** m
+    dg = lambda x: n * x ** (n - 1) - m * x ** (m - 1)
+    glo, ghi = g(lo), g(hi)
+    cuts, cursor = [], lo
+    for M in range(math.floor(glo), math.ceil(ghi) + 1):
+        for off in sorted({-F.edge_f, -F.p_f, F.p_f, F.edge_f}):
+            if glo < M + off < ghi:
+                cursor = scalar_newton_root(g, dg, M + off, cursor, hi)
+                cuts.append(cursor)
+    return cuts
+
+
+def per_piece_reference(terms, span, intervals, F, nodes):
+    """Reference: every term's cuts over the dyadic span found again at
+    each node count and bisected as a list for each interval, scalar
     midpoint phases, one Gauss rule and one dot product per ramp piece,
     one running sum."""
     gs = [lambda x, n=n, m=m: x ** n - x ** m for n, m in terms]
+    cut_lists = [probe._term_cuts(n, m, *span, F).tolist() for n, m in terms]
     xs, ws = gauss_rule(nodes)
     total = 0.0
     for lo, hi in intervals:
         if not hi > lo:
             continue
-        cuts = {c for n, m in terms
-                for c in probe._term_cuts(n, m, lo, hi, F)}
+        cuts = {c for cut_list in cut_lists for c in cut_list[
+            bisect.bisect_right(cut_list, lo):bisect.bisect_left(cut_list, hi)]}
         edges = [lo] + sorted(cuts) + [hi]
         for x0, x1 in zip(edges[:-1], edges[1:]):
             if not x1 > x0:
@@ -249,44 +296,87 @@ def per_piece_reference(terms, intervals, F, nodes):
     return total
 
 
+A52 = A32 + DyadicRational.from_int(1)
+Y_TERMS = [(3, 1), (3, 2), (4, 1), (4, 3)]
+OVERLAPS = [(6, 3, 3), (8, 6, 2), (9, 6, 3)]
+
+
+def y_atom():
+    return filtration(A32, 2, 2).atom(1)
+
+
 def overlap_supports(n, m1, F):
     return [(piece.lo, piece.hi) for piece in probe._preimage_intervals(
-        n, m1, A32, A32 + DyadicRational.from_int(1), F.edge)]
+        n, m1, A32, A52, F.edge)]
 
 
-@pytest.mark.parametrize("term", [(3, 1), (3, 2), (4, 1), (4, 3)])
+@pytest.mark.parametrize("term", Y_TERMS)
 def test_window_integral_of_a_Y_term_matches_the_per_piece_loop(term):
     F = make_outer(1.0, 1024)
-    z0, z1 = filtration(A32, 2, 2).atom(1)
+    z0, z1 = y_atom()
     atom = ((float(z0), float(z1)),)
-    run = probe._window_integral((term,), atom, F)
+    run = probe._window_integral((term,), [probe._term_cuts(*term, z0, z1, F)],
+                                 atom, F)
     for nodes in (12, 24):
-        assert run(nodes) == per_piece_reference((term,), atom, F, nodes)
+        assert run(nodes) == per_piece_reference((term,), (z0, z1), atom, F,
+                                                 nodes)
 
 
-@pytest.mark.parametrize("tup", [(6, 3, 3), (8, 6, 2), (9, 6, 3)])
+@pytest.mark.parametrize("tup", OVERLAPS)
 def test_window_integral_of_overlap_supports_matches_the_per_piece_loop(tup):
     n, m1, m2 = tup
     F = make_outer(1.0, 100)
     supports = overlap_supports(n, m1, F)
     terms = ((n, m1), (n, m2))
-    run = probe._window_integral(terms, supports, F)
+    cuts = [probe._term_cuts(n, m, A32, A52, F) for n, m in terms]
+    run = probe._window_integral(terms, cuts, supports, F)
     for nodes in (12, 24):
-        assert run(nodes) == per_piece_reference(terms, supports, F, nodes)
+        assert run(nodes) == per_piece_reference(terms, (A32, A52), supports,
+                                                 F, nodes)
+
+
+def test_level_set_cuts_match_the_scalar_newton_cuts():
+    # the same cuts, to the 2^-48 grid bracket, on the atom and the
+    # supports above.  Only cuts farther than that from the interval's ends
+    # are compared: the scalar finder also re-finds a support's own end, an
+    # ulp inside it, where float rounding puts its target inside
+    # (g(lo), g(hi)), and such a piece is narrower than the bracket
+    F = make_outer(1.0, 1024)
+    z0, z1 = y_atom()
+    cases = [(term, (z0, z1), [(float(z0), float(z1))], F)
+             for term in Y_TERMS]
+    F = make_outer(1.0, 100)
+    for n, m1, m2 in OVERLAPS:
+        supports = overlap_supports(n, m1, F)
+        cases += [((n, m), (A32, A52), supports, F) for m in (m1, m2)]
+    seen = 0
+    for (n, m), span, intervals, G in cases:
+        cuts = probe._term_cuts(n, m, *span, G)
+        for lo, hi in intervals:
+            near = 4 * 2.0 ** -48
+            new = cuts[(cuts > lo + near) & (cuts < hi - near)]
+            old = [c for c in scalar_newton_cuts(n, m, lo, hi, G)
+                   if lo + near < c < hi - near]
+            assert len(new) == len(old), (n, m, lo, hi)
+            assert np.all(np.abs(new - np.array(old)) <= near)
+            seen += len(new)
+    assert seen > 1000
 
 
 def test_each_certified_window_integral_decomposes_once(monkeypatch):
-    # the coarse and fine runs of one doubling check share their pieces,
-    # so each (n, m, lo, hi) is cut once per certificate, and a run
+    # one set of cuts per (n, m) term per call, over the range the call
+    # integrates: a Z atom alone, [A, A + 1] for the tower check (shared by
+    # its atoms and its direct integral) and for the overlap; the coarse
+    # and fine runs of one doubling check share their pieces, and a run
     # evaluates every ramp piece in one window call per factor
     calls = []
     evals = []
     term_cuts = probe._term_cuts
     eval_array = Mollifier.eval_array
 
-    def counted(n, m, lo, hi, F):
-        calls.append((n, m, lo, hi))
-        return term_cuts(n, m, lo, hi, F)
+    def counted(n, m, a, b, F):
+        calls.append((n, m, a, b))
+        return term_cuts(n, m, a, b, F)
 
     def counted_eval(self, ts):
         evals.append(np.shape(ts))
@@ -294,16 +384,28 @@ def test_each_certified_window_integral_decomposes_once(monkeypatch):
 
     monkeypatch.setattr(probe, "_term_cuts", counted)
     monkeypatch.setattr(Mollifier, "eval_array", counted_eval)
-    cond_exp_Z(A32, 2, blocks(1024), centered(make_outer(1.0, 1024)), 0)
-    assert len(calls) == 5 and len(set(calls)) == 5      # block 2: 5 terms
+    scheme, G = blocks(1024), centered(make_outer(1.0, 1024))
+    block2 = [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)]
+    cond_exp_Z(A32, 2, scheme, G, 0)
+    z0, z1 = filtration(A32, 2, 2).atom(0)
+    assert calls == [(n, m, z0, z1) for n, m in block2]
     calls.clear()
+    probe.tower_check(A32, 2, scheme, G)
+    assert calls == [(n, m, A32, A52) for n, m in block2]
+    calls.clear()
+    probe.cond_exp_cross(A32, 1, 3, scheme, G, atom_sample=2)
+    atoms = [filtration(A32, 1, 2).atom(i) for i in (0, 4)]
+    assert calls == [(n, m, *atom) for atom in atoms
+                     for n, m in probe._block_terms(3, 2)]
     F = make_outer(1.0, 100)
-    evals.clear()
-    pair_overlap_integral(6, 3, 3, A32, F)
-    assert sorted(calls) == sorted(
-        (6, 3, lo, hi) for lo, hi in overlap_supports(6, 3, F))
-    ramps = evals[0][0]
-    assert ramps > 1 and evals == [(ramps, 12)] * 2 + [(ramps, 24)] * 2
+    for tup in OVERLAPS:
+        calls.clear()
+        evals.clear()
+        pair_overlap_integral(*tup, A32, F)
+        assert sorted(calls) == sorted((tup[0], m, A32, A52)
+                                       for m in set(tup[1:]))
+        ramps = evals[0][0]
+        assert ramps > 1 and evals == [(ramps, 12)] * 2 + [(ramps, 24)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +504,7 @@ def test_certified_root_from_far_seeds_takes_wide_spreads_then_bisection(
     # x^5 - x^2 = 7 on [3/2, 5/2]: a seed 1000 grid steps off needs the
     # 4096-step bracket, one 2^-20 off (2^28 steps) the exact bisection
     n, m, t = 5, 2, 7
-    root = float(probe._root_seeds(n, m, 1.5, 2.5, np.array([7.0]))[0])
+    root = float(monotone_root(n, m, 1.5, 2.5, np.array([7.0]))[0])
     real = probe._sign_at
     exps = []
 

@@ -50,31 +50,30 @@ def test_gauss_rule_integrates_polynomials_exactly():
 
 
 def test_monotone_root_explicit_cube_root():
-    r = monotone_root(lambda x: x ** 3, lambda x: 3 * x * x,
-                      10.0, 1.0, 3.0)
-    assert r == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-14)
+    # m = 0: g(x) = x^3 - 1
+    r = monotone_root(3, 0, 1.0, 3.0, np.array([9.0]))
+    assert r.shape == (1,)
+    assert r[0] == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-14)
 
 
 def test_monotone_root_accepts_endpoint_roots():
-    g = lambda x: x * x
-    dg = lambda x: 2 * x
-    assert monotone_root(g, dg, 1.0, 1.0, 2.0) == 1.0
-    assert monotone_root(g, dg, 4.0, 1.0, 2.0) == 2.0
+    # g(x) = x^2 - x: g(1) = 0, g(2) = 2
+    r = monotone_root(2, 1, 1.0, 2.0, np.array([[0.0], [2.0]]))
+    assert r.tolist() == [[1.0], [2.0]]
 
 
-def test_monotone_root_rejects_unbracketed_targets():
-    with pytest.raises(DomainError):
-        monotone_root(lambda x: x, lambda x: 1.0, 5.0, 0.0, 1.0)
+def test_monotone_root_clips_out_of_range_targets():
+    # targets below g(lo) or above g(hi) end at the nearer end
+    r = monotone_root(2, 1, 1.0, 2.0, np.array([-5.0, -1e-300, 2.5, 1e9]))
+    assert r.tolist() == [1.0, 1.0, 2.0, 2.0]
 
 
 @given(st.floats(min_value=1.05, max_value=2.8),
        st.integers(min_value=2, max_value=9))
 @settings(max_examples=100, deadline=None)
 def test_monotone_root_inverts_powers(target_base, n):
-    target = target_base ** n
-    r = monotone_root(lambda x: x ** n, lambda x: n * x ** (n - 1),
-                      target, 1.0, 3.0)
-    assert r == pytest.approx(target_base, rel=1e-12)
+    r = monotone_root(n, 0, 1.0, 3.0, np.array([target_base ** n - 1.0]))
+    assert r[0] == pytest.approx(target_base, rel=1e-12)
 
 
 def test_power_diff_matches_direct_evaluation():
