@@ -353,51 +353,57 @@ def parity_identity_check(sample: UnitSample, scheme: BlockScheme,
 
 def _term_cuts(n: int, m: int, a: DyadicRational, b: DyadicRational,
                F: Mollifier) -> np.ndarray:
-    """Sorted x in [a, b] where F(x^n - x^m) changes analytic piece: the
-    certified ends of the preimages of the plateau and of the support
-    windows, a and b included when an end clips there."""
-    return np.array(sorted({x for w in (F.p, F.edge)
-                            for iv in _preimage_intervals(n, m, a, b, w)
-                            for x in (iv.lo, iv.hi)}))
+    """The x in [a, b] where F(x^n - x^m) may change analytic piece, as
+    found: the certified level-set ends for the offsets -+ the support and
+    plateau half-widths, a or b where an end clips there."""
+    return _window_ends(n, m, a, b, (-F.edge, -F.p, F.p, F.edge))[1]
 
 
-def _window_integral(terms: tuple, cuts: list, intervals, F: Mollifier):
-    """run(nodes): the sum over `intervals` of the integral of the product
-    over (n, m) in `terms` of F(x^n - x^m) dx, piecewise exact.
+def _window_integral(products: list, cuts: dict, intervals, F: Mollifier):
+    """run(nodes) -> array: for each of the sorted, disjoint `intervals`,
+    the sum over `products` (tuples of (n, m) terms) of the integral over
+    it of the product of F(x^n - x^m) over the product's terms.
 
-    Pieces are delimited by `cuts`, the `_term_cuts` arrays of the
-    distinct terms over a dyadic range that holds every interval: an
-    interval is split at the cuts strictly inside it.  Plateau pieces contribute
-    their length exactly and ramp pieces are analytic, where a small Gauss
-    rule is already spectral.  Piece kinds are found once; each run
-    integrates the same ramps at its node count and adds the pieces in
-    order.  (A zero plateau, which no factory makes, leaves its kink at the
-    integers uncut.)
+    `cuts` maps each term to its `_term_cuts` over dyadic spans that hold
+    the intervals.  A product's pieces run between an interval's ends and
+    its terms' cuts strictly inside it, found by one lexsort per product;
+    zero-length pieces drop out.  The phases at a piece's midpoint sort it
+    once: off a factor's support it drops out, on every factor's plateau it
+    adds its length exactly, else it is a ramp, analytic, where a small
+    Gauss rule is already spectral.  Each run integrates the same ramps at
+    its node count, one window call per factor, and adds each product's
+    pieces over each interval in order (`np.bincount` adds its weights in
+    input order), then the products in order.  (A zero plateau, which no
+    factory makes, leaves its kink at the integers uncut.)
     """
-    gs = [lambda x, n=n, m=m: x ** n - x ** m for n, m in terms]
     los, his = np.array(intervals, dtype=float).reshape(-1, 2).T
-    # c[first[i]:stop[i]]: the cuts of c strictly inside interval i
-    slices = [(c, np.searchsorted(c, los, "right"), np.searchsorted(c, his))
-              for c in cuts]
-    pieces = []                                  # (x0, x1, is_ramp)
-    for i, (lo, hi) in enumerate(intervals):
-        inside = {x for c, first, stop in slices
-                  for x in c[first[i]:stop[i]].tolist()}
-        edges = [lo] + sorted(inside) + [hi]
-        for x0, x1 in zip(edges[:-1], edges[1:]):
-            xm = 0.5 * (x0 + x1)
-            # largest distance of a phase at the midpoint to an integer
-            u = max(abs(v - round(v)) for v in [g(xm) for g in gs])
-            if x1 > x0 and u < F.edge_f:
-                pieces.append((x0, x1, u > F.p_f))
-    ramps = [(x0, x1) for x0, x1, is_ramp in pieces if is_ramp]
+    ids = np.arange(len(los))
+    pieces = []                     # per product: piece ends, intervals, kinds
+    for product in products:
+        c = np.concatenate([cuts[t] for t in set(product)], axis=None)
+        i = np.searchsorted(los, c) - 1          # the last interval with lo < c
+        inside = (i >= 0) & (c < his[i])
+        x = np.concatenate([los, his, c[inside]])
+        iv = np.concatenate([ids, ids, i[inside]])
+        order = np.lexsort((x, iv))
+        x, iv = x[order], iv[order]
+        xm = 0.5 * (x[:-1] + x[1:])
+        # largest distance of a phase at the midpoint to an integer
+        u = np.max([np.abs(v - np.rint(v))
+                    for v in [xm ** n - xm ** m for n, m in product]], axis=0)
+        piece = (iv[1:] == iv[:-1]) & (x[1:] > x[:-1]) & (u < F.edge_f)
+        pieces.append((x[:-1][piece], x[1:][piece], iv[1:][piece],
+                       u[piece] > F.p_f))
 
-    def run(nodes: int) -> float:
-        ramp_vals = iter(gauss_panels(ramps, nodes, lambda pts: math.prod(
-            F.eval_array(g(pts)) for g in gs)))
-        total = 0.0
-        for x0, x1, is_ramp in pieces:
-            total += next(ramp_vals) if is_ramp else x1 - x0
+    def run(nodes: int) -> np.ndarray:
+        total = np.zeros(len(los))
+        for product, (x0, x1, iv, ramp) in zip(products, pieces):
+            vals = x1 - x0
+            vals[ramp] = gauss_panels(
+                list(zip(x0[ramp].tolist(), x1[ramp].tolist())), nodes,
+                lambda x: math.prod(F.eval_array(x ** n - x ** m)
+                                    for n, m in product))
+            total += np.bincount(iv, weights=vals, minlength=len(los))
         return total
 
     return run
@@ -416,39 +422,28 @@ def _check_power_scale(top: int, hi: float) -> None:
             "scale (2^45); this probe caps k and A")
 
 
-def _block_cuts(a: DyadicRational, b: DyadicRational, k: int,
-                scheme: BlockScheme, G: CenteredMollifier) -> list:
-    """The `_term_cuts` array of every (n, m) term of block k over [a, b]."""
-    _check_power_scale(k * scheme.K, float(b))
-    return [_term_cuts(n, m, a, b, G.base)
-            for n, m in _block_terms(k, scheme.K)]
-
-
-def _integral_Y_certified(lo: float, hi: float, cuts: list, k: int,
-                          scheme: BlockScheme, G: CenteredMollifier,
-                          cfg: QuadConfig) -> float:
-    """integral over [lo, hi] of Y_k, one window integral per (n, m) term,
-    cut by the term's `_block_cuts` array over a range holding [lo, hi]."""
-    term_runs = [_window_integral(((n, m),), (c,), ((lo, hi),), G.base)
-                 for (n, m), c in zip(_block_terms(k, scheme.K), cuts)]
-
-    def run(nodes: int) -> float:
-        total = 0.0
-        for term_run in term_runs:
-            total += term_run(nodes)
-        return total - G.mean_f * (hi - lo) * _term_count(k, scheme.K)
-
-    return certify(run, cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
-                   "window-piece quadrature")
-
-
-def _atom_average(z0: DyadicRational, z1: DyadicRational, k: int,
-                  scheme: BlockScheme, G: CenteredMollifier,
-                  cfg: QuadConfig) -> float:
-    """Average of Y_k over [z0, z1], cut by the preimages inside it alone."""
-    lo, hi = float(z0), float(z1)
-    cuts = _block_cuts(z0, z1, k, scheme, G)
-    return _integral_Y_certified(lo, hi, cuts, k, scheme, G, cfg) / (hi - lo)
+def _y_integrals(spans: list, interval_lists: list, k: int,
+                 scheme: BlockScheme, G: CenteredMollifier,
+                 cfg: QuadConfig) -> list:
+    """For each list of sorted, disjoint intervals, the integral of Y_k
+    over each interval: one window integral per (n, m) term of block k in
+    one decomposition and one elementwise doubling check per list.  Each
+    term is cut once per call, by its `_term_cuts` over each dyadic span
+    (a, b) in turn; the spans hold every interval."""
+    for _, b in spans:
+        _check_power_scale(k * scheme.K, float(b))
+    cuts = {t: np.concatenate([_term_cuts(*t, a, b, G.base)
+                               for a, b in spans], axis=None)
+            for t in _block_terms(k, scheme.K)}
+    values = []
+    for intervals in interval_lists:
+        run = _window_integral([(t,) for t in cuts], cuts, intervals, G.base)
+        los, his = np.array(intervals, dtype=float).T
+        centering = G.mean_f * (his - los) * len(cuts)
+        values.append(certify(lambda nodes: run(nodes) - centering,
+                              cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
+                              "window-piece quadrature"))
+    return values
 
 
 def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
@@ -459,26 +454,21 @@ def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
     window boundaries, on binary64 phases x^n - x^m: the doubling check
     certifies truncation only (see quad.certify).
     """
-    part = filtration(as_dyadic(A), k, scheme.K)
-    z0, z1 = part.atom(atom_index)
-    return _atom_average(z0, z1, k, scheme, G, quad_cfg)
+    z0, z1 = filtration(as_dyadic(A), k, scheme.K).atom(atom_index)
+    return float(_y_integrals([(z0, z1)], [[(z0, z1)]], k, scheme, G,
+                              quad_cfg)[0][0]) / (float(z1) - float(z0))
 
 
 def tower_check(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
                 quad_cfg: QuadConfig = DEFAULT_QUAD) -> tuple:
     """(length-weighted atom average of Z, direct integral of Y, rel gap);
     the atoms and the direct integral share one set of cuts per term."""
-    A = as_dyadic(A)
-    part = filtration(A, k, scheme.K)
-    end = A + DyadicRational.from_int(1)
-    cuts = _block_cuts(A, end, k, scheme, G)
-    weighted = 0.0
-    for i in range(part.N_k):
-        z0, z1 = part.atom(i)
-        weighted += _integral_Y_certified(float(z0), float(z1), cuts, k,
-                                          scheme, G, quad_cfg)
-    direct = _integral_Y_certified(float(A), float(end), cuts, k, scheme, G,
-                                   quad_cfg)
+    part = filtration(as_dyadic(A), k, scheme.K)
+    whole = [(part.z[0], part.z[-1])]           # [A, A + 1]
+    atoms, direct = _y_integrals(whole, [list(zip(part.z, part.z[1:])), whole],
+                                 k, scheme, G, quad_cfg)
+    weighted = float(np.cumsum(atoms)[-1])      # a running sum, atom by atom
+    direct = float(direct[0])
     rel = abs(weighted - direct) / max(abs(direct), 1e-12)
     return weighted, direct, rel
 
@@ -497,8 +487,10 @@ def cond_exp_cross(A, j: int, k: int, scheme: BlockScheme,
     count = min(atom_sample, part.N_k)
     atom_ids = sorted({i * (part.N_k - 1) // max(count - 1, 1)
                        for i in range(count)})
-    values = [_atom_average(*part.atom(i), k, scheme, G, quad_cfg)
-              for i in atom_ids]
+    atoms = [part.atom(i) for i in atom_ids]
+    los, his = np.array(atoms, dtype=float).T
+    values = (_y_integrals(atoms, [atoms], k, scheme, G, quad_cfg)[0]
+              / (his - los)).tolist()
     worst = max(abs(v) for v in values)
     envelope = math.log(scheme.N) / float(scheme.N) ** 2.9
     return ProbeReport(
@@ -678,17 +670,17 @@ def _certified_root(n: int, m: int, t: int, d: int, seed: float,
 def _sign_filter(n: int, m: int, c: np.ndarray,
                  targets: np.ndarray) -> np.ndarray:
     """sign(g(c / 2^48) - t/d) where binary64 proves it, else 0, at grid
-    points 0 < c < 2^53, for the float targets fl(fl(M) -+ fl(w)) of
-    t/d = M -+ w, M >= 0, w <= 1/2.
+    points 0 < c < 2^53, for the float targets fl(fl(M) + fl(o)) of
+    t/d = M + o, M >= 0, |o| <= 1/2.
 
     x = c / 2^48 is exact.  With u = 2^-53, gamma_k = k u / (1 - k u)
     (Higham, Accuracy and Stability of Numerical Algorithms, 3.4) and
     m' = max(m, 1): repeated multiplication gives p_k = x^k (1 + theta),
-    |theta| <= gamma_(k-1), p_0 = 1; the target is within u(1 + u)(M + w)
-    + u|t/d| <= 4u(1 + u)|t/d| of t/d, as M + w <= 3|t/d| once w <= |M - w|,
-    which holds for every integer M >= 0 exactly when w <= 1/2 (at w = 1/2
-    neighbouring windows touch); v = fl(fl(p_n - p_m) - target) adds two
-    roundings, so
+    |theta| <= gamma_(k-1), p_0 = 1; the target is within u(1 + u)(M + |o|)
+    + u|t/d| <= 4u(1 + u)|t/d| of t/d, as M + |o| <= 3|t/d| once |o| <= |t/d|,
+    true for every integer M >= 0 and sign of o exactly when |o| <= 1/2 (at
+    |o| = 1/2 neighbouring windows touch); v = fl(fl(p_n - p_m) - target)
+    adds two roundings, so
     |v - (g(x) - t/d)| <= gamma_(n+1) x^n + gamma_(m'+1) x^m + gamma_5 |t/d|.
     As (n + 5) u <= 1/10, gamma_k <= (10/9) k u, x^k <= (9/8) p_k and
     |t/d| <= (9/8)|target|: the bound is below 1.25 u S < 2u fl(S), S =
@@ -706,20 +698,21 @@ def _sign_filter(n: int, m: int, c: np.ndarray,
     return np.where(np.abs(v) > bound, np.sign(v), 0.0)
 
 
-def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
-                        w: Fraction) -> list:
-    """Certified intervals where x^n - x^m lies within w <= 1/2 of an
-    integer; refuses more than WINDOW_CAP windows M before allocating.
-
-    Window ends M -+ w are the targets t/d, d = w's denominator; at w = 1/2
-    the ends M + w and M + 1 - w are one target, certified to one float
-    twice (the `_sign_filter` bound holds up to w = 1/2).  An end is
-    the middle of _certified_root's first grid bracket where _sign_filter
-    proves its end signs (never if it clips: g increases); else it is a if
-    t/d <= g(a), b if t/d >= g(b) (integer tests), or _certified_root's."""
+def _window_ends(n: int, m: int, a: DyadicRational, b: DyadicRational,
+                 offsets: tuple) -> tuple:
+    """(ms, ends): ends[r, j] is the certified x in [a, b] where x^n - x^m
+    meets ms[j] + offsets[r], for ms = floor g(a) .. ceil g(b) and rational
+    |offsets| <= 1/2; refuses more than WINDOW_CAP windows M before
+    allocating.  Targets are integers t over the offsets' common
+    denominator d.  An end is the middle of _certified_root's first grid
+    bracket where _sign_filter proves its end signs (never if it clips: g
+    increases); else it is a if t/d <= g(a), b if t/d >= g(b) (integer
+    tests), or _certified_root's.  Each end is found alone, whatever offsets
+    share the call; at |o| = 1/2, M + o and M + 1 - o are one target."""
     e = max(a.exponent, b.exponent)
     a_c, b_c = (x.numerator << (e - x.exponent) for x in (a, b))
-    scale, d, r = e * n, w.denominator, w.numerator
+    d = math.lcm(*(o.denominator for o in offsets))
+    scale, od = e * n, [int(o * d) for o in offsets]
     ga, gb = scaled_g(a_c, e, n, m), scaled_g(b_c, e, n, m)
     da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
     a_f, b_f = float(a), float(b)
@@ -727,7 +720,7 @@ def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
     if len(ms) > WINDOW_CAP:
         raise ResourceError(f"{len(ms)} integer windows of x^{n} - x^{m} on "
                             f"[{a}, {b}] exceed the cap {WINDOW_CAP}")
-    targets = np.array(ms, dtype=float) + [[-float(w)], [float(w)]]
+    targets = np.array(ms, dtype=float) + [[float(o)] for o in offsets]
     seeds = monotone_root(n, m, a_f, b_f, targets)
     ends = np.full(targets.shape, np.nan)    # nan: not decided yet
     hi_grid = (b_c << 48) >> e               # floor(b * 2^48)
@@ -738,12 +731,11 @@ def _preimage_intervals(n: int, m: int, a: DyadicRational, b: DyadicRational,
         ok = (_sign_filter(n, m, blo, targets) < 0) \
             & (_sign_filter(n, m, bhi, targets) > 0)
         ends[ok] = ((blo + bhi) / 2 / 2.0 ** 48)[ok]
-    for side, j in zip(*np.nonzero(np.isnan(ends))):
-        t = ms[j] * d + (r if side else -r)
-        ends[side, j] = a_f if t << scale <= da else b_f if t << scale >= db \
-            else _certified_root(n, m, t, d, float(seeds[side, j]), a_c, b_c, e)
-    return [LevelInterval(M=M, lo=lo, hi=hi)  # lo = hi: window outside
-            for M, lo, hi in zip(ms, *ends.tolist()) if hi > lo]
+    for r, j in zip(*np.nonzero(np.isnan(ends))):
+        t = ms[j] * d + od[r]
+        ends[r, j] = a_f if t << scale <= da else b_f if t << scale >= db \
+            else _certified_root(n, m, t, d, float(seeds[r, j]), a_c, b_c, e)
+    return ms, ends
 
 
 def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:
@@ -757,7 +749,10 @@ def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:
     w = 4 * window_fraction(s) / N
     if not w < Fraction(1, 2):
         raise DomainError(f"window 4s/N = {float(w)} reaches 1/2")
-    return _preimage_intervals(m1, m2, A, A + DyadicRational.from_int(1), w)
+    ms, (los, his) = _window_ends(m1, m2, A, A + DyadicRational.from_int(1),
+                                  (-w, w))
+    return [LevelInterval(M=M, lo=lo, hi=hi)  # lo = hi: window outside
+            for M, lo, hi in zip(ms, los.tolist(), his.tolist()) if hi > lo]
 
 
 def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
@@ -787,8 +782,9 @@ def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
     w = window_fraction(s) / N
     if not w < Fraction(1, 2):
         raise DomainError(f"window s/N = {float(w)} reaches 1/2")
-    pieces = _preimage_intervals(n, m, a, b, w)
-    measure = float(sum(p.length for p in pieces))
+    _, (los, his) = _window_ends(n, m, a, b, (-w, w))
+    measure = float(sum(hi - lo for lo, hi in zip(los.tolist(), his.tolist())
+                        if hi > lo))
     bound = float(4 * window_fraction(s) * (bf - af) / N
                   + 4 * window_fraction(s) / (N * deriv_a))
     if measure > bound * 1.25:
@@ -823,9 +819,9 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
     """(value, bound) for integral over [A, A+1] of
     F(x^n - x^m1) F(x^n - x^m2) dx.
 
-    The integrand lives only on the level intervals of the sparser first
-    factor; inside each the second factor's own window boundaries are
-    added as cuts, after which every piece is analytic.
+    Both factors' window boundaries cut [A, A+1] into analytic pieces; the
+    pieces off the level intervals of the sparser first factor, where it
+    vanishes, drop out by their midpoint phase.
     """
     if not (n > m1 >= m2 >= 1):
         raise DomainError(f"need n > m1 >= m2 >= 1, got ({n}, {m1}, {m2})")
@@ -840,12 +836,11 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
                 f"N0 = {n0} for (n={n}, m2={m2}, A={A})")
     _check_power_scale(n, float(A) + 1.0)
     end = A + DyadicRational.from_int(1)
-    supports = [(piece.lo, piece.hi) for piece in _preimage_intervals(
-        n, m1, A, end, F.edge)]       # F.edge: exact half-width of the support
-    cuts = [_term_cuts(n, m, A, end, F) for m in {m1, m2}]
-    fine = certify(
-        _window_integral(((n, m1), (n, m2)), cuts, supports, F),
-        quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15, "overlap quadrature")
+    cuts = {(n, m): _term_cuts(n, m, A, end, F) for m in {m1, m2}}
+    fine = float(certify(
+        _window_integral([((n, m1), (n, m2))], cuts, [(A, end)], F),
+        quad_cfg.nodes_per_piece, quad_cfg.rel_tol, 1e-15,
+        "overlap quadrature")[0])
 
     N = F.N
     if m1 == m2:

@@ -74,21 +74,25 @@ def gauss_panels(panels, nodes: int, f) -> list:
 
 
 def certify(run, setting: int, rel_tol: float, floor: float, what: str):
-    """run(2 * setting), certified by its agreement with run(setting).
+    """run(2 * setting), certified by its agreement with run(setting),
+    element by element where the runs return arrays.
 
-    The two runs must agree to rel_tol * (|fine| + floor), or
-    NumericalError("<what> failed its doubling check") is raised.  The
-    check detects truncation error only: both runs evaluate the same
-    binary64 phases, so a rounding error they share cannot show in their
-    gap.  On the last atom at A = 3/2, N = 1024, k = 8, binary64 and
-    long-double phases move the window-piece term sum by 1.3e-8 relative,
-    while its 12-, 24- and 48-node runs differ by only 1e-9 to 3e-9.
+    Each element of the two runs must agree to rel_tol * (|fine| + floor),
+    or NumericalError("<what> failed its doubling check") is raised with the
+    coarse and fine values of the first element that does not.  The check
+    detects truncation error only: both runs evaluate the same binary64
+    phases, so a rounding error they share cannot show in their gap.  On
+    the last atom at A = 3/2, N = 1024, k = 8, binary64 and long-double
+    phases move the window-piece term sum by 1.3e-8 relative, while its
+    12-, 24- and 48-node runs differ by only 1e-9 to 3e-9.
     """
     coarse = run(setting)
     fine = run(2 * setting)
-    if abs(fine - coarse) > rel_tol * (abs(fine) + floor):
+    bad = np.flatnonzero(abs(fine - coarse) > rel_tol * (abs(fine) + floor))
+    if bad.size:
         raise NumericalError(f"{what} failed its doubling check",
-                             coarse=coarse, fine=fine)
+                             coarse=np.ravel(coarse)[bad[0]].item(),
+                             fine=np.ravel(fine)[bad[0]].item())
     return fine
 
 

@@ -269,7 +269,8 @@ def per_piece_reference(terms, span, intervals, F, nodes):
     midpoint phases, one Gauss rule and one dot product per ramp piece,
     one running sum."""
     gs = [lambda x, n=n, m=m: x ** n - x ** m for n, m in terms]
-    cut_lists = [probe._term_cuts(n, m, *span, F).tolist() for n, m in terms]
+    cut_lists = [sorted(probe._term_cuts(n, m, *span, F).ravel().tolist())
+                 for n, m in terms]
     xs, ws = gauss_rule(nodes)
     total = 0.0
     for lo, hi in intervals:
@@ -305,34 +306,85 @@ def y_atom():
     return filtration(A32, 2, 2).atom(1)
 
 
+def preimage_intervals(n, m, a, b, w):
+    """The nonempty level intervals of x^n - x^m for the windows M -+ w, as
+    `level_intervals` builds them from `probe._window_ends`."""
+    ms, (los, his) = probe._window_ends(n, m, a, b, (-w, w))
+    return [probe.LevelInterval(M, lo, hi)
+            for M, lo, hi in zip(ms, los.tolist(), his.tolist()) if hi > lo]
+
+
 def overlap_supports(n, m1, F):
-    return [(piece.lo, piece.hi) for piece in probe._preimage_intervals(
-        n, m1, A32, A52, F.edge)]
+    return [(piece.lo, piece.hi)
+            for piece in preimage_intervals(n, m1, A32, A52, F.edge)]
 
 
 @pytest.mark.parametrize("term", Y_TERMS)
 def test_window_integral_of_a_Y_term_matches_the_per_piece_loop(term):
+    # each interval of one run against the reference over it alone: the
+    # filtration's level-2 atoms, cut over [A, A + 1], and one atom cut
+    # over itself
     F = make_outer(1.0, 1024)
+    zs = filtration(A32, 2, 2).z
+    atoms = [(float(z0), float(z1)) for z0, z1 in zip(zs, zs[1:])]
     z0, z1 = y_atom()
-    atom = ((float(z0), float(z1)),)
-    run = probe._window_integral((term,), [probe._term_cuts(*term, z0, z1, F)],
-                                 atom, F)
-    for nodes in (12, 24):
-        assert run(nodes) == per_piece_reference((term,), (z0, z1), atom, F,
-                                                 nodes)
+    atom = [(float(z0), float(z1))]
+    for span, intervals in (((A32, A52), atoms), ((z0, z1), atom)):
+        cuts = {term: probe._term_cuts(*term, *span, F)}
+        run = probe._window_integral([(term,)], cuts, intervals, F)
+        for nodes in (12, 24):
+            values = run(nodes)
+            assert len(values) == len(intervals)
+            for value, interval in zip(values.tolist(), intervals):
+                assert value == per_piece_reference((term,), span,
+                                                    [interval], F, nodes)
 
 
-@pytest.mark.parametrize("tup", OVERLAPS)
-def test_window_integral_of_overlap_supports_matches_the_per_piece_loop(tup):
+def test_window_integral_sums_each_interval_over_its_products_in_order():
+    # a Y block: the products' per-interval values added in product order
+    F = make_outer(1.0, 1024)
+    zs = filtration(A32, 2, 2).z
+    atoms = [(float(z0), float(z1)) for z0, z1 in zip(zs, zs[1:])]
+    cuts = {t: probe._term_cuts(*t, A32, A52, F) for t in Y_TERMS}
+    block = probe._window_integral([(t,) for t in Y_TERMS], cuts, atoms, F)
+    alone = [probe._window_integral([(t,)], cuts, atoms, F)(12)
+             for t in Y_TERMS]
+    total = np.zeros(len(atoms))
+    for values in alone:
+        total += values
+    assert block(12).tolist() == total.tolist()
+
+
+OVERLAP_CASES = [(tup, make_outer(1.0, 100)) for tup in OVERLAPS] + [
+    ((6, 3, 3), make_outer(0.5, 2))]      # F.edge = 1/2: the windows touch
+
+
+@pytest.mark.parametrize("tup, F", OVERLAP_CASES,
+                         ids=["tup0", "tup1", "tup2", "tup-touching"])
+def test_window_integral_of_overlap_supports_matches_the_per_piece_loop(
+        tup, F):
+    # the run over [A, A + 1] drops the pieces off the first factor's
+    # supports: the reference integrates over the supports alone
     n, m1, m2 = tup
-    F = make_outer(1.0, 100)
     supports = overlap_supports(n, m1, F)
     terms = ((n, m1), (n, m2))
-    cuts = [probe._term_cuts(n, m, A32, A52, F) for n, m in terms]
-    run = probe._window_integral(terms, cuts, supports, F)
+    cuts = {t: probe._term_cuts(*t, A32, A52, F) for t in terms}
+    run = probe._window_integral([terms], cuts, [(A32, A52)], F)
     for nodes in (12, 24):
-        assert run(nodes) == per_piece_reference(terms, (A32, A52), supports,
-                                                 F, nodes)
+        assert run(nodes).tolist() == [per_piece_reference(
+            terms, (A32, A52), supports, F, nodes)]
+
+
+def test_window_ends_do_not_depend_on_the_offsets_sharing_the_pass():
+    # the four window ends of a term in one pass are the ends of the two
+    # one-width passes, bit for bit, the touching widths 1/2 included
+    for F in (make_outer(1.0, 100), make_outer(0.5, 2)):
+        for n, m in ((6, 3), (8, 2), (9, 6)):
+            ms, ends = probe._window_ends(n, m, A32, A52,
+                                          (-F.edge, -F.p, F.p, F.edge))
+            for w, rows in ((F.edge, [0, 3]), (F.p, [1, 2])):
+                one_ms, one = probe._window_ends(n, m, A32, A52, (-w, w))
+                assert one_ms == ms and one.tolist() == ends[rows].tolist()
 
 
 def test_level_set_cuts_match_the_scalar_newton_cuts():
@@ -351,7 +403,7 @@ def test_level_set_cuts_match_the_scalar_newton_cuts():
         cases += [((n, m), (A32, A52), supports, F) for m in (m1, m2)]
     seen = 0
     for (n, m), span, intervals, G in cases:
-        cuts = probe._term_cuts(n, m, *span, G)
+        cuts = np.sort(probe._term_cuts(n, m, *span, G), axis=None)
         for lo, hi in intervals:
             near = 4 * 2.0 ** -48
             new = cuts[(cuts > lo + near) & (cuts < hi - near)]
@@ -392,11 +444,18 @@ def test_each_certified_window_integral_decomposes_once(monkeypatch):
     calls.clear()
     probe.tower_check(A32, 2, scheme, G)
     assert calls == [(n, m, A32, A52) for n, m in block2]
+    # one window call per term per run of each of the tower's two certified
+    # quantities (every atom, the direct integral), whatever the atom count
+    for k in (2, 3):
+        evals.clear()
+        probe.tower_check(A32, k, scheme, G)
+        assert filtration(A32, k, 2).N_k > 5
+        assert len(evals) == 2 * 2 * len(list(probe._block_terms(k, 2)))
     calls.clear()
     probe.cond_exp_cross(A32, 1, 3, scheme, G, atom_sample=2)
     atoms = [filtration(A32, 1, 2).atom(i) for i in (0, 4)]
-    assert calls == [(n, m, *atom) for atom in atoms
-                     for n, m in probe._block_terms(3, 2)]
+    assert sorted(calls) == sorted((n, m, *atom) for atom in atoms
+                                   for n, m in probe._block_terms(3, 2))
     F = make_outer(1.0, 100)
     for tup in OVERLAPS:
         calls.clear()
@@ -472,7 +531,7 @@ def test_convexity_pieces_match_exact_signs(n, data):
     s = _half_width(_g(p, n, m), data.draw(st.sampled_from((-1, 0, 1)),
                                            label="nudge"))
     ad, bd = as_dyadic(a), as_dyadic(b)
-    ivs = probe._preimage_intervals(n, m, ad, bd, Fraction(s))
+    ivs = preimage_intervals(n, m, ad, bd, Fraction(s))
     _check_against_signs(n, m, a, b, Fraction(s), ivs)
     measure, _ = convexity_measure((n, m), (ad, bd), s, 1)
     assert measure == float(sum(iv.length for iv in ivs))
@@ -543,7 +602,7 @@ def test_sign_filter_decides_only_exact_signs(n, data):
     M, side = (math.floor(g0), 1) if g0 - math.floor(g0) <= Fraction(1, 2) \
         else (math.ceil(g0), -1)
     t, d = M * w.denominator + side * w.numerator, w.denominator
-    target = float(M) + side * float(w)    # as _preimage_intervals rounds it
+    target = float(M) + side * float(w)    # as _window_ends rounds it
     offsets = data.draw(st.lists(st.one_of(
         st.integers(-8, 8), st.integers(-(1 << 40), 1 << 40)), max_size=12),
         label="offsets")
@@ -576,7 +635,8 @@ def _filter_off(n, m, c, targets):
 ])
 def test_exact_path_gives_the_filtered_intervals(monkeypatch, n, m, a, b,
                                                   s, N):
-    filtered = probe._preimage_intervals(n, m, a, b, Fraction(s) / N)
+    offsets = (-Fraction(s) / N, Fraction(s) / N)
+    filtered = probe._window_ends(n, m, a, b, offsets)
     measure = convexity_measure((n, m), (a, b), s, N)
     real = probe._certified_root
     calls = []
@@ -587,9 +647,10 @@ def test_exact_path_gives_the_filtered_intervals(monkeypatch, n, m, a, b,
 
     monkeypatch.setattr(probe, "_sign_filter", _filter_off)
     monkeypatch.setattr(probe, "_certified_root", counted)
-    assert probe._preimage_intervals(n, m, a, b, Fraction(s) / N) == filtered
+    ms, ends = probe._window_ends(n, m, a, b, offsets)
+    assert ms == filtered[0] and ends.tolist() == filtered[1].tolist()
     assert len(calls) == sum(x not in (float(a), float(b))
-                             for iv in filtered for x in (iv.lo, iv.hi))
+                             for x in ends.ravel().tolist())
     assert convexity_measure((n, m), (a, b), s, N) == measure
 
 
@@ -604,6 +665,6 @@ def test_grid_points_past_2_to_53_take_the_integer_path(monkeypatch):
     # cannot hold them: the filter must not run, and every end is exact
     monkeypatch.setattr(probe, "_sign_filter", None)
     a, b, w = Fraction(40), Fraction(81, 2), Fraction(1, 100)
-    ivs = probe._preimage_intervals(3, 1, as_dyadic(a), as_dyadic(b), w)
+    ivs = preimage_intervals(3, 1, as_dyadic(a), as_dyadic(b), w)
     assert len(ivs) > 2000
     _check_against_signs(3, 1, a, b, w, ivs)

@@ -246,3 +246,33 @@ def test_impossible_tolerance_raises_numerical_error():
     with pytest.raises(NumericalError, match="overlap quadrature"):
         pair_overlap_integral(8, 6, 2, Fraction(3, 2), make_outer(1, 100),
                               quad_cfg=strict)
+
+
+def test_certify_checks_arrays_element_by_element():
+    # the first element whose runs disagree raises, with its own coarse and
+    # fine values as Python scalars; agreeing arrays come back as the fine run
+    def run(nodes):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        if nodes == 24:
+            values[[1, 3]] += [1e-6, 1e-3]
+        return values
+
+    with pytest.raises(NumericalError, match="^window-piece quadrature "
+                       "failed its doubling check$") as err:
+        certify(run, 12, 1e-8, 1e-15, "window-piece quadrature")
+    assert (err.value.coarse, err.value.fine) == (2.0, 2.0 + 1e-6)
+    assert type(err.value.coarse) is float and type(err.value.fine) is float
+    fine = certify(run, 12, 1e-3, 1e-15, "window-piece quadrature")
+    assert fine.tolist() == run(24).tolist()
+
+
+def test_certify_keeps_scalar_and_complex_runs():
+    # scalar runs, real or complex (the oscillatory integrals), return the
+    # fine value itself and raise with the two values unchanged
+    assert certify(lambda s: 1.0 + 1e-12 / s, 1, 1e-8, 0.0, "x") == 1.0 + 5e-13
+    value = certify(lambda s: (1 + 1j) * (1 + 1e-12 / s), 1, 1e-8, 1e-13, "x")
+    assert value == (1 + 1j) * (1 + 5e-13) and type(value) is complex
+    with pytest.raises(NumericalError, match="oscillatory quadrature") as err:
+        certify(lambda s: 1j * s, 1, 1e-8, 1e-13, "oscillatory quadrature")
+    assert (err.value.coarse, err.value.fine) == (1j, 2j)
+    assert type(err.value.coarse) is complex
