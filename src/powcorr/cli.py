@@ -129,8 +129,8 @@ def _spacings_rows(cfg, idx, N, sample) -> list:
            "star_discrepancy": corr.star_discrepancy(sample)}
     if idx == 0 and N == max(cfg.n_values):
         # the ECDF table rides along on its row; cmd_spacings detaches it
-        row["ecdf"] = [{"t": float(t), "ecdf": float(f),
-                        "model": 1.0 - math.exp(-float(t))} for t, f in ecdf]
+        row["ecdf"] = [{"t": t, "ecdf": f, "model": 1.0 - math.exp(-t)}
+                       for t, f in ecdf.tolist()]
     return [row]
 
 
@@ -515,13 +515,98 @@ _DISPATCH = {
 }
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+# indent -> C encoder whose item separator starts a line at that indent
+_ENCODERS: dict = {}
+
+
+def _encoder(indent: str) -> json.JSONEncoder:
+    enc = _ENCODERS.get(indent)
+    if enc is None:
+        # no indent, so encode() takes the C encoder, which escapes every
+        # newline inside a string: each raw newline is an item separator
+        enc = _ENCODERS[indent] = json.JSONEncoder(
+            separators=(",\n" + indent, ": "), default=str)
+    return enc
+
+
+def _key_text(key) -> str:
+    # the key rules of json.dumps: other keys than strings take their JSON
+    # text (1.5, NaN, true, null), and keys of any further type are refused
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.encoder.encode_basestring_ascii(key)
+
+
+def _lay_out(value, indent: str, out: list) -> None:
+    """Append the text of `value` as json.dumps(indent=2, default=str)
+    writes it on a line indented by `indent`.
+
+    A container of scalars, and a list of such dicts (a row table), take
+    one C encoder call each; the pure-Python encoder that json.dumps uses
+    once `indent` is set costs several times more on large reports."""
+    if isinstance(value, (list, tuple)):
+        values, opener, closer = value, "[", "]"
+    elif isinstance(value, dict):
+        values, opener, closer = value.values(), "{", "}"
+    else:
+        out.append(_encoder(indent).encode(value))
+        return
+    if not value:
+        out.append(opener + closer)
+        return
+    inner = indent + "  "
+    types = set(map(type, values))
+    if types <= _SCALARS:
+        text = _encoder(inner).encode(value)
+        out += (opener, "\n", inner, text[1:-1], "\n", indent, closer)
+        return
+    if (types == {dict} and opener == "[" and all(value)
+            and {type(v) for row in value for v in row.values()} <= _SCALARS):
+        # each row is a non-empty dict of scalars, so outside strings, which
+        # hold no raw newline, "},\n" + row indent + "{" ends one row and
+        # opens the next
+        row = inner + "  "
+        text = _encoder(row).encode(value)[2:-2].replace(
+            "},\n" + row + "{", f"\n{inner}}},\n{inner}{{\n{row}")
+        out += ("[\n", inner, "{\n", row, text, "\n", inner, "}\n", indent,
+                "]")
+        return
+    keys = ([_key_text(key) + ": " for key in value] if opener == "{"
+            else [""] * len(value))
+    out.append(opener)
+    for i, (key, item) in enumerate(zip(keys, values)):
+        out += (",\n" if i else "\n", inner, key)
+        _lay_out(item, inner, out)
+    out += ("\n", indent, closer)
+
+
+def _dumps(value) -> str:
+    """json.dumps(value, indent=2, default=str), byte for byte."""
+    out = []
+    _lay_out(value, "", out)
+    return "".join(out)
+
+
 def _emit(command: str, cfg: ExperimentConfig, results: dict,
           csv_rows) -> None:
     payload = {"schema": 1, "command": command,
                "config": cfg.to_json_dict(), "results": results}
-    text = json.dumps(payload, indent=2, default=str)
+    text = _dumps(payload)
     if not cfg.out or command == "gen":
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # the interpreter flushes stdout again at exit: send what is
+            # left to the null device, so no second error is printed
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise UsageError(
+                f"cannot write the report to stdout: {exc}") from None
         return
     try:
         with open(cfg.out + ".json", "w", encoding="utf-8") as fh:

@@ -26,8 +26,8 @@ from .dyadic import DyadicRational, as_dyadic
 from .errors import DomainError, NumericalError, ResourceError
 from .hpgen import UnitSample, ladder_frac_powers, sample_x
 from .corr import forward_window_pairs
-from .mollify import (CenteredMollifier, Mollifier, centered, make_outer,
-                      window_fraction)
+from .mollify import (EVAL_BLOCK, CenteredMollifier, Mollifier, centered,
+                      make_outer, window_fraction)
 from .quad import (DEFAULT_QUAD, QuadConfig, certify, gauss_panels,
                    monotone_root, oscillatory_power_integral, scaled_g)
 
@@ -371,7 +371,9 @@ def _window_integral(products: list, cuts: dict, intervals, F: Mollifier):
     once: off a factor's support it drops out, on every factor's plateau it
     adds its length exactly, else it is a ramp, analytic, where a small
     Gauss rule is already spectral.  Each run integrates the same ramps at
-    its node count, one window call per factor, and adds each product's
+    its node count, one window call per factor on each block of
+    EVAL_BLOCK // nodes ramps (a row's Gauss sum does not depend on its
+    block, and the blocks bound the memory), and adds each product's
     pieces over each interval in order (`np.bincount` adds its weights in
     input order), then the products in order.  (A zero plateau, which no
     factory makes, leaves its kink at the integers uncut.)
@@ -396,13 +398,18 @@ def _window_integral(products: list, cuts: dict, intervals, F: Mollifier):
                        u[piece] > F.p_f))
 
     def run(nodes: int) -> np.ndarray:
+        rows = max(1, EVAL_BLOCK // nodes)        # ramps per window call
         total = np.zeros(len(los))
         for product, (x0, x1, iv, ramp) in zip(products, pieces):
             vals = x1 - x0
-            vals[ramp] = gauss_panels(
-                list(zip(x0[ramp].tolist(), x1[ramp].tolist())), nodes,
-                lambda x: math.prod(F.eval_array(x ** n - x ** m)
-                                    for n, m in product))
+            r0, r1, sums = x0[ramp], x1[ramp], []
+            for lo in range(0, r0.size, rows):
+                sums += gauss_panels(
+                    list(zip(r0[lo:lo + rows].tolist(),
+                             r1[lo:lo + rows].tolist())), nodes,
+                    lambda x: math.prod(F.eval_array(x ** n - x ** m)
+                                        for n, m in product))
+            vals[ramp] = sums
             total += np.bincount(iv, weights=vals, minlength=len(los))
         return total
 

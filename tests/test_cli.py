@@ -3,12 +3,17 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import powcorr
 from powcorr import NumericalError
 from powcorr import DyadicRational
+from powcorr import cli
 from powcorr.cli import _resolve, build_parser, main
 from powcorr.config import (ExperimentConfig, parse_config_file,
                             resolve_config)
@@ -533,3 +538,107 @@ def test_smoothed_paircorr_reports_both_windows(capsys):
     row = payload_of(out)["results"]["rows"][0]
     assert row["r2_inner"] <= row["r2"] + 1e-12
     assert row["r2"] <= row["r2_outer"] + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# report text: json.dumps(indent=2, default=str), byte for byte
+
+
+def reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, default=str)
+
+
+TRICKY_TEXT = st.sampled_from(["", "},\n  {", "},\n      {", "}", "{", "[",
+                               "]", "}]", "[{", "\n", "é ü 漢 \U0001f600",
+                               "\x00\x1f\x7f", '"\\'])
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.text(max_size=8), TRICKY_TEXT)
+# values json.dumps passes through default=str (np.float64 is a float)
+DEFAULTED = st.one_of(
+    st.builds(DyadicRational, st.integers(-99, 99), st.integers(0, 9)),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64))
+KEYS = st.one_of(st.text(max_size=6), TRICKY_TEXT, st.integers(),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.booleans(), st.none())
+ROWS = st.dictionaries(KEYS, SCALARS, max_size=4)
+TABLES = st.lists(ROWS, max_size=5) | st.lists(
+    st.dictionaries(KEYS, SCALARS, min_size=1, max_size=4), min_size=2,
+    max_size=5)
+PAYLOADS = st.recursive(
+    SCALARS | DEFAULTED | TABLES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(KEYS, inner, max_size=4)
+                   | st.lists(ROWS | st.lists(SCALARS, max_size=3),
+                              max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(PAYLOADS)
+@example({None: [{"a": 1, "b": "},\n      {"}, {"a": 2, "b": None}]})
+@example([{"t": 1.5}, {}, {"t": float("nan")}])
+@example([{"t": 1.5}, [1.5], {"t": -float("inf")}])
+@example([[], {}, [[]], [{}], {"x": {}}])
+def test_report_text_is_json_dumps_indent_2(value):
+    assert cli._dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--x", "3/2", "--N", "3", "--out", "{tmp}/sample.txt"),
+    ("paircorr", "--smoothed", "--control", "uniform", "--N", "500",
+     "--s", "0.5,1", "--samples", "2"),
+    ("spacings", "--N", "300", "--samples", "2"),
+    ("spacings", "--control", "uniform", "--N", "300", "--samples", "1",
+     "--out", "{tmp}/sp"),
+    ("triple", "--control", "uniform", "--N", "500", "--s", "1",
+     "--samples", "2"),
+    ("sweep", "--A", "1.02", "--N", "200", "--s", "1", "--samples", "10",
+     "--workers", "1"),
+    ("mollifier-check", "--N", "100", "--s", "1"),
+    ("fourier-check", "--N", "10,20,40", "--s", "1"),
+    ("probe", "partition", "--A", "3/2", "--N", "1024", "--k", "2"),
+    ("probe", "vdc", "--l", "1,2", "--n-powers", "2,3", "--m-powers", "1",
+     "--a", "3/2", "--b", "5/2"),
+    ("probe", "count", "--m1", "3", "--m2", "2", "--A", "3/2", "--N", "10"),
+    ("probe", "overlap", "--A", "3/2", "--N", "100", "--s", "1",
+     "--n-powers", "8", "--m1", "6", "--m2", "2"),
+    ("probe", "condexp", "--N", "1024", "--j", "1", "--k", "3",
+     "--sample-count", "2"),
+    ("probe", "z", "--A", "3/2", "--N", "1024", "--k", "2"),
+], ids=["gen", "paircorr-smoothed", "spacings", "spacings-out", "triple",
+        "sweep", "mollifier-check", "fourier-check", "probe-partition",
+        "probe-vdc", "probe-count", "probe-overlap", "probe-condexp",
+        "probe-z"])
+def test_reports_match_json_dumps_byte_for_byte(tmp_path, capsys,
+                                                monkeypatch, argv):
+    # the --out path is part of the report, so both runs write to it
+    def outputs():
+        got = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+        return got, {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+
+    fast = outputs()
+    monkeypatch.setattr(cli, "_dumps", reference_dumps)
+    assert fast == outputs()
+    assert fast[0][1] or fast[1]
+
+
+def test_a_closed_stdout_is_one_usage_error_line():
+    src = os.path.dirname(os.path.dirname(powcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # a report far larger than a pipe buffer, cut after 100 bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powcorr.cli", "spacings", "--N", "20000",
+         "--samples", "1", "--control", "uniform"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert len(head) == 100
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("usage error:") and "Traceback" not in err

@@ -467,6 +467,27 @@ def test_each_certified_window_integral_decomposes_once(monkeypatch):
         assert ramps > 1 and evals == [(ramps, 12)] * 2 + [(ramps, 24)] * 2
 
 
+def test_ramps_evaluated_in_blocks_give_the_same_values(monkeypatch):
+    scheme, G = blocks(1024), centered(make_outer(1.0, 1024))
+    F = make_outer(1.0, 100)
+    whole = (probe.tower_check(A32, 2, scheme, G),
+             pair_overlap_integral(8, 6, 2, A32, F))
+    rows = []
+    eval_array = Mollifier.eval_array
+
+    def counted_eval(self, ts):
+        rows.append(np.shape(ts)[0])
+        return eval_array(self, ts)
+
+    # 3 ramps per window call at 12 nodes, 1 at 24
+    monkeypatch.setattr(probe, "EVAL_BLOCK", 36)
+    monkeypatch.setattr(Mollifier, "eval_array", counted_eval)
+    blocked = (probe.tower_check(A32, 2, scheme, G),
+               pair_overlap_integral(8, 6, 2, A32, F))
+    assert max(rows) == 3 and rows.count(3) > 10
+    assert repr(blocked) == repr(whole)
+
+
 # ---------------------------------------------------------------------------
 # level-set roots against exact signs
 
