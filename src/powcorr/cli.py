@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import (ExperimentConfig, UsageError, parse_rational,
                      parse_config_file, resolve_config, is_power,
@@ -161,20 +160,12 @@ def _sweep_sample(job: tuple) -> list:
 
 def _run_samples(cfg: ExperimentConfig, rows_at, n_samples: int) -> list:
     """rows_at(cfg, idx, N, sample) over sample indices 0..n_samples-1 and
-    every N, in that order.
-
-    Each index is one job that builds its point set once per N.  The jobs
-    run in this process for --workers 1 or a single job, else on a pool
-    of --workers processes (default: one per CPU).
-    """
+    every N, in that order: one `hpgen.run_jobs` job per index, which
+    builds its point set once per N, on --workers."""
+    # looked up by name at each call, so a wrapper set on the module
+    # attribute sees every in-process job
     jobs = [(rows_at, cfg, idx) for idx in range(n_samples)]
-    if cfg.workers == 1 or len(jobs) == 1:
-        # looked up by name at each call, so a wrapper set on the module
-        # attribute sees every in-process job
-        outcomes = [_sweep_sample(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers or None) as pool:
-            outcomes = list(pool.map(_sweep_sample, jobs))
+    outcomes = hpgen.run_jobs(_sweep_sample, jobs, cfg.workers)
     return [row for rows in outcomes for row in rows]
 
 
@@ -279,11 +270,7 @@ def cmd_fourier_check(cfg: ExperimentConfig):
     ok = monotone
     if len(cfg.n_values) >= 3:
         rep = fourier.jackson_trend(s0, cfg.n_values)
-        results["jackson"] = {
-            "n_list": list(rep.n_list), "cutoffs": list(rep.cutoffs),
-            "sups": list(rep.sups), "envelopes": list(rep.envelopes),
-            "slope": rep.slope, "passed": rep.passed,
-            "sups_non_decreasing": rep.sups_non_decreasing}
+        results["jackson"] = dataclasses.asdict(rep)
         _say(f"{'PASS' if rep.passed else 'FAIL'} cutoff-trend slope "
              f"{rep.slope:.3f} (need <= 1.15)")
         ok = ok and rep.passed
@@ -308,8 +295,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
                    "atoms": part.N_k,
                    "mus": list(part.mus) if part.N_k <= 4096 else
                           [r.mu for r in part.runs],
-                   "runs": [{"start": str(r.start), "mu": r.mu,
-                             "count": r.count} for r in part.runs]}
+                   "runs": [vars(r) for r in part.runs]}
         if part.N_k <= 4096:
             results["z"] = [str(z) for z in part.z]
         _say(f"PASS partition A={A} k={cfg.k} K={scheme.K}: "
@@ -347,14 +333,14 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
                                    atom_sample=cfg.sample_count)
         _say(f"INFO conditional expectation across levels j={cfg.j} "
              f"k={cfg.k}: max |E| = {max(abs(v) for v in rep.measured):.3g}")
-        return rep.to_json_dict(), None, EXIT_OK
+        return vars(rep), None, EXIT_OK
 
     if mode == "moment":
         rep = probe.parity_moment(A, scheme, G, cfg.parity, cfg.mc_samples,
                                   cfg.seed, cfg.mantissa_bits, cfg.workers)
         _say(f"INFO {cfg.parity}-parity second moment at N={scheme.N}: "
              f"{rep.measured[0]:.6g}")
-        return rep.to_json_dict(), None, EXIT_OK
+        return vars(rep), None, EXIT_OK
 
     if mode == "vdc":
         a, b = parse_rational(cfg.a), parse_rational(cfg.b)
@@ -375,8 +361,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
 
     if mode == "count":
         intervals = probe.level_intervals(cfg.m1, cfg.m2, A, s0, N0)
-        rows = [{"M": iv.M, "lo": iv.lo, "hi": iv.hi, "length": iv.length}
-                for iv in intervals]
+        rows = [{**vars(iv), "length": iv.length} for iv in intervals]
         total = sum(iv.length for iv in intervals)
         measure, bound = probe.convexity_measure((cfg.m1, cfg.m2),
                                                  (A, A + DyadicRational.from_int(1)),
@@ -594,9 +579,11 @@ def _dumps(value) -> str:
 def _emit(command: str, cfg: ExperimentConfig, results: dict,
           csv_rows) -> None:
     payload = {"schema": 1, "command": command,
-               "config": cfg.to_json_dict(), "results": results}
+               "config": dataclasses.asdict(cfg), "results": results}
     text = _dumps(payload)
     if not cfg.out or command == "gen":
+        if sys.stdout is None:          # fd 1 was closed before the start
+            raise UsageError("cannot write the report to stdout: closed")
         try:
             print(text, flush=True)
         except OSError as exc:
@@ -647,7 +634,7 @@ def main(argv=None) -> int:
         _say(f"domain error: {exc}")
         return EXIT_DOMAIN
     except NumericalError as exc:
-        _say(f"numerical certification failed: {exc}")
+        _say(f"numerical certification failed: {exc.check}")
         return EXIT_NUMERICAL
     except ResourceError as exc:
         _say(f"resource cap: {exc}")

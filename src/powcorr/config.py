@@ -7,7 +7,7 @@ command line, and is embedded verbatim in every emitted report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, field, fields
 
 from .dyadic import DyadicRational
 from .errors import DomainError, PowcorrError
@@ -136,12 +136,10 @@ class ExperimentConfig:
             raise UsageError(f"samples must be >= 1, got {self.samples}")
         if not 0.0 < self.q <= 1.0:
             raise UsageError(f"q must be in (0, 1], got {self.q}")
+        if not 0.0 <= self.tol < float("inf"):
+            raise UsageError(f"tol must be finite and >= 0, got {self.tol}")
         if self.workers is not None and self.workers < 0:
             raise UsageError(f"workers must be >= 0, got {self.workers}")
-
-    def to_json_dict(self) -> dict:
-        return {k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in asdict(self).items()}
 
 
 _PARSERS = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}

@@ -22,14 +22,16 @@ the final float conversion.
 from __future__ import annotations
 
 import math
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .dyadic import DyadicRational, as_dyadic
-from .errors import DomainError, PrecisionError, ResourceError
+from .errors import Check, DomainError, PrecisionError, ResourceError
 
 #: float64 output quantization: points are correctly rounded to binary64,
 #: which perturbs a value in [0, 1) by at most 2^-53.
@@ -167,6 +169,17 @@ def sample_x(A, mantissa_bits: int, seed: int) -> DyadicRational:
         raise DomainError(f"mantissa_bits must be >= 1, got {mantissa_bits}")
     u = random.Random(seed).getrandbits(mantissa_bits)
     return A + DyadicRational(u, mantissa_bits)
+
+
+def run_jobs(fn, jobs: list, workers: int | None) -> list:
+    """[fn(job) for job in jobs]: in this process for workers = 1 or one
+    job, else on a pool of min(workers or the CPU count, jobs) processes
+    started the platform's default way; fn goes to them by name."""
+    if workers == 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(min(workers or os.cpu_count() or 1,
+                                 len(jobs))) as pool:
+        return list(pool.map(fn, jobs))
 
 
 def _check_gen_args(x: DyadicRational, xi: DyadicRational, N: int) -> None:
@@ -359,19 +372,16 @@ def required_guard_bits(sample: UnitSample, s: float) -> int:
 
 
 def ensure_window_resolution(sample: UnitSample, s: float) -> None:
-    """Gate: certified error must be far below the statistic window s/N."""
-    N = sample.n_max
-    gate = (s / N) / 100.0
+    """Gate: certified error must be far below the statistic window s/N,
+    err_bound < (s/N)/100; a failure carries its record and, for a ladder
+    sample, the guard bits that would pass."""
+    gate = (s / sample.n_max) / 100.0
     if sample.err_bound < gate:
         return
-    if not sample.base > DyadicRational(1, 0):
-        raise PrecisionError(
-            f"err_bound {sample.err_bound} fails the (s/N)/100 gate {gate}")
-    g = required_guard_bits(sample, s)
-    raise PrecisionError(
-        f"err_bound {sample.err_bound:.3e} is not below (s/N)/100 = "
-        f"{gate:.3e}; regenerate with guard bits >= {g}",
-        required_guard_bits=g)
+    g = (required_guard_bits(sample, s)
+         if sample.base > DyadicRational(1, 0) else None)
+    raise PrecisionError(Check("err_bound against the (s/N)/100 gate",
+                               sample.err_bound, gate), g)
 
 
 # ---- serialization ------------------------------------------------------

@@ -15,16 +15,14 @@ the integer work rests on one primitive, `quad.scaled_g`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from multiprocessing import get_context
 
 import numpy as np
 
 from .dyadic import DyadicRational, as_dyadic
-from .errors import DomainError, NumericalError, ResourceError
-from .hpgen import UnitSample, ladder_frac_powers, sample_x
+from .errors import DomainError, ResourceError, require
+from .hpgen import UnitSample, ladder_frac_powers, run_jobs, sample_x
 from .corr import forward_window_pairs
 from .mollify import (EVAL_BLOCK, CenteredMollifier, Mollifier, centered,
                       make_outer, window_fraction)
@@ -72,18 +70,6 @@ class ProbeReport:
     # "reported": no probe tracks its envelope constant, so none asserts
     verdict: str
     detail: str = ""
-
-    def to_json_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "params": {k: (str(v) if isinstance(v, DyadicRational) else v)
-                       for k, v in self.params.items()},
-            "measured": list(self.measured),
-            "bound": self.bound,
-            "exponent": self.exponent,
-            "verdict": self.verdict,
-            "detail": self.detail,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +178,9 @@ def filtration_runs(A, k: int, K: int) -> tuple:
     total = 0
     while z < end:
         m = mu(z, k, K)
-        step = DyadicRational(1, m)
         remaining = end - z
-        if remaining.exponent > m:
-            raise NumericalError(
-                "partition step does not divide the remaining length; "
-                "the dyadic recurrence invariant is broken")
+        require("dyadic exponent of the length left, against the step 2^-m",
+                remaining.exponent, m)
         navail = _scale_floor(remaining, m)
         # first interior index where the width changes, else navail
         lo_i, hi_i = 1, navail
@@ -226,15 +209,12 @@ def filtration(A, k: int, K: int,
     if total > atom_cap:
         raise ResourceError(
             f"partition has {total} atoms, above the cap {atom_cap}")
-    z = []
-    mus = []
-    for run in runs:
-        for i in range(run.count):
-            z.append(run.start + DyadicRational(i, run.mu))
-            mus.append(run.mu)
+    z = [run.start + DyadicRational(i, run.mu)
+         for run in runs for i in range(run.count)]
     z.append(A + DyadicRational.from_int(1))
-    if any(a > b for a, b in zip(mus, mus[1:])):
-        raise NumericalError("atom widths failed to shrink monotonically")
+    mus = [run.mu for run in runs for _ in range(run.count)]
+    for prev, run in zip(runs, runs[1:]):      # a run has one width
+        require("atom width exponent mu, run to next run", prev.mu, run.mu)
     return FiltrationPartition(z=tuple(z), mus=tuple(mus), N_k=total,
                                runs=runs)
 
@@ -416,12 +396,6 @@ def _window_integral(products: list, cuts: dict, intervals, F: Mollifier):
     return run
 
 
-def _block_terms(k: int, K: int):
-    for n in range((k - 1) * K + 1, k * K + 1):
-        for m in range(1, n):
-            yield n, m
-
-
 def _check_power_scale(top: int, hi: float) -> None:
     if top * math.log2(hi) > 45:
         raise ResourceError(
@@ -434,22 +408,30 @@ def _y_integrals(spans: list, interval_lists: list, k: int,
                  cfg: QuadConfig) -> list:
     """For each list of sorted, disjoint intervals, the integral of Y_k
     over each interval: one window integral per (n, m) term of block k in
-    one decomposition and one elementwise doubling check per list.  Each
-    term is cut once per call, by its `_term_cuts` over each dyadic span
-    (a, b) in turn; the spans hold every interval."""
+    one decomposition and one elementwise doubling check per group of
+    intervals, in order, so a failed group raises before the next is cut.
+    A group's intervals x terms stay within the EVAL_BLOCK // nodes ramps
+    of one window call; each interval sums only its own pieces, so groups
+    change no value.  Each term is cut once per call, by its `_term_cuts`
+    over each dyadic span (a, b) in turn; the spans hold every interval."""
     for _, b in spans:
         _check_power_scale(k * scheme.K, float(b))
-    cuts = {t: np.concatenate([_term_cuts(*t, a, b, G.base)
-                               for a, b in spans], axis=None)
-            for t in _block_terms(k, scheme.K)}
+    cuts = {(n, m): np.concatenate([_term_cuts(n, m, a, b, G.base)
+                                    for a, b in spans], axis=None)
+            for n in scheme.block(k) for m in range(1, n)}
+    size = max(1, EVAL_BLOCK // cfg.nodes_per_piece // len(cuts))
     values = []
     for intervals in interval_lists:
-        run = _window_integral([(t,) for t in cuts], cuts, intervals, G.base)
-        los, his = np.array(intervals, dtype=float).T
-        centering = G.mean_f * (his - los) * len(cuts)
-        values.append(certify(lambda nodes: run(nodes) - centering,
-                              cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
-                              "window-piece quadrature"))
+        groups = []
+        for first in range(0, len(intervals), size):
+            group = intervals[first:first + size]
+            run = _window_integral([(t,) for t in cuts], cuts, group, G.base)
+            los, his = np.array(group, dtype=float).T
+            centering = G.mean_f * (his - los) * len(cuts)
+            groups.append(certify(lambda nodes: run(nodes) - centering,
+                                  cfg.nodes_per_piece, cfg.rel_tol, 1e-15,
+                                  "window-piece quadrature", first))
+        values.append(np.concatenate(groups))
     return values
 
 
@@ -530,20 +512,13 @@ def parity_moment_both(A, scheme: BlockScheme, G: CenteredMollifier,
     """Monte Carlo second moments of the odd and even parity sums, sharing
     one set of draws and one window enumeration per draw.
 
-    Draw i uses the seed seed + i.  The draws run in this process for
-    workers = 1, else on a pool of `workers` freshly started processes
-    (None or 0: one per CPU); the squares are summed in draw order either
-    way, so the moments do not depend on the worker count."""
+    Draw i uses the seed seed + i.  The draws run as `hpgen.run_jobs`
+    runs them on `workers`; the squares are summed in draw order, so the
+    moments do not depend on the worker count."""
     if mc_samples < 100:
         raise DomainError(f"mc_samples must be >= 100, got {mc_samples}")
-    jobs = [(A, scheme, G, mantissa_bits, seed + i)
-            for i in range(mc_samples)]
-    if workers == 1:
-        sums = [_parity_draw(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers or None,
-                                 mp_context=get_context("spawn")) as pool:
-            sums = list(pool.map(_parity_draw, jobs))
+    sums = run_jobs(_parity_draw, [(A, scheme, G, mantissa_bits, seed + i)
+                                   for i in range(mc_samples)], workers)
     sq_odd = 0.0
     sq_even = 0.0
     for y_odd, y_even in sums:
@@ -618,10 +593,8 @@ def vdc_bound_check(a, b, l: int, n: int, m: int,
     value = abs(oscillatory_power_integral(l, n, m, a, b, quad_cfg))
     gamma = float(l * n * af ** (n - 1) * (1 - 1 / af))
     bound = 1.0 / gamma
-    if value > bound:
-        raise NumericalError(
-            "oscillatory integral exceeded its van der Corput bound; "
-            "quadrature is untrustworthy here", coarse=value, fine=bound)
+    require("oscillatory integral against its van der Corput bound",
+            value, bound)
     return value, bound
 
 
@@ -794,10 +767,8 @@ def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
                         if hi > lo))
     bound = float(4 * window_fraction(s) * (bf - af) / N
                   + 4 * window_fraction(s) / (N * deriv_a))
-    if measure > bound * 1.25:
-        raise NumericalError(
-            "preimage measure exceeded the convexity bound",
-            coarse=measure, fine=bound)
+    require("preimage measure against 1.25 times its convexity bound",
+            measure, bound * 1.25)
     return measure, bound
 
 
@@ -856,8 +827,5 @@ def pair_overlap_integral(n: int, m1: int, m2: int, A, F: Mollifier,
         bound = C_OVERLAP_CROSS * (
             1.0 / N ** 2
             + m1 * float(A) ** ((m1 - n) / 2.0) / (N * n * (n - m1)))
-    if fine > bound:
-        raise NumericalError(
-            "overlap integral exceeded its fitted envelope",
-            coarse=fine, fine=bound)
+    require("overlap integral against its fitted envelope", fine, bound)
     return fine, bound

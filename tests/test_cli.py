@@ -11,13 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import powcorr
-from powcorr import NumericalError
 from powcorr import DyadicRational
 from powcorr import cli
 from powcorr.cli import _resolve, build_parser, main
 from powcorr.config import (ExperimentConfig, parse_config_file,
                             resolve_config)
-from powcorr import probe
+from powcorr import hpgen, probe, quad
 
 
 def run(capsys, *argv):
@@ -169,10 +168,14 @@ def test_a_reported_x_is_accepted_back_as_input(capsys):
     ("paircorr", "--frobnicate", "1"),
     ("probe", "bogus"),
     (),
+    ("paircorr", "--tol", "nan", "--N", "100"),
+    ("paircorr", "--tol=-0.1", "--N", "100"),
+    ("sweep", "--tol", "inf", "--N", "100"),
 ], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
         "unwritable-out", "x-inf", "x-overflow", "x-nan", "A-inf", "xi-inf",
         "sweep-A-inf", "samples-abc", "flavor-inmer", "parity-bogus",
-        "unknown-flag", "unknown-probe-mode", "no-command"])
+        "unknown-flag", "unknown-probe-mode", "no-command", "tol-nan",
+        "tol-negative", "tol-inf"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -402,12 +405,33 @@ def test_probe_condexp_without_sampled_atoms_is_a_domain_error(capsys, count):
 
 
 def test_numerical_certification_failure_maps_to_exit_4(capsys, monkeypatch):
+    # an envelope constant planted at half the measured value: the real
+    # check fails, and its record names what, by how much and the margin
+    argv = ("probe", "overlap", "--A", "3/2", "--N", "100", "--s", "1",
+            "--n-powers", "6", "--m1", "3", "--m2", "3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    value = payload_of(out)["results"]["value"]
+    monkeypatch.setattr(probe, "C_OVERLAP_EQUAL", 0.5 * value * 100)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert err == (f"numerical certification failed: overlap integral "
+                   f"against its fitted envelope: {value:.3g} > "
+                   f"{0.5 * value:.3g} (margin 2)\n")
+
+
+def test_probe_vdc_refuses_powers_beyond_binary64_before_quadrature(
+        capsys, monkeypatch):
+    # (5/2)^800 is near 2^1058: its cycle counts leave binary64
     def explode(*args, **kwargs):
-        raise NumericalError("doubling check failed", coarse=1.0, fine=2.0)
-    monkeypatch.setattr(probe, "vdc_bound_check", explode)
-    code, _, err = run(capsys, "probe", "vdc")
-    assert code == 4
-    assert "numerical" in err
+        raise AssertionError("quadrature ran past the binary64 range")
+    monkeypatch.setattr(quad, "_power_panels", explode)
+    code, out, err = run(capsys, "probe", "vdc", "--n-powers", "800",
+                         "--a", "3/2", "--b", "5/2")
+    assert (code, out) == (5, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+    assert "2^1020" in lines[0]
 
 
 def test_probe_z_reports_tower_property(capsys):
@@ -642,3 +666,64 @@ def test_a_closed_stdout_is_one_usage_error_line():
     assert len(head) == 100
     assert len(err.splitlines()) == 1 and err.endswith("\n")
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+def test_a_stdout_closed_before_the_start_is_one_usage_error_line():
+    src = os.path.dirname(os.path.dirname(powcorr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    # fd 1 closed in the child before Python starts: sys.stdout is None
+    proc = subprocess.run(
+        [sys.executable, "-m", "powcorr.cli", "probe", "partition", "--A",
+         "3/2", "--N", "1024", "--k", "1"],
+        stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        preexec_fn=lambda: os.close(1), timeout=120)
+    err = proc.stderr.decode().splitlines()
+    assert proc.returncode == 2
+    assert err[-1].startswith("usage error:") and len(err) == 2
+    assert err[0].startswith("PASS partition")
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and maps in this process, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
+      "--workers", "5000"), [10]),
+    (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
+      "--workers", "0"), [min(os.cpu_count(), 10)]),
+    (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
+      "--workers", "3"), [3]),
+    (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
+      "--workers", "1"), []),
+    (("paircorr", "--x", "3/2", "--N", "200", "--workers", "4"), []),
+    (("probe", "moment", "--N", "1024", "--mc-samples", "100",
+      "--workers", "5000"), [100]),
+], ids=["sweep-5000", "sweep-cpus", "sweep-3", "sweep-1", "one-job",
+        "moment-5000"])
+def test_one_job_runner_sizes_its_pool_by_the_jobs(capsys, monkeypatch, argv,
+                                                   sizes):
+    # under fork every max_workers process starts at the first submit, so
+    # a pool larger than its job list would start processes for nothing
+    monkeypatch.setattr(hpgen, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    code, out, err = run(capsys, *argv)
+    assert RecordingPool.sizes == sizes
+    code_1, out_1, err_1 = run(capsys, *argv[:-1], "1")   # --workers 1
+    assert (code_1, err_1) == (code, err)
+    assert payload_of(out_1)["results"] == payload_of(out)["results"]

@@ -130,8 +130,25 @@ def test_window_resolution_guard_rejects_coarse_samples():
     sample = UnitSample(n_max=100, points=np.full(100, 0.5),
                         err_bound=0.25, base=DyadicRational(3, 1),
                         xi=DyadicRational.from_int(1))
-    with pytest.raises(PrecisionError):
+    with pytest.raises(PrecisionError) as err:
         ensure_window_resolution(sample, 1.0)
+    # the record of the gate err_bound < (s/N)/100, then the guard bits
+    # whose ladder bound would pass it
+    check, g = err.value.check, err.value.required_guard_bits
+    assert (check.value, check.bound) == (0.25, 1.0 / 100 / 100.0)
+    assert check.margin == 2500.0
+    assert g == required_guard_bits(sample, 1.0)
+    assert str(err.value) == ("err_bound against the (s/N)/100 gate: "
+                              f"0.25 > 0.0001 (margin 2.5e+03); regenerate "
+                              f"with guard bits >= {g}")
+    # a sample without a ladder base gets the record and no hint
+    control = UnitSample(n_max=100, points=np.full(100, 0.5),
+                         err_bound=0.25, base=DyadicRational.from_int(1),
+                         xi=DyadicRational.from_int(1))
+    with pytest.raises(PrecisionError) as err:
+        ensure_window_resolution(control, 1.0)
+    assert err.value.required_guard_bits is None
+    assert str(err.value) == str(err.value.check)
 
 
 # ---- the blocked ladder -------------------------------------------------

@@ -19,7 +19,7 @@ from powcorr.mollify import Mollifier, centered, make_outer
 from powcorr.probe import (blocks, cond_exp_Z, convexity_measure,
                            filtration, level_intervals, pair_overlap_integral,
                            vdc_bound_check)
-from powcorr.quad import gauss_rule, monotone_root
+from powcorr.quad import QuadConfig, gauss_rule, monotone_root
 
 A32 = DyadicRational(3, 1)
 B52 = DyadicRational(5, 1)
@@ -212,8 +212,11 @@ def test_overlap_envelope_catches_planted_defect(monkeypatch):
     A = as_dyadic(Fraction(9, 4))
     value, _ = pair_overlap_integral(2, 1, 1, A, F)
     monkeypatch.setattr(probe, "C_OVERLAP_EQUAL", 0.5 * value * F.N)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="^overlap integral against its "
+                       "fitted envelope: ") as err:
         pair_overlap_integral(2, 1, 1, A, F)
+    assert err.value.check.value == value
+    assert err.value.check.margin == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +453,13 @@ def test_each_certified_window_integral_decomposes_once(monkeypatch):
         evals.clear()
         probe.tower_check(A32, k, scheme, G)
         assert filtration(A32, k, 2).N_k > 5
-        assert len(evals) == 2 * 2 * len(list(probe._block_terms(k, 2)))
+        assert len(evals) == 2 * 2 * probe._term_count(k, 2)
     calls.clear()
     probe.cond_exp_cross(A32, 1, 3, scheme, G, atom_sample=2)
     atoms = [filtration(A32, 1, 2).atom(i) for i in (0, 4)]
     assert sorted(calls) == sorted((n, m, *atom) for atom in atoms
-                                   for n, m in probe._block_terms(3, 2))
+                                   for n in scheme.block(3)
+                                   for m in range(1, n))
     F = make_outer(1.0, 100)
     for tup in OVERLAPS:
         calls.clear()
@@ -486,6 +490,30 @@ def test_ramps_evaluated_in_blocks_give_the_same_values(monkeypatch):
                pair_overlap_integral(8, 6, 2, A32, F))
     assert max(rows) == 3 and rows.count(3) > 10
     assert repr(blocked) == repr(whole)
+
+
+def test_tower_atoms_are_certified_in_groups_in_order(monkeypatch):
+    # at k = 3, 9 terms: a group holds EVAL_BLOCK // 12 // 9 atoms, here
+    # 10, so the 135 atoms take 14 window integrals and the direct one 1
+    scheme, G = blocks(1024), centered(make_outer(1.0, 1024))
+    whole = probe.tower_check(A32, 3, scheme, G)
+    groups = []
+    window_integral = probe._window_integral
+
+    def counted(products, cuts, intervals, F):
+        groups.append(len(intervals))
+        return window_integral(products, cuts, intervals, F)
+
+    monkeypatch.setattr(probe, "EVAL_BLOCK", 12 * 9 * 10)
+    monkeypatch.setattr(probe, "_window_integral", counted)
+    assert repr(probe.tower_check(A32, 3, scheme, G)) == repr(whole)
+    assert groups == [10] * 13 + [5, 1]
+    # no group meets 1e-30: the first raises before the second is cut
+    del groups[:]
+    with pytest.raises(NumericalError, match="^window-piece quadrature, "
+                       "element 0: ") as err:
+        probe.tower_check(A32, 3, scheme, G, QuadConfig(rel_tol=1e-30))
+    assert groups == [10] and err.value.check.margin > 1
 
 
 # ---------------------------------------------------------------------------

@@ -249,30 +249,46 @@ def test_impossible_tolerance_raises_numerical_error():
 
 
 def test_certify_checks_arrays_element_by_element():
-    # the first element whose runs disagree raises, with its own coarse and
-    # fine values as Python scalars; agreeing arrays come back as the fine run
+    # the first element whose runs disagree raises, its record holding its
+    # index, its gap |fine - coarse| and its tolerance as Python floats;
+    # agreeing arrays come back as the fine run
     def run(nodes):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         if nodes == 24:
             values[[1, 3]] += [1e-6, 1e-3]
         return values
 
-    with pytest.raises(NumericalError, match="^window-piece quadrature "
-                       "failed its doubling check$") as err:
+    with pytest.raises(NumericalError, match=r"^window-piece quadrature, "
+                       r"element 1: 1e-06 > 2e-08 \(margin 50\)$") as err:
         certify(run, 12, 1e-8, 1e-15, "window-piece quadrature")
-    assert (err.value.coarse, err.value.fine) == (2.0, 2.0 + 1e-6)
-    assert type(err.value.coarse) is float and type(err.value.fine) is float
+    check = err.value.check
+    assert check.what == "window-piece quadrature, element 1"
+    assert check.value == (2.0 + 1e-6) - 2.0
+    assert check.bound == 1e-8 * ((2.0 + 1e-6) + 1e-15)
+    assert type(check.value) is float and type(check.bound) is float
+    assert check.margin == check.value / check.bound > 1
+    # indices count from `first`, the place of the run's first element
+    with pytest.raises(NumericalError, match="element 301:"):
+        certify(run, 12, 1e-8, 1e-15, "window-piece quadrature", 300)
     fine = certify(run, 12, 1e-3, 1e-15, "window-piece quadrature")
     assert fine.tolist() == run(24).tolist()
 
 
 def test_certify_keeps_scalar_and_complex_runs():
     # scalar runs, real or complex (the oscillatory integrals), return the
-    # fine value itself and raise with the two values unchanged
+    # fine value itself; a failure names no element and records |gap|
     assert certify(lambda s: 1.0 + 1e-12 / s, 1, 1e-8, 0.0, "x") == 1.0 + 5e-13
     value = certify(lambda s: (1 + 1j) * (1 + 1e-12 / s), 1, 1e-8, 1e-13, "x")
     assert value == (1 + 1j) * (1 + 5e-13) and type(value) is complex
-    with pytest.raises(NumericalError, match="oscillatory quadrature") as err:
+    with pytest.raises(NumericalError,
+                       match="^oscillatory quadrature: ") as err:
         certify(lambda s: 1j * s, 1, 1e-8, 1e-13, "oscillatory quadrature")
-    assert (err.value.coarse, err.value.fine) == (1j, 2j)
-    assert type(err.value.coarse) is complex
+    assert err.value.check.what == "oscillatory quadrature"
+    assert (err.value.check.value, err.value.check.bound) == (
+        1.0, 1e-8 * (2.0 + 1e-13))
+
+
+def test_certify_refuses_a_nan_run():
+    # a NaN gap is not within any tolerance
+    with pytest.raises(NumericalError, match="^x, element 1: nan > "):
+        certify(lambda s: np.array([1.0, math.nan]), 1, 1e-8, 0.0, "x")
