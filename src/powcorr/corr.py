@@ -46,8 +46,13 @@ def _reach(ys: np.ndarray, width: float) -> np.ndarray:
     """Upper endpoint of each sorted point's run at `width`.
 
     Inflated, so that the runs hold a strict superset of the pairs with
-    doubled[j] - ys[i] <= width."""
-    return np.nextafter(ys + width * (1.0 + 2.0 ** -40), np.inf)
+    doubled[j] - ys[i] <= width.  With ys >= 0 and width > 0 the sum is
+    positive and finite, so its next float up is the next int64 bit
+    pattern, as np.nextafter(a, np.inf) gives at a tenth of the cost."""
+    a = ys + width * (1.0 + 2.0 ** -40)
+    bits = a.view(np.int64)
+    bits += 1
+    return a
 
 
 @dataclass(frozen=True)

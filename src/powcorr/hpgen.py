@@ -11,7 +11,10 @@ Two routes produce a UnitSample:
   advances once per block of J ~ sqrt(width / e) steps, by one product with
   p^J (x = p / 2^e, rounded once); the J points of a block come from a
   window of t + e*J bits of it (t = g + J * ceil(log2 x) + 2), multiplied
-  by p step by step.  The certified error bound is 2^(-g) * N * x / (x - 1)
+  by p step by step.  The windows of all blocks sit side by side in one
+  packed integer, so each step is one big-integer product for the whole
+  ladder, and each step's points leave it as floats through one numpy
+  conversion.  The certified error bound is 2^(-g) * N * x / (x - 1)
   plus one binary64 quantum for output rounding.
 
 Both bases x and seeds xi are dyadic rationals, so every intermediate
@@ -197,6 +200,38 @@ def _big_ratio_to_unit_float(num: int, den: int) -> float:
     return v if v < 1.0 else _ONE_MINUS
 
 
+def _unit_floats(words: np.ndarray, L: int) -> np.ndarray:
+    """Correctly rounded (field mod 2^L) / 2^L for each row of `words`,
+    clamped into [0, 1); L >= 1.
+
+    Row k is one little-endian integer in uint64 words, of at least L bits.
+    The 64 bits of the field just below bit L, with the OR of the bits
+    below them (the sticky bit) ORed into their bit 0, round to binary64
+    exactly as the whole field does whenever they are at least 2^55 (the
+    rounding position then lies above bit 1) or the sticky bit is 0 (they
+    are then the whole field).  The rare other rows, fractions below 2^-9
+    with nonzero low bits, take the exact int / int path.
+    """
+    lo = L - 64
+    if lo <= 0:
+        # the shift drops the bits at and above L
+        top = words[:, 0] << (-lo)
+        sticky = np.zeros(len(words), dtype=bool)
+    else:
+        q, r = divmod(lo, 64)
+        top = words[:, q] >> r
+        sticky = words[:, :q].any(axis=1)
+        if r:
+            top |= words[:, q + 1] << (64 - r)
+            sticky |= (words[:, q] & ((1 << r) - 1)) != 0
+    top |= sticky
+    v = top.astype(np.float64) * 2.0 ** -64
+    for k in np.flatnonzero(sticky & (top < 2 ** 55)):
+        field = int.from_bytes(words[k].tobytes(), "little") & ((1 << L) - 1)
+        v[k] = field / (1 << L)
+    return np.minimum(v, _ONE_MINUS, out=v)
+
+
 def exact_frac_powers(x, xi, N: int) -> UnitSample:
     """Exact oracle: {xi * x^n} as (xi_num * x_num^n mod 2^E) / 2^E.
 
@@ -309,6 +344,15 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     step and masked to t + e*J bits, and output n is
     (W * p^i mod 2^(t + e*i)) / 2^(t + e*i), correctly rounded to binary64.
 
+    Packing: the windows of all ceil(N / J) blocks advance together.  Block
+    k's W sits in bits [k*S, (k+1)*S) of one integer Z, with the slot width
+    S a multiple of 64 and at least t + e*J + bitlen(p), so W * p fits its
+    slot and no carry crosses into the next.  One step for every block is
+    then Z = (Z * p) & KEEP, KEEP holding 2^(t + e*J) - 1 in every slot,
+    and the points of step i are read off the uint64 words of Z's bytes by
+    `_unit_floats`, which rounds each field as num / den does.  The points
+    past N of the last block are computed and dropped.
+
     Error, in circular distance from {xi * x^n}:
 
     * rounding: each block start c rounds once, by at most 2^(-F_c - 1)
@@ -337,20 +381,27 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     J, t = _block_shape(x, N, g, budget.total_bits)
     pJ = p ** J
     keep = (1 << (t + e * J)) - 1
-    masks = [(1 << (t + e * i)) - 1 for i in range(J)]
-    dens = [m + 1 for m in masks]
-    pts = []
+    slot = -(-(t + e * J + p.bit_length()) // 64) * 8       # S / 8 bytes
+    windows = []
     V = _round_shift(q * p, (f + e) - F[0])
     for b in range(0, N, J):
         if b:
             V = _round_shift(V * pJ, F[b - J] + e * J - F[b])
         s = F[b] - t
         W = (V >> s if s >= 0 else V << -s) & keep
-        for mask, den in zip(masks, dens[:N - b]):
-            pts.append(_big_ratio_to_unit_float(W & mask, den))
-            W = (W * p) & keep
+        windows.append(W.to_bytes(slot, "little"))
+    blocks = len(windows)
+    Z = int.from_bytes(b"".join(windows), "little")
+    KEEP = int.from_bytes(keep.to_bytes(slot, "little") * blocks, "little")
+    pts = np.empty((blocks, J))
+    for i in range(J):
+        if i:
+            Z = (Z * p) & KEEP
+        words = np.frombuffer(Z.to_bytes(slot * blocks, "little"),
+                              dtype="<u8").reshape(blocks, slot // 8)
+        pts[:, i] = _unit_floats(words, t + e * i)
     bound = ladder_err_bound(x, N, g) + FLOAT64_QUANTUM
-    return UnitSample(n_max=N, points=np.array(pts),
+    return UnitSample(n_max=N, points=pts.ravel()[:N],
                       err_bound=_round_float_up(bound), base=x, xi=xi,
                       guard_bits=g)
 

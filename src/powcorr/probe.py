@@ -197,10 +197,9 @@ def filtration_runs(A, k: int, K: int) -> tuple:
     return tuple(runs), total
 
 
-def filtration(A, k: int, K: int,
-               atom_cap: int = DEFAULT_ATOM_CAP) -> FiltrationPartition:
-    """Materialized partition; refuses when the atom count exceeds the cap."""
-    A = as_dyadic(A)
+def _capped_runs(A: DyadicRational, k: int, K: int, atom_cap: int) -> tuple:
+    """`filtration_runs`, refused when the atom count exceeds the cap, and
+    checked to narrow from run to run."""
     least = mu(A, k, K)               # every atom is at most 2^-mu(A) wide
     if 1 << least > atom_cap:
         raise ResourceError(
@@ -209,14 +208,35 @@ def filtration(A, k: int, K: int,
     if total > atom_cap:
         raise ResourceError(
             f"partition has {total} atoms, above the cap {atom_cap}")
+    for prev, run in zip(runs, runs[1:]):      # a run has one width
+        require("atom width exponent mu, run to next run", prev.mu, run.mu)
+    return runs, total
+
+
+def filtration(A, k: int, K: int,
+               atom_cap: int = DEFAULT_ATOM_CAP) -> FiltrationPartition:
+    """Materialized partition; refuses when the atom count exceeds the cap."""
+    A = as_dyadic(A)
+    runs, total = _capped_runs(A, k, K, atom_cap)
     z = [run.start + DyadicRational(i, run.mu)
          for run in runs for i in range(run.count)]
     z.append(A + DyadicRational.from_int(1))
     mus = [run.mu for run in runs for _ in range(run.count)]
-    for prev, run in zip(runs, runs[1:]):      # a run has one width
-        require("atom width exponent mu, run to next run", prev.mu, run.mu)
     return FiltrationPartition(z=tuple(z), mus=tuple(mus), N_k=total,
                                runs=runs)
+
+
+def _filtration_atom(A, k: int, K: int, i: int) -> tuple:
+    """filtration(A, k, K).atom(i), read off the runs without
+    materializing the partition."""
+    runs, total = _capped_runs(as_dyadic(A), k, K, DEFAULT_ATOM_CAP)
+    if not 0 <= i < total:
+        raise DomainError(f"atom index {i} outside 0..{total - 1}")
+    for run in runs:
+        if i < run.count:
+            return (run.start + DyadicRational(i, run.mu),
+                    run.start + DyadicRational(i + 1, run.mu))
+        i -= run.count
 
 
 def refinement_holds(A, j: int, k: int, K: int) -> bool:
@@ -443,7 +463,7 @@ def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
     window boundaries, on binary64 phases x^n - x^m: the doubling check
     certifies truncation only (see quad.certify).
     """
-    z0, z1 = filtration(as_dyadic(A), k, scheme.K).atom(atom_index)
+    z0, z1 = _filtration_atom(A, k, scheme.K, atom_index)
     return float(_y_integrals([(z0, z1)], [[(z0, z1)]], k, scheme, G,
                               quad_cfg)[0][0]) / (float(z1) - float(z0))
 

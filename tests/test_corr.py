@@ -80,6 +80,23 @@ def test_oracle_cap_is_enforced():
         pair_corr_bruteforce(sample, 1.0)
 
 
+def test_reach_is_the_next_float_up_of_the_inflated_end():
+    """The int64 successor in `_reach` is np.nextafter(., inf) on sorted
+    uniforms, zero, subnormals and the floats around 1.0 and 2.0."""
+    from powcorr.corr import _reach
+    tiny = 5e-324
+    ys = np.sort(np.concatenate([
+        np.random.default_rng(7).random(10_000),
+        [0.0, tiny, 2 * tiny, 2.0 ** -1060, 2.0 ** -1022 - tiny,
+         2.0 ** -1022, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+         np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]]))
+    for width in (tiny, 1e-310, 2.0 ** -30, 0.5 / 8, 0.49):
+        want = np.nextafter(ys + width * (1.0 + 2.0 ** -40), np.inf)
+        got = _reach(ys, width)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_window_reaching_half_is_rejected():
     sample = uniform_control(10, 1)
     with pytest.raises(DomainError):

@@ -14,11 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DyadicRational, DomainError, PrecisionError, as_dyadic
-from powcorr.hpgen import (UnitSample, _block_length, ceil_log2_ratio,
+from powcorr.hpgen import (UnitSample, _block_length, _block_shape,
+                           _round_shift, _unit_floats, ceil_log2_ratio,
                            default_guard_bits, exact_frac_powers,
                            ladder_frac_powers, precision_budget,
                            required_guard_bits, sample_x, save_sample,
                            ensure_window_resolution)
+
+ONE_MINUS = math.nextafter(1.0, 0.0)
 
 
 def frac_oracle(x: DyadicRational, xi: DyadicRational, N: int) -> list:
@@ -231,6 +234,117 @@ def test_blocked_ladder_suffix_at_sweep_scale():
     d = np.abs(lad.points[N - tail:] - exact.points)
     d = np.minimum(d, 1.0 - d)
     assert float(d.max()) <= lad.err_bound + exact.err_bound
+
+
+def reference_ladder_points(x: DyadicRational, xi: DyadicRational, N: int,
+                            g: int) -> np.ndarray:
+    """The ladder's points by the per-point window loop: the same chain
+    of block starts, then each block's window stepped by p one point at a
+    time and each point one correctly rounded int / int."""
+    p, e = x.numerator, x.exponent
+    q, f = xi.numerator, xi.exponent
+    budget = precision_budget(x, N, g)
+    F = budget.frac_bits
+    J, t = _block_shape(x, N, g, budget.total_bits)
+    pJ = p ** J
+    keep = (1 << (t + e * J)) - 1
+    pts = []
+    V = _round_shift(q * p, (f + e) - F[0])
+    for b in range(0, N, J):
+        if b:
+            V = _round_shift(V * pJ, F[b - J] + e * J - F[b])
+        s = F[b] - t
+        W = (V >> s if s >= 0 else V << -s) & keep
+        for i in range(min(J, N - b)):
+            den = 1 << (t + e * i)
+            pts.append(min((W & (den - 1)) / den, ONE_MINUS))
+            W = (W * p) & keep
+    return np.array(pts)
+
+
+D = DyadicRational
+PACKED_GRID = [
+    # integer bases: e = 0, J = 1, one block per point, fields of 36-39 bits
+    *[(D.from_int(p), xi, N, g) for p in (3, 7)
+      for xi in (D(1, 0), D(-3, 2)) for N in (1, 2, 333) for g in (32, None)],
+    # 3/2 with N <= 7 and g = 32: fields of at most 64 bits
+    *[(D(3, 1), D(5, 2), N, 32) for N in (1, 2, 3, 6, 7)],
+    # 129/128: the block length capped at N, N below its uncapped value
+    *[(D(129, 7), xi, N, g) for xi in (D(1, 0), D(3, 10))
+      for N in (2, 3, 5, 11, 1000) for g in (32, 40, 200)],
+    (D(5, 2), D((1 << 100) + 1, 100), 1337, None),
+    (D(1025, 10), D(-3, 2), 4000, 32),
+    *[(sample_x(as_dyadic(1.02), 64, seed), D(1, 0), N, None)
+      for seed, N in ((1, 5000), (2, 4321), (3, 20000))],
+]
+
+
+def test_packed_ladder_points_equal_the_per_point_loop():
+    shapes = []
+    for x, xi, N, g in PACKED_GRID:
+        g = default_guard_bits(N) if g is None else g
+        lad = ladder_frac_powers(x, xi, N, g)
+        assert np.array_equal(lad.points, reference_ladder_points(x, xi, N, g))
+        total = precision_budget(x, N, g).total_bits
+        J, t = _block_shape(x, N, g, total)
+        shapes.append((x.exponent, N, J, g, t + x.exponent * (J - 1),
+                       x.exponent and math.isqrt(total // x.exponent)))
+    assert any(e == 0 for e, *_ in shapes)
+    assert any(N % J for _, N, J, *_ in shapes)
+    assert any(1 < J == N < free for _, N, J, _, _, free in shapes)
+    assert any(g == 32 for *_, g, _, _ in shapes)
+    assert any(widest <= 64 and N > 1 for _, N, _, _, widest, _ in shapes)
+    assert any(widest > 512 for *_, widest, _ in shapes)
+
+
+def words_of(fields: list, nwords: int) -> np.ndarray:
+    """Rows of little-endian uint64 words, one row per integer."""
+    raw = b"".join(v.to_bytes(8 * nwords, "little") for v in fields)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(fields), nwords)
+
+
+def unit_quotient(field: int, L: int) -> float:
+    return min((field & ((1 << L) - 1)) / (1 << L), ONE_MINUS)
+
+
+@pytest.mark.parametrize("L", [1, 36, 63, 64, 65, 100, 127, 128, 129, 191,
+                               300])
+def test_unit_floats_round_as_int_division(L):
+    rng = random.Random(L)
+    nwords = L // 64 + 2
+    # random rows, with junk above bit L that must be ignored
+    fields = [rng.getrandbits(64 * nwords) for _ in range(300)]
+    # all ones: 1.0 after rounding once L >= 54, then clamped below 1
+    fields.append((1 << L) - 1)
+    fields.append((rng.getrandbits(64) << L) | ((1 << L) - 1))
+    # a 53-bit significand led at bit h, then the round bit set: an exact
+    # half-ulp tie (to even, both ways), and with a sticky bit at bit 0
+    for d in range(0, 14):
+        h = L - 1 - d
+        if h >= 54:
+            for m in ((1 << 52) | rng.getrandbits(52) | 1,
+                      (1 << 52) | (rng.getrandbits(52) & ~1)):
+                tie = (m << (h - 52)) | (1 << (h - 53))
+                fields += [tie, tie | 1]
+    # fractions below 2^-9 with nonzero low bits: the exact path
+    for k in range(10, min(L, 80)):
+        fields.append((1 << (L - k)) | rng.getrandbits(L - k) | 1)
+    got = _unit_floats(words_of(fields, nwords), L)
+    want = [unit_quotient(v, L) for v in fields]
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.array(want))
+    if L >= 54:
+        assert ONE_MINUS in got
+
+
+def test_unit_floats_need_the_exact_path_below_two_to_minus_nine():
+    """Where the top 64 bits of the field are below 2^55 and the lower
+    bits are not zero, the sticky-ORed top word alone misrounds."""
+    L = 300
+    field = (1 << 200) + 1
+    top = (field >> (L - 64)) | 1
+    assert float(top) * 2.0 ** -64 != field / (1 << L)
+    assert _unit_floats(words_of([field], 5), L)[0] == field / (1 << L)
 
 
 def ceil_log2_exact(x: DyadicRational, m: int) -> int:

@@ -14,7 +14,8 @@ from powcorr import DomainError, DyadicRational, ResourceError
 from powcorr.hpgen import ladder_frac_powers, sample_x
 from powcorr.mollify import centered, make_outer
 from powcorr.probe import (block_sum_Y, blocks, cond_exp_Z, cond_exp_cross,
-                           parity_block_sums, parity_identity_check,
+                           filtration, parity_block_sums,
+                           parity_identity_check,
                            parity_moment, parity_moment_both,
                            second_moment_slope, tower_check)
 
@@ -91,6 +92,18 @@ def test_parity_identity_refuses_giant_samples(scheme, G):
 def test_cond_exp_Z_locked_value(scheme, G):
     assert cond_exp_Z(A32, 1, scheme, G, 0) == pytest.approx(
         0.0004451328438329319, rel=1e-8)
+
+
+@pytest.mark.parametrize("k, atom, value", [
+    (3, 0, -0.001574322771645622), (3, 67, -0.0030971715247269903),
+    (3, 134, 0.0029261679389044476), (4, 0, -0.000327786609889226),
+    (4, 332, -0.003960443234053496), (4, 664, 0.0031465985929596714)])
+def test_cond_exp_Z_of_first_middle_and_last_atom_is_locked(scheme, G, k,
+                                                           atom, value):
+    """Values, repr for repr, of the materialized-partition route that
+    `cond_exp_Z` took before it read its atom off the filtration runs."""
+    assert filtration(A32, k, scheme.K).N_k == {3: 135, 4: 665}[k]
+    assert repr(cond_exp_Z(A32, k, scheme, G, atom)) == repr(value)
 
 
 def test_cond_exp_Z_matches_dense_riemann(scheme, G):

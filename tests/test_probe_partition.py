@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powcorr import DomainError, DyadicRational, ResourceError, as_dyadic
+from powcorr import (DomainError, DyadicRational, NumericalError,
+                     ResourceError, as_dyadic, probe)
 from powcorr.probe import (BlockScheme, FiltrationRun, blocks, filtration,
                            filtration_runs, mu, refinement_holds)
 
@@ -172,3 +173,34 @@ def test_refinement_run_walk_scales_to_huge_k():
 def test_refinement_rejects_bad_order():
     with pytest.raises(DomainError):
         refinement_holds(DyadicRational(3, 1), 3, 1, 2)
+
+
+@pytest.mark.parametrize("A, k, K", [(DyadicRational(3, 1), 1, 2),
+                                     (DyadicRational(3, 1), 3, 2),
+                                     (DyadicRational(11, 3), 2, 3),
+                                     (DyadicRational(2049, 11), 2, 2)])
+def test_one_atom_read_off_the_runs_is_the_materialized_atom(A, k, K):
+    part = filtration(A, k, K)
+    for i in range(part.N_k):
+        ends = probe._filtration_atom(A, k, K, i)
+        assert ends == part.atom(i)
+        assert tuple(map(repr, ends)) == tuple(map(repr, part.atom(i)))
+    for bad in (-1, part.N_k):
+        with pytest.raises(DomainError, match=f"atom index {bad} outside"):
+            probe._filtration_atom(A, k, K, bad)
+
+
+def test_one_atom_keeps_the_partition_refusals(monkeypatch):
+    A = DyadicRational(3, 1)
+    with pytest.raises(ResourceError):
+        probe._filtration_atom(A, 8, 3, 0)
+    # a run wider than the one before it is refused, as by `filtration`
+    runs, total = filtration_runs(A, 2, 2)
+    widened = (runs[0], FiltrationRun(runs[1].start, runs[0].mu - 1,
+                                      runs[1].count), *runs[2:])
+    monkeypatch.setattr(probe, "filtration_runs",
+                        lambda *args: (widened, total))
+    for call in (lambda: filtration(A, 2, 2),
+                 lambda: probe._filtration_atom(A, 2, 2, 0)):
+        with pytest.raises(NumericalError, match="atom width exponent mu"):
+            call()
