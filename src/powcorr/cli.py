@@ -80,28 +80,37 @@ def _effective_samples(cfg: ExperimentConfig) -> int:
 
 
 def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float,
-                windows: corr.PairWindows) -> dict:
-    r2 = corr.pair_corr(sample, s, windows)
+                counts: corr.PairCounts) -> dict:
+    r2 = corr.pair_corr(sample, s, counts)
     ratio = r2 / (2.0 * s)
     return {"r2": r2, "ratio": ratio, "within_tol": abs(ratio - 1.0) <= tol}
 
 
+def _grid_counts(cfg, sample, runs: bool = False) -> corr.PairCounts:
+    """One counting pass over the sample at every s/N of the grid."""
+    return corr.count_pairs(
+        sample.points, [corr.window_width(sample, s) for s in cfg.s_grid],
+        runs)
+
+
 def _paircorr_rows(cfg, idx, N, sample) -> list:
-    # every s is checked and every window built before the one window
-    # enumeration, at the widest width; each statistic cuts its own from it
+    # every s is checked and every window built before the counting pass;
+    # with --smoothed one enumeration at the widest edge follows it, after
+    # the pass has let go of its arrays, and each window cuts its own pairs
     widths, smoothed = [], []
     for s in cfg.s_grid:
         widths.append(corr.window_width(sample, s))
         if cfg.smoothed:
-            Fs = (mollify.make_inner(s, N, _delta_arg(cfg)),
-                  mollify.make_outer(s, N, _delta_arg(cfg)))
-            widths += [F.edge_f for F in Fs]
-            smoothed.append(Fs)
-    windows = corr.forward_window_pairs(sample.points, max(widths))
+            smoothed.append((mollify.make_inner(s, N, _delta_arg(cfg)),
+                             mollify.make_outer(s, N, _delta_arg(cfg))))
+    counts = corr.count_pairs(sample.points, widths)
+    windows = corr.forward_window_pairs(
+        sample.points, max(F.edge_f for Fs in smoothed for F in Fs)
+    ) if cfg.smoothed else None
     rows = []
     for i, s in enumerate(cfg.s_grid):
         row = {"sample": idx, "control": cfg.control, "N": N, "s": s,
-               **_pair_ratio(sample, s, cfg.tol, windows)}
+               **_pair_ratio(sample, s, cfg.tol, counts)}
         if cfg.smoothed:
             inner, outer = smoothed[i]
             row["r2_inner"] = corr.pair_corr_smoothed(sample, inner, windows)
@@ -113,11 +122,10 @@ def _paircorr_rows(cfg, idx, N, sample) -> list:
 def _sweep_rows(cfg, idx, N, sample) -> list:
     M = subsequence_index(N)
     squeeze = ((M + 1) / M) ** 20
-    windows = corr.forward_window_pairs(
-        sample.points, max(corr.window_width(sample, s) for s in cfg.s_grid))
+    counts = _grid_counts(cfg, sample)
     return [{"sample": idx, "x": str(sample.base), "N": N, "M": M,
              "squeeze": squeeze, "s": s,
-             **_pair_ratio(sample, s, cfg.tol, windows)}
+             **_pair_ratio(sample, s, cfg.tol, counts)}
             for s in cfg.s_grid]
 
 
@@ -134,10 +142,9 @@ def _spacings_rows(cfg, idx, N, sample) -> list:
 
 
 def _triple_rows(cfg, idx, N, sample) -> list:
-    windows = corr.forward_window_pairs(
-        sample.points, max(corr.window_width(sample, s) for s in cfg.s_grid))
+    counts = _grid_counts(cfg, sample, runs=True)
     return [{"sample": idx, "N": N, "s1": s, "s2": s,
-             "r3": corr.triple_corr(sample, s, s, windows),
+             "r3": corr.triple_corr(sample, s, s, counts),
              "poisson_value": 4.0 * s * s} for s in cfg.s_grid]
 
 

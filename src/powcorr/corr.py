@@ -5,14 +5,20 @@ both decide membership through the same float subtractions (forward gap
 y_j - y_i, wrapped gap (y_j + 1.0) - y_i) compared against the same window
 w = s/N, so their counts agree exactly, ties included.
 
-A point set is sorted and its close pairs enumerated once, by
-`forward_window_pairs` at the widest window any of its statistics needs;
-`pair_corr`, `pair_corr_smoothed` and `triple_corr` take that enumeration
-and read their own narrower width off it with `PairWindows.cut`, which
-selects exactly the pairs a fresh enumeration at that width would return,
-in the same order.  So every count and every float sum is the one a fresh
-enumeration gives, bit for bit.  Called without one, a statistic
-enumerates at its own width.
+Close pairs come from one offset pass over the sorted points
+(`_offset_pass`): step k tests whether the point k places ahead of each
+point is within its reach, over a contiguous slice while at least a
+quarter of the runs are open, then over the open runs only.  Each run is a prefix, and a window test on the
+gaps selects a prefix of it at any narrower width.  So `count_pairs` turns
+one pass into the pair counts of `pair_corr` and the run lengths behind
+`triple_corr`'s degrees at every width of an s grid, and
+`forward_window_pairs` takes its run lengths from the pass.  The pairs
+themselves serve only the smoothed sums (`pair_corr_smoothed`, the block
+sums of `probe`): one enumeration at the widest window edge serves every
+narrower edge through `PairWindows.cut`, which selects exactly the pairs a
+fresh enumeration at that width returns, in the same order, so the float
+sums are a fresh enumeration's, bit for bit.  Called without a pass's
+counts or an enumeration, a statistic makes its own at its own width.
 """
 
 from __future__ import annotations
@@ -30,7 +36,8 @@ from .hpgen import UnitSample, ensure_window_resolution
 from .mollify import Mollifier
 
 __all__ = [
-    "PairWindows", "forward_window_pairs", "window_width", "pair_corr",
+    "PairWindows", "forward_window_pairs", "PairCounts", "count_pairs",
+    "window_width", "pair_corr",
     "pair_corr_bruteforce", "pair_corr_smoothed", "triple_corr",
     "level_spacings", "spacings_sup_exponential", "star_discrepancy",
     "control_nalpha", "uniform_control",
@@ -72,7 +79,8 @@ class PairWindows:
     reach_i grows with the width, so the run of i at a narrower width is
     a prefix of its run here: the pairs with ends <= reach_i at that
     width.  `cut` selects them, in the same order, so one enumeration at
-    the widest width serves every narrower one exactly.
+    the widest window edge serves every narrower one exactly.  Counts do
+    not need the pairs: `count_pairs` gives them without this array.
     """
 
     width: float
@@ -116,6 +124,80 @@ class PairWindows:
         return self.ends <= np.repeat(_reach(self.ys, width), self.counts)
 
 
+def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float):
+    """Walk every run of the sorted points ys at `width` offset by offset.
+
+    doubled is ys followed by ys + 1.0, and run i holds the offsets
+    k = 1 .. n-1 with doubled[i + k] <= reach_i (`_reach`).  doubled is
+    sorted, so a run holds k only if it holds every offset before it: each
+    run is a prefix, and a run that fails one step is closed for good.
+    Step k yields (at, ends, starts) for the runs still open:
+
+    - while at least a quarter of the runs are open, a step compares the
+      contiguous slice ends = doubled[k:k+n] with the reach and yields
+      at, the mask of the open runs, with ends and starts = ys over all n
+      positions;
+    - after that it works on the open runs' indices only: at holds them,
+      and ends and starts are gathered at them.
+
+    A float gap ends - starts grows along a run, and at any w <= width it
+    is <= w only inside the run (the reach is a superset).  So a test
+    gaps <= w selects a prefix of each run and is false at the positions
+    a mask leaves out; callers need not mask it.
+
+    The pass keeps the total of candidate pairs it has touched and raises
+    ResourceError at the step where that total passes MAX_WINDOW_PAIRS,
+    before yielding it, so a refused pass stops within one step of the
+    cap; it refuses exactly when the runs hold more than the cap.  The
+    longest run bounds the number of steps.  A run of L points holds
+    L(L - 1)/2 candidate pairs, since reaches grow with ys and the runs
+    of its later points hold the rest of it, so under the cap L is at most
+    about sqrt(2 * MAX_WINDOW_PAIRS) + 1.  Time is O(n + candidate pairs)
+    and memory O(n).
+    """
+    n = len(ys)
+    reach = _reach(ys, width)
+    touched = 0
+    at = None
+    for k in range(1, n):
+        if at is None:
+            ends = doubled[k:k + n]
+            inside = ends <= reach
+            m = int(np.count_nonzero(inside))
+            if 4 * m < n:
+                at = np.flatnonzero(inside)
+                del inside
+                reach, starts = reach[at], ys[at]
+                ends = ends[at]
+        else:
+            ends = doubled[at + k]
+            keep = ends <= reach
+            m = int(np.count_nonzero(keep))
+            if m < len(at):
+                at, reach, starts, ends = (at[keep], reach[keep],
+                                           starts[keep], ends[keep])
+        if m == 0:
+            return
+        touched += m
+        if touched > MAX_WINDOW_PAIRS:
+            raise ResourceError(
+                f"window enumeration passed {MAX_WINDOW_PAIRS} candidate "
+                f"pairs at offset {k} ({touched} touched); narrow the window")
+        if at is None:
+            yield inside, ends, ys
+        else:
+            yield at, ends, starts
+
+
+def _tally(acc: np.ndarray, at: np.ndarray, inside=None) -> None:
+    """acc[i] += 1 at the open runs i of one `_offset_pass` step, or with
+    `inside`, a test on its gaps, acc[i] += inside[i]."""
+    if at.dtype == bool:
+        acc += at if inside is None else inside
+    else:
+        acc[at] += 1 if inside is None else inside
+
+
 def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     """Enumerate a guaranteed superset of pairs within circular width."""
     n = len(points)
@@ -123,29 +205,62 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     # permutation, which only `order` needs
     ys = np.sort(points)
     doubled = np.concatenate([ys, ys + 1.0])
-    starts = np.arange(1, n + 1)
-    counts = np.clip(np.searchsorted(doubled, _reach(ys, width),
-                                     side="right"),
-                     starts, starts + (n - 1))
-    counts -= starts
+    counts = np.zeros(n, dtype=np.int64)
+    for at, _, _ in _offset_pass(ys, doubled, width):
+        _tally(counts, at)
     total = int(counts.sum())
-    if total > MAX_WINDOW_PAIRS:
-        raise ResourceError(
-            f"window enumeration would touch {total} candidate pairs "
-            f"(cap {MAX_WINDOW_PAIRS}); narrow the window")
-    # pair k of run i sits at doubled[starts[i] + (k - run_starts[i])].
+    # pair k of run i sits at doubled[i + 1 + (k - run_starts[i])].
     # The pair arrays reach ~10^7 entries at N = 10^6, so each is built in
     # place and n-sized temporaries are dropped first
     pair_j = np.arange(total)
     if total:
+        starts = np.arange(1, n + 1)
         starts -= np.cumsum(counts) - counts
         pair_j += np.repeat(starts, counts)
-    del starts
+        del starts
     ends = doubled[pair_j]
     del pair_j, doubled
     gaps = ends - np.repeat(ys, counts)
     return PairWindows(width=width, points=points, ys=ys, counts=counts,
                        ends=ends, gaps=gaps)
+
+
+@dataclass(frozen=True)
+class PairCounts:
+    """Close pairs of one point set at each width of a grid.
+
+    pairs[w] is the number of pairs (i, j) of the runs (`_offset_pass`)
+    whose float gap doubled[j] - ys[i] is <= w: every pair of points at
+    circular distance <= w, once.  With `runs`, runs[w][i] is how many of
+    them start at sorted position i, a prefix of run i.
+    """
+
+    n: int
+    pairs: dict
+    runs: dict | None = None
+
+
+def count_pairs(points: np.ndarray, widths, runs: bool = False) -> PairCounts:
+    """Pair counts at every width, from one `_offset_pass` at the widest.
+
+    The counts are Python ints, and per-position run lengths (`runs`) are
+    built only when asked for, so the pass holds O(n) memory and returns
+    only what its callers read."""
+    widths = sorted(set(widths))
+    n = len(points)
+    ys = np.sort(points)
+    doubled = np.concatenate([ys, ys + 1.0])
+    totals = [0] * len(widths)
+    lengths = [np.zeros(n, dtype=np.int64) for _ in widths] if runs else None
+    for at, ends, starts in _offset_pass(ys, doubled, widths[-1]):
+        gaps = ends - starts
+        for t, w in enumerate(widths):
+            inside = gaps <= w
+            totals[t] += int(np.count_nonzero(inside))
+            if runs:
+                _tally(lengths[t], at, inside)
+    return PairCounts(n=n, pairs=dict(zip(widths, totals)),
+                      runs=dict(zip(widths, lengths)) if runs else None)
 
 
 def window_width(sample: UnitSample, s: float) -> float:
@@ -161,29 +276,33 @@ def window_width(sample: UnitSample, s: float) -> float:
     return w
 
 
-def _pairs_at(sample: UnitSample, width: float, windows):
-    """(enumeration, index of its pairs at `width`): `windows`, a wider
-    enumeration of the sample's points, cut to `width`, or with None a
-    fresh enumeration at `width`, read whole."""
-    if windows is None:
-        windows = forward_window_pairs(sample.points, width)
-    elif len(windows.counts) != sample.n_max:
+def _counted(sample: UnitSample, widths, counts: PairCounts | None,
+             runs: bool = False) -> PairCounts:
+    """`counts`, refused unless they are of the sample's N and hold these
+    widths (with their run lengths if `runs`), or with None one pass over
+    the sample's points at these widths."""
+    if counts is None:
+        return count_pairs(sample.points, widths, runs)
+    if counts.n != sample.n_max:
         raise DomainError(
-            f"pairs enumerated over {len(windows.counts)} points but sample "
-            f"has N = {sample.n_max}")
-    return windows, windows.cut(width)
+            f"pairs counted over {counts.n} points but sample has "
+            f"N = {sample.n_max}")
+    held = counts.runs if runs else counts.pairs
+    missing = sorted(set(widths) - set(held or ()))
+    if missing:
+        what = "run lengths" if runs else "pair count"
+        raise DomainError(f"no {what} at widths {missing}")
+    return counts
 
 
 def pair_corr(sample: UnitSample, s: float,
-              windows: PairWindows | None = None) -> float:
+              counts: PairCounts | None = None) -> float:
     """Ordered pairs at circular distance <= s/N, divided by N.
 
-    Sorted windowed enumeration; ties at exactly s/N count as inside.
+    Sorted windowed count; ties at exactly s/N count as inside.
     """
     w = window_width(sample, s)
-    pw, keep = _pairs_at(sample, w, windows)
-    inside = int(np.count_nonzero(pw.gaps[keep] <= w))
-    return 2.0 * inside / sample.n_max
+    return 2.0 * _counted(sample, [w], counts).pairs[w] / sample.n_max
 
 
 def pair_corr_bruteforce(sample: UnitSample, s: float) -> float:
@@ -207,34 +326,29 @@ def pair_corr_bruteforce(sample: UnitSample, s: float) -> float:
 
 def pair_corr_smoothed(sample: UnitSample, F: Mollifier,
                        windows: PairWindows | None = None) -> float:
-    """(1/N) * sum over ordered pairs of F(y_n - y_m)."""
+    """(1/N) * sum over ordered pairs of F(y_n - y_m).
+
+    `windows`, a wider enumeration of the sample's points, is cut to F's
+    edge; with None the pairs are enumerated at that edge."""
     if F.N != sample.n_max:
         raise DomainError(
             f"window built for N = {F.N} but sample has N = {sample.n_max}")
-    pw, keep = _pairs_at(sample, F.edge_f, windows)
-    return 2.0 * float(F.eval_array(pw.gaps[keep]).sum()) / sample.n_max
+    if windows is None:
+        windows = forward_window_pairs(sample.points, F.edge_f)
+    elif len(windows.counts) != sample.n_max:
+        raise DomainError(
+            f"pairs enumerated over {len(windows.counts)} points but sample "
+            f"has N = {sample.n_max}")
+    gaps = windows.gaps[windows.cut(F.edge_f)]
+    return 2.0 * float(F.eval_array(gaps).sum()) / sample.n_max
 
 
-def _run_lengths(counts: np.ndarray, keep) -> np.ndarray:
-    """Pairs per run that `keep` (a slice or a per-pair mask) selects."""
-    if isinstance(keep, slice):
-        return counts
-    # int32 suffices below the MAX_WINDOW_PAIRS cap
-    kept = np.zeros(len(keep) + 1, dtype=np.int32)
-    np.cumsum(keep, out=kept[1:])
-    run_ends = np.cumsum(counts)
-    return kept[run_ends] - kept[run_ends - counts]
-
-
-def _degrees(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Pairs in `inside` at each sorted position, as either point.
-
-    Gaps grow along a run, so `inside`, a window test on them, holds a
-    prefix of every run: the pairs (i, j) of run i in it are j = i+1 ..
-    i+c_i.  Position i counts c_i, and the j cover one range of doubled
-    positions, which folds mod n."""
-    n = len(counts)
-    c = _run_lengths(counts, inside)
+def _degrees(c: np.ndarray) -> np.ndarray:
+    """Pairs at each sorted position, as either point, from the run
+    lengths c: the pairs (i, j) of run i are j = i+1 .. i+c_i (each run
+    is a prefix).  Position i counts c_i, and the j cover one range of
+    doubled positions, which folds mod n."""
+    n = len(c)
     past = np.arange(1, n + 1)
     past += c
     cover = np.bincount(past, minlength=2 * n)
@@ -246,13 +360,14 @@ def _degrees(counts: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 
 def triple_corr(sample: UnitSample, s1: float, s2: float,
-                windows: PairWindows | None = None) -> float:
-    """Pairwise-distinct (l, m, n) with l, n inside m's two windows, over N."""
+                counts: PairCounts | None = None) -> float:
+    """Pairwise-distinct (l, m, n) with l, n inside m's two windows, over N.
+
+    `counts` must hold the run lengths (count_pairs(..., runs=True))."""
     w1 = window_width(sample, s1)
     w2 = window_width(sample, s2)
-    pw, keep = _pairs_at(sample, max(w1, w2), windows)
-    counts = _run_lengths(pw.counts, keep)
-    deg = {w: _degrees(counts, (pw.gaps <= w)[keep]) for w in {w1, w2}}
+    runs = _counted(sample, [w1, w2], counts, runs=True).runs
+    deg = {w: _degrees(runs[w]) for w in {w1, w2}}
     return float(np.sum(deg[w1] * deg[w2] - deg[min(w1, w2)])) / sample.n_max
 
 

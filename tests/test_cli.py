@@ -263,28 +263,39 @@ def test_shared_enumeration_rows_are_byte_identical_across_workers(
     assert rows[0] == rows[1]
 
 
-@pytest.mark.parametrize("argv, point_sets", [
-    (("paircorr", "--smoothed", "--control", "uniform", "--samples", "2"), 4),
-    (("paircorr", "--control", "uniform", "--samples", "1"), 2),
-    (("triple", "--control", "uniform", "--samples", "2"), 4),
-    (("sweep", "--A", "1.02", "--samples", "10"), 20),
-], ids=["paircorr-smoothed", "paircorr", "triple", "sweep"])
-def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
-                                       point_sets):
+def watch_counting(monkeypatch):
+    """Record the widths of every counting pass and of every enumeration."""
     from powcorr import corr
-    widths = []
-    real = corr.forward_window_pairs
-    monkeypatch.setattr(corr, "forward_window_pairs",
-                        lambda pts, w: widths.append(w) or real(pts, w))
+    passes, enumerations = [], []
+    count_pairs, enumerate_pairs = corr.count_pairs, corr.forward_window_pairs
+    monkeypatch.setattr(
+        corr, "count_pairs", lambda pts, ws, *a: passes.append(max(ws))
+        or count_pairs(pts, ws, *a))
+    monkeypatch.setattr(
+        corr, "forward_window_pairs", lambda pts, w: enumerations.append(w)
+        or enumerate_pairs(pts, w))
+    return passes, enumerations
+
+
+@pytest.mark.parametrize("argv, samples", [
+    (("paircorr", "--smoothed", "--control", "uniform", "--samples", "2"), 2),
+    (("paircorr", "--control", "uniform", "--samples", "1"), 1),
+    (("triple", "--control", "uniform", "--samples", "2"), 2),
+    (("sweep", "--A", "1.02", "--samples", "10"), 10),
+], ids=["paircorr-smoothed", "paircorr", "triple", "sweep"])
+def test_one_enumeration_per_point_set(capsys, monkeypatch, argv, samples):
+    """One counting pass per point set, at the widest s/N of the grid; one
+    pair enumeration per point set with --smoothed, at the outer edge of
+    the largest s, and none without it."""
+    passes, enumerations = watch_counting(monkeypatch)
     code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
                        "--workers", "1")
     assert code == 0, err
-    assert len(widths) == point_sets
-    # the widest window of the grid: the outer edge of the largest s with
-    # --smoothed, else its s/N
+    # sample by sample, N = 1000 then N = 2000
+    assert passes == [2.0 / 1000, 2.0 / 2000] * samples
     from powcorr.mollify import make_outer
-    widest = make_outer(2.0, 2000).edge_f if "--smoothed" in argv else 0.001
-    assert widths[-1] == widest
+    widest = [make_outer(2.0, 1000).edge_f, make_outer(2.0, 2000).edge_f]
+    assert enumerations == (widest * samples if "--smoothed" in argv else [])
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -296,16 +307,12 @@ def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
         "ramp-wider-than-plateau"])
 def test_a_bad_s_exits_before_any_enumeration(capsys, monkeypatch, argv,
                                               code):
-    from powcorr import corr
-    calls = []
-    real = corr.forward_window_pairs
-    monkeypatch.setattr(corr, "forward_window_pairs",
-                        lambda *a: calls.append(a) or real(*a))
+    passes, enumerations = watch_counting(monkeypatch)
     got, out, err = run(capsys, *argv, "--control", "uniform", "--N", "1000",
                         "--samples", "1")
     assert got == code, err
     assert out == ""
-    assert calls == []
+    assert passes == [] and enumerations == []
 
 
 def test_json_and_csv_written_next_to_each_other(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from powcorr import DomainError, DyadicRational, ResourceError, as_dyadic
-from powcorr.corr import (control_nalpha, forward_window_pairs,
+from powcorr.corr import (control_nalpha, count_pairs, forward_window_pairs,
                           golden_ratio_dyadic, level_spacings,
                           pair_corr, pair_corr_bruteforce,
                           pair_corr_smoothed, spacings_sup_exponential,
@@ -199,7 +199,7 @@ def test_pair_corr_is_symmetric_under_shift(N, seed):
     assert pair_corr(rot, 1.0) == pytest.approx(pair_corr(sample, 1.0))
 
 
-# ---- one enumeration per point set, cut to each width ----------------------
+# ---- one counting pass per point set; one enumeration for smoothed sums ---
 
 #: edge points: 0, within 2^-50 of 0 and of 1 (wrap-around pairs), 1/2
 EDGE_POINTS = [0.0, 2.0 ** -52, 2.0 ** -50, 0.5, 1.0 - 2.0 ** -50,
@@ -245,33 +245,121 @@ def triple_by_add_at(sample, s1, s2) -> float:
     return float(np.sum(degs[0] * degs[1] - degs[2])) / n
 
 
+def searchsorted_window_pairs(points, width):
+    """(counts, ends, gaps) of forward_window_pairs as it was written with
+    np.searchsorted, before its run lengths came from the offset pass."""
+    from powcorr.corr import _reach
+    n = len(points)
+    ys = np.sort(points)
+    doubled = np.concatenate([ys, ys + 1.0])
+    starts = np.arange(1, n + 1)
+    counts = np.clip(np.searchsorted(doubled, _reach(ys, width),
+                                     side="right"),
+                     starts, starts + (n - 1))
+    counts -= starts
+    pair_j = np.arange(int(counts.sum()))
+    if len(pair_j):
+        starts -= np.cumsum(counts) - counts
+        pair_j += np.repeat(starts, counts)
+    ends = doubled[pair_j]
+    return counts, ends, ends - np.repeat(ys, counts)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def enumerate_as_searchsorted(points, width):
+    """forward_window_pairs(points, width), asserted byte-equal to the
+    searchsorted enumeration in counts, ends and gaps."""
+    pw = forward_window_pairs(points, width)
+    for got, want in zip((pw.counts, pw.ends, pw.gaps),
+                         searchsorted_window_pairs(points, width)):
+        assert_same_bytes(got, want)
+    return pw
+
+
+def case_widths(sample, s_values):
+    """Every width a statistic of the case reads: each s/N and the edges
+    of the inner and outer windows at s."""
+    N = sample.n_max
+    windows = {s: (make_inner(s, N), make_outer(s, N)) for s in s_values}
+    widths = [s / N for s in s_values]
+    widths += [F.edge_f for pair in windows.values() for F in pair]
+    return windows, widths
+
+
 @given(shared_enumeration_cases())
 @settings(max_examples=150, deadline=None)
 def test_cut_reproduces_a_fresh_enumeration(case):
     sample, s_values = case
     N = sample.n_max
-    windows = {s: (make_inner(s, N), make_outer(s, N)) for s in s_values}
-    widths = [s / N for s in s_values]
-    widths += [F.edge_f for pair in windows.values() for F in pair]
+    windows, widths = case_widths(sample, s_values)
     wide = forward_window_pairs(sample.points, max(widths))
     for w in widths:
         keep = wide.cut(w)
         fresh = forward_window_pairs(sample.points, w)
         # the same pairs in the same order, bit for bit
         for field in ("gaps", "ends", "pos_i", "pos_j"):
-            got = getattr(wide, field)[keep]
-            want = getattr(fresh, field)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert_same_bytes(getattr(wide, field)[keep],
+                              getattr(fresh, field))
         assert np.array_equal(wide.order, fresh.order)
+    counts = count_pairs(sample.points, [s / N for s in s_values], runs=True)
     for s in s_values:
-        assert pair_corr(sample, s, wide) == pair_corr(sample, s)
+        assert pair_corr(sample, s, counts) == pair_corr(sample, s)
         for F in windows[s]:
             assert (pair_corr_smoothed(sample, F, wide)
                     == pair_corr_smoothed(sample, F))
         for s2 in s_values:
             r3 = triple_corr(sample, s, s2)
-            assert triple_corr(sample, s, s2, wide) == r3
+            assert triple_corr(sample, s, s2, counts) == r3
             assert r3 == triple_by_add_at(sample, s, s2)
+
+
+@given(shared_enumeration_cases())
+@settings(max_examples=150, deadline=None)
+def test_pass_matches_a_fresh_enumeration_and_the_searchsorted_one(case):
+    """One pass's counts and run lengths at every width equal the window
+    tests of a fresh enumeration at that width, whose counts, ends and
+    gaps are byte-equal to the searchsorted enumeration's."""
+    sample, s_values = case
+    _, widths = case_widths(sample, s_values)
+    counts = count_pairs(sample.points, widths, runs=True)
+    for w in widths:
+        fresh = enumerate_as_searchsorted(sample.points, w)
+        inside = fresh.gaps <= w
+        assert counts.pairs[w] == int(np.count_nonzero(inside))
+        per_run = np.bincount(fresh.pos_i[inside], minlength=sample.n_max)
+        assert np.array_equal(counts.runs[w], per_run)
+
+
+@pytest.mark.parametrize("points", [
+    [0.5], [0.0], [0.25, 0.25], [0.1, 0.9], [0.0, math.nextafter(1.0, 0.0)],
+    [0.3, 0.30001]], ids=["one", "zero", "tied-pair", "far-pair",
+                          "wrapped-pair", "close-pair"])
+@pytest.mark.parametrize("width", [2.0 ** -30, 0.01, 0.2, 0.49])
+def test_enumeration_and_counts_of_one_and_two_points(points, width):
+    pts = np.array(points)
+    pw = enumerate_as_searchsorted(pts, width)
+    counts = count_pairs(pts, [width], runs=True)
+    assert counts.pairs[width] == int(np.count_nonzero(pw.gaps <= width))
+    assert np.array_equal(counts.runs[width],
+                          np.bincount(pw.pos_i[pw.gaps <= width],
+                                      minlength=len(pts)))
+
+
+@pytest.mark.parametrize("width", [2.0 ** -30, 0.01, 0.2])
+def test_a_point_exactly_at_the_reach_is_in_its_run(width):
+    """The reach is inclusive, both in the contiguous steps (two points)
+    and after the pass has narrowed to the open runs (a cluster of three
+    among spread points, the third at the first one's reach)."""
+    from powcorr.corr import _reach
+    at_reach = float(_reach(np.array([0.25]), width)[0])
+    spread = [0.5 + k / 32 for k in range(13)]
+    for pts in ([0.25, at_reach], [0.25, 0.25 + 2.0 ** -40, at_reach]
+                + spread):
+        pw = enumerate_as_searchsorted(np.array(pts), width)
+        assert pw.ends[pw.counts[0] - 1] == at_reach
 
 
 def test_cut_tests_the_far_end_not_the_gap():
@@ -284,11 +372,16 @@ def test_cut_tests_the_far_end_not_the_gap():
     sample = UnitSample(n_max=8, points=pts, err_bound=0.0,
                         base=DyadicRational.from_int(2),
                         xi=DyadicRational.from_int(1))
-    wide = forward_window_pairs(pts, 0.5 / 8)
-    fresh = forward_window_pairs(pts, 0.25 / 8)
+    wide = enumerate_as_searchsorted(pts, 0.5 / 8)
+    fresh = enumerate_as_searchsorted(pts, 0.25 / 8)
     keep = wide.cut(0.25 / 8)
     assert len(wide.gaps[keep]) == len(fresh.gaps) == len(wide.gaps) - 1
-    assert pair_corr(sample, 0.25, wide) == pair_corr(sample, 0.25) == 0.0
+    counts = count_pairs(pts, [0.25 / 8, 0.5 / 8], runs=True)
+    assert counts.pairs[0.25 / 8] == int(np.count_nonzero(fresh.gaps
+                                                          <= 0.25 / 8))
+    assert pair_corr(sample, 0.25, counts) == pair_corr(sample, 0.25) == 0.0
+    assert (triple_corr(sample, 0.25, 0.5, counts)
+            == triple_by_add_at(sample, 0.25, 0.5))
 
 
 def test_cut_refuses_a_wider_width_and_another_sample():
@@ -297,6 +390,52 @@ def test_cut_refuses_a_wider_width_and_another_sample():
     with pytest.raises(DomainError):
         wide.cut(2.0 / 100)
     with pytest.raises(DomainError):
-        pair_corr(sample, 2.0, wide)
+        pair_corr_smoothed(uniform_control(90, 3), make_outer(0.5, 90), wide)
+    counts = count_pairs(sample.points, [1.0 / 100])
     with pytest.raises(DomainError):
-        pair_corr(uniform_control(90, 3), 0.5, wide)
+        pair_corr(sample, 2.0, counts)
+    with pytest.raises(DomainError):
+        pair_corr(uniform_control(90, 3), 0.5, counts)
+    with pytest.raises(DomainError):     # counted without the run lengths
+        triple_corr(sample, 1.0, 1.0, counts)
+
+
+# ---- the candidate-pair cap --------------------------------------------------
+
+def all_equal_pass(n, width=0.01):
+    """_offset_pass over n equal points: run i holds n - 1 - i pairs, so
+    step k opens n - k runs and n(n - 1)/2 pairs are touched in all."""
+    from powcorr.corr import _offset_pass
+    ys = np.full(n, 0.375)
+    return _offset_pass(ys, np.concatenate([ys, ys + 1.0]), width)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_cap_refuses_one_pair_over_the_candidate_total(monkeypatch, n):
+    from powcorr import corr
+    total = n * (n - 1) // 2
+    pts = np.full(n, 0.375)
+    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total)
+    assert count_pairs(pts, [0.01]).pairs[0.01] == total
+    assert len(forward_window_pairs(pts, 0.01).gaps) == total
+    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total - 1)
+    with pytest.raises(ResourceError):
+        count_pairs(pts, [0.01])
+    with pytest.raises(ResourceError):
+        forward_window_pairs(pts, 0.01)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 39, 40, 100, 500, 779])
+def test_cap_stops_the_pass_at_the_step_that_crosses_it(monkeypatch, cap):
+    from powcorr import corr
+    n = 40
+    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", cap)
+    touched = []
+    with pytest.raises(ResourceError):
+        for at, _, _ in all_equal_pass(n):
+            touched.append(int(np.count_nonzero(at)) if at.dtype == bool
+                           else len(at))
+    # steps 1, 2, ... open n - 1, n - 2, ... runs; the pass stops at the
+    # first step whose running total passes the cap and yields nothing of it
+    assert touched == [n - k for k in range(1, len(touched) + 1)]
+    assert sum(touched) <= cap < sum(touched) + (n - len(touched) - 1)
