@@ -94,29 +94,21 @@ def _grid_counts(cfg, sample, runs: bool = False) -> corr.PairCounts:
 
 
 def _paircorr_rows(cfg, idx, N, sample) -> list:
-    # every s is checked and every window built before the counting pass;
-    # with --smoothed one enumeration at the widest edge follows it, after
-    # the pass has let go of its arrays, and each window cuts its own pairs
-    widths, smoothed = [], []
+    # every s is checked and every window built before the one counting
+    # pass, which with --smoothed also collects each window's band
+    widths, smoothed, delta = [], {}, _delta_arg(cfg)
     for s in cfg.s_grid:
         widths.append(corr.window_width(sample, s))
         if cfg.smoothed:
-            smoothed.append((mollify.make_inner(s, N, _delta_arg(cfg)),
-                             mollify.make_outer(s, N, _delta_arg(cfg))))
-    counts = corr.count_pairs(sample.points, widths)
-    windows = corr.forward_window_pairs(
-        sample.points, max(F.edge_f for Fs in smoothed for F in Fs)
-    ) if cfg.smoothed else None
-    rows = []
-    for i, s in enumerate(cfg.s_grid):
-        row = {"sample": idx, "control": cfg.control, "N": N, "s": s,
-               **_pair_ratio(sample, s, cfg.tol, counts)}
-        if cfg.smoothed:
-            inner, outer = smoothed[i]
-            row["r2_inner"] = corr.pair_corr_smoothed(sample, inner, windows)
-            row["r2_outer"] = corr.pair_corr_smoothed(sample, outer, windows)
-        rows.append(row)
-    return rows
+            smoothed[s] = {"r2_inner": mollify.make_inner(s, N, delta),
+                           "r2_outer": mollify.make_outer(s, N, delta)}
+    counts = corr.count_pairs(sample.points, widths, windows=[
+        F for Fs in smoothed.values() for F in Fs.values()])
+    return [{"sample": idx, "control": cfg.control, "N": N, "s": s,
+             **_pair_ratio(sample, s, cfg.tol, counts),
+             **{key: corr.pair_corr_smoothed(sample, F, counts)
+                for key, F in smoothed.get(s, {}).items()}}
+            for s in cfg.s_grid]
 
 
 def _sweep_rows(cfg, idx, N, sample) -> list:

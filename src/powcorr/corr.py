@@ -8,17 +8,16 @@ w = s/N, so their counts agree exactly, ties included.
 Close pairs come from one offset pass over the sorted points
 (`_offset_pass`): step k tests whether the point k places ahead of each
 point is within its reach, over a contiguous slice while at least a
-quarter of the runs are open, then over the open runs only.  Each run is a prefix, and a window test on the
-gaps selects a prefix of it at any narrower width.  So `count_pairs` turns
-one pass into the pair counts of `pair_corr` and the run lengths behind
-`triple_corr`'s degrees at every width of an s grid, and
-`forward_window_pairs` takes its run lengths from the pass.  The pairs
-themselves serve only the smoothed sums (`pair_corr_smoothed`, the block
-sums of `probe`): one enumeration at the widest window edge serves every
-narrower edge through `PairWindows.cut`, which selects exactly the pairs a
-fresh enumeration at that width returns, in the same order, so the float
-sums are a fresh enumeration's, bit for bit.  Called without a pass's
-counts or an enumeration, a statistic makes its own at its own width.
+quarter of the runs are open, then over the open runs only.  Each run is
+a prefix, and a window test on the gaps selects a prefix of it at any
+narrower width.  So `count_pairs` turns one pass into the pair counts of
+`pair_corr`, the run lengths behind `triple_corr`'s degrees and the
+smoothed sums of `pair_corr_smoothed` at every width of an s grid: a
+window F is exactly 1.0 on its plateau, so its sum is the pair count at
+F.p_f plus the values of the few pairs on its ramp (F's band), added
+with one rounding by math.fsum.  Only the block sums of `probe` need the
+pairs themselves (`forward_window_pairs`).  Called without a pass's
+counts, a statistic makes its own at its own width.
 """
 
 from __future__ import annotations
@@ -73,19 +72,10 @@ class PairWindows:
     doubled[j] - ys[i] of pair k.  The pairs are a superset of those at
     circular distance <= width; callers re-test the exact predicate on
     gaps.  pos_i, pos_j and order (sorted position -> original 0-based
-    index) are derived on demand; the statistics read only gaps and
-    counts.
-
-    reach_i grows with the width, so the run of i at a narrower width is
-    a prefix of its run here: the pairs with ends <= reach_i at that
-    width.  `cut` selects them, in the same order, so one enumeration at
-    the widest window edge serves every narrower one exactly.  Counts do
-    not need the pairs: `count_pairs` gives them without this array.
+    index) are derived on demand.  Only `probe`'s block sums read them.
     """
 
-    width: float
     points: np.ndarray
-    ys: np.ndarray
     counts: np.ndarray
     ends: np.ndarray
     gaps: np.ndarray
@@ -110,18 +100,6 @@ class PairWindows:
             run_starts = np.cumsum(self.counts) - self.counts
             pair_j += np.repeat(np.arange(1, n + 1) - run_starts, self.counts)
         return np.remainder(pair_j, n, out=pair_j)
-
-    def cut(self, width: float):
-        """Index of the pairs that forward_window_pairs(points, width)
-        returns, for width <= self.width, in their order: all of them
-        (a slice) at this width, else a boolean mask."""
-        if width == self.width:
-            return slice(None)
-        if not width < self.width:
-            raise DomainError(
-                f"cannot cut width {width} from pairs enumerated at "
-                f"{self.width}")
-        return self.ends <= np.repeat(_reach(self.ys, width), self.counts)
 
 
 def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float):
@@ -221,8 +199,7 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     ends = doubled[pair_j]
     del pair_j, doubled
     gaps = ends - np.repeat(ys, counts)
-    return PairWindows(width=width, points=points, ys=ys, counts=counts,
-                       ends=ends, gaps=gaps)
+    return PairWindows(points=points, counts=counts, ends=ends, gaps=gaps)
 
 
 @dataclass(frozen=True)
@@ -232,35 +209,59 @@ class PairCounts:
     pairs[w] is the number of pairs (i, j) of the runs (`_offset_pass`)
     whose float gap doubled[j] - ys[i] is <= w: every pair of points at
     circular distance <= w, once.  With `runs`, runs[w][i] is how many of
-    them start at sorted position i, a prefix of run i.
+    them start at sorted position i, a prefix of run i.  bands[F] holds
+    the gaps > F.p_f of the pairs of forward_window_pairs(points, F.edge_f)
+    for each window F counted; pairs[F.p_f] counts the rest.
     """
 
     n: int
     pairs: dict
+    bands: dict
     runs: dict | None = None
 
 
-def count_pairs(points: np.ndarray, widths, runs: bool = False) -> PairCounts:
-    """Pair counts at every width, from one `_offset_pass` at the widest.
+def count_pairs(points: np.ndarray, widths, runs: bool = False,
+                windows=()) -> PairCounts:
+    """Pair counts at every width and the band of every window
+    (`PairCounts`), from one `_offset_pass` at the widest width or edge.
 
-    The counts are Python ints, and per-position run lengths (`runs`) are
-    built only when asked for, so the pass holds O(n) memory and returns
-    only what its callers read."""
-    widths = sorted(set(widths))
+    A window F is exactly 1.0 at gaps <= F.p_f, one more count width.  A
+    step looks for F's band only where a gap passes F.p_f but not a top
+    above every gap of F's enumeration, and the band keeps the pairs whose
+    far end is within F's reach, the enumeration's own run test.  Counts
+    are Python ints and run lengths are built only with `runs`, so the
+    pass holds O(n) memory."""
+    near = {F: [] for F in windows}
+    widths = sorted(set(widths).union(F.p_f for F in near))
+    # a reach passes ys_i + edge_f by under 2^-40 relative plus two ulps
+    # of a float below 2
+    tops = {F: F.edge_f * (1.0 + 2.0 ** -39) + 2.0 ** -49 for F in near}
     n = len(points)
     ys = np.sort(points)
     doubled = np.concatenate([ys, ys + 1.0])
-    totals = [0] * len(widths)
-    lengths = [np.zeros(n, dtype=np.int64) for _ in widths] if runs else None
-    for at, ends, starts in _offset_pass(ys, doubled, widths[-1]):
+    totals = dict.fromkeys(widths, 0)
+    lengths = {w: np.zeros(n, dtype=np.int64) for w in widths} if runs else {}
+    widest = max(widths + [F.edge_f for F in near])
+    for at, ends, starts in _offset_pass(ys, doubled, widest):
         gaps = ends - starts
-        for t, w in enumerate(widths):
+        step = {}
+        for w in sorted(set(widths).union(tops.values())):
             inside = gaps <= w
-            totals[t] += int(np.count_nonzero(inside))
-            if runs:
-                _tally(lengths[t], at, inside)
-    return PairCounts(n=n, pairs=dict(zip(widths, totals)),
-                      runs=dict(zip(widths, lengths)) if runs else None)
+            step[w] = int(np.count_nonzero(inside))
+            if w in lengths:
+                _tally(lengths[w], at, inside)
+        for w in widths:
+            totals[w] += step[w]
+        for F, top in tops.items():
+            if step[top] > step[F.p_f]:
+                # the far-end test also drops what a contiguous mask leaves
+                # out: it is beyond the widest reach, so beyond F's
+                band = np.flatnonzero((gaps > F.p_f) & (gaps <= top))
+                band = band[ends[band] <= _reach(starts[band], F.edge_f)]
+                near[F].append(gaps[band])
+    return PairCounts(n=n, pairs=totals, runs=lengths if runs else None,
+                      bands={F: np.concatenate(parts + [[]])
+                             for F, parts in near.items()})
 
 
 def window_width(sample: UnitSample, s: float) -> float:
@@ -277,12 +278,12 @@ def window_width(sample: UnitSample, s: float) -> float:
 
 
 def _counted(sample: UnitSample, widths, counts: PairCounts | None,
-             runs: bool = False) -> PairCounts:
+             runs: bool = False, windows=()) -> PairCounts:
     """`counts`, refused unless they are of the sample's N and hold these
-    widths (with their run lengths if `runs`), or with None one pass over
-    the sample's points at these widths."""
+    widths (with their run lengths if `runs`) and the bands of these
+    windows, or with None one pass over the sample's points for them."""
     if counts is None:
-        return count_pairs(sample.points, widths, runs)
+        return count_pairs(sample.points, widths, runs, windows)
     if counts.n != sample.n_max:
         raise DomainError(
             f"pairs counted over {counts.n} points but sample has "
@@ -292,6 +293,9 @@ def _counted(sample: UnitSample, widths, counts: PairCounts | None,
     if missing:
         what = "run lengths" if runs else "pair count"
         raise DomainError(f"no {what} at widths {missing}")
+    lost = [F for F in windows if F not in counts.bands]
+    if lost:
+        raise DomainError(f"no band of windows {lost}")
     return counts
 
 
@@ -325,22 +329,23 @@ def pair_corr_bruteforce(sample: UnitSample, s: float) -> float:
 
 
 def pair_corr_smoothed(sample: UnitSample, F: Mollifier,
-                       windows: PairWindows | None = None) -> float:
+                       counts: PairCounts | None = None) -> float:
     """(1/N) * sum over ordered pairs of F(y_n - y_m).
 
-    `windows`, a wider enumeration of the sample's points, is cut to F's
-    edge; with None the pairs are enumerated at that edge."""
+    The pairs are those of forward_window_pairs(points, F.edge_f): F is
+    exactly 1.0 at the ones with gap <= F.p_f, which are counted, and
+    F.eval_array gives the value of each one of the band above them.  The
+    value is 2/N times the correctly rounded sum (math.fsum) of these K
+    per-pair values, so it is independent of their order and differs from
+    any other summation order by at most gamma_K * sum|v|.  `counts` must
+    be of the sample's N and hold F's band (count_pairs(..., windows=[F]));
+    with None one pass at F's edge counts them."""
     if F.N != sample.n_max:
         raise DomainError(
             f"window built for N = {F.N} but sample has N = {sample.n_max}")
-    if windows is None:
-        windows = forward_window_pairs(sample.points, F.edge_f)
-    elif len(windows.counts) != sample.n_max:
-        raise DomainError(
-            f"pairs enumerated over {len(windows.counts)} points but sample "
-            f"has N = {sample.n_max}")
-    gaps = windows.gaps[windows.cut(F.edge_f)]
-    return 2.0 * float(F.eval_array(gaps).sum()) / sample.n_max
+    counts = _counted(sample, [], counts, windows=[F])
+    values = F.eval_array(counts.bands[F]).tolist()
+    return 2.0 * math.fsum([counts.pairs[F.p_f], *values]) / sample.n_max
 
 
 def _degrees(c: np.ndarray) -> np.ndarray:

@@ -264,13 +264,15 @@ def test_shared_enumeration_rows_are_byte_identical_across_workers(
 
 
 def watch_counting(monkeypatch):
-    """Record the widths of every counting pass and of every enumeration."""
+    """Record the width of every counting pass (the widest of its widths
+    and window edges) and of every enumeration."""
     from powcorr import corr
     passes, enumerations = [], []
     count_pairs, enumerate_pairs = corr.count_pairs, corr.forward_window_pairs
     monkeypatch.setattr(
-        corr, "count_pairs", lambda pts, ws, *a: passes.append(max(ws))
-        or count_pairs(pts, ws, *a))
+        corr, "count_pairs", lambda pts, ws, *a, **kw: passes.append(
+            max([*ws, *(F.edge_f for F in kw.get("windows", ()))]))
+        or count_pairs(pts, ws, *a, **kw))
     monkeypatch.setattr(
         corr, "forward_window_pairs", lambda pts, w: enumerations.append(w)
         or enumerate_pairs(pts, w))
@@ -283,19 +285,21 @@ def watch_counting(monkeypatch):
     (("triple", "--control", "uniform", "--samples", "2"), 2),
     (("sweep", "--A", "1.02", "--samples", "10"), 10),
 ], ids=["paircorr-smoothed", "paircorr", "triple", "sweep"])
-def test_one_enumeration_per_point_set(capsys, monkeypatch, argv, samples):
-    """One counting pass per point set, at the widest s/N of the grid; one
-    pair enumeration per point set with --smoothed, at the outer edge of
-    the largest s, and none without it."""
+def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
+                                       samples):
+    """One counting pass per point set, at the widest s/N of the grid, or
+    with --smoothed at the outer edge of the largest s; no command
+    enumerates pairs."""
     passes, enumerations = watch_counting(monkeypatch)
     code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
                        "--workers", "1")
     assert code == 0, err
     # sample by sample, N = 1000 then N = 2000
-    assert passes == [2.0 / 1000, 2.0 / 2000] * samples
     from powcorr.mollify import make_outer
-    widest = [make_outer(2.0, 1000).edge_f, make_outer(2.0, 2000).edge_f]
-    assert enumerations == (widest * samples if "--smoothed" in argv else [])
+    widest = ([make_outer(2.0, 1000).edge_f, make_outer(2.0, 2000).edge_f]
+              if "--smoothed" in argv else [2.0 / 1000, 2.0 / 2000])
+    assert passes == widest * samples
+    assert enumerations == []
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -313,6 +317,24 @@ def test_a_bad_s_exits_before_any_enumeration(capsys, monkeypatch, argv,
     assert got == code, err
     assert out == ""
     assert passes == [] and enumerations == []
+
+
+def test_a_capped_smoothed_paircorr_exits_5_without_pair_arrays(
+        capsys, monkeypatch):
+    """At N = 10^6, s = 100 the runs hold about 10^8 candidate pairs: the
+    one counting pass refuses at the cap, and no pair array is built."""
+    passes, enumerations = watch_counting(monkeypatch)
+    code, out, err = run(capsys, "paircorr", "--smoothed", "--control",
+                         "uniform", "--N", "1000000", "--s", "100",
+                         "--samples", "1")
+    assert code == 5
+    assert out == ""
+    from powcorr.mollify import make_outer
+    assert passes == [make_outer(100, 1000000).edge_f]
+    assert enumerations == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+    assert "candidate pairs at offset" in lines[0]
 
 
 def test_json_and_csv_written_next_to_each_other(tmp_path, capsys):
@@ -567,8 +589,7 @@ def test_smoothed_paircorr_reports_both_windows(capsys):
                        "--smoothed")
     assert code == 0
     row = payload_of(out)["results"]["rows"][0]
-    assert row["r2_inner"] <= row["r2"] + 1e-12
-    assert row["r2"] <= row["r2_outer"] + 1e-12
+    assert row["r2_inner"] <= row["r2"] <= row["r2_outer"]
 
 
 # ---------------------------------------------------------------------------

@@ -109,8 +109,7 @@ def test_smoothed_statistic_sandwiches_the_sharp_count():
     inner = pair_corr_smoothed(sample, make_inner(s, 2000))
     outer = pair_corr_smoothed(sample, make_outer(s, 2000))
     sharp = pair_corr(sample, s)
-    assert inner <= sharp + 1e-12
-    assert sharp <= outer + 1e-12
+    assert inner <= sharp <= outer
 
 
 def test_golden_ratio_control_is_locked_and_far_from_poisson():
@@ -199,7 +198,7 @@ def test_pair_corr_is_symmetric_under_shift(N, seed):
     assert pair_corr(rot, 1.0) == pytest.approx(pair_corr(sample, 1.0))
 
 
-# ---- one counting pass per point set; one enumeration for smoothed sums ---
+# ---- one counting pass per point set, smoothed sums included -------------
 
 #: edge points: 0, within 2^-50 of 0 and of 1 (wrap-around pairs), 1/2
 EDGE_POINTS = [0.0, 2.0 ** -52, 2.0 ** -50, 0.5, 1.0 - 2.0 ** -50,
@@ -289,31 +288,69 @@ def case_widths(sample, s_values):
     return windows, widths
 
 
+def pairwise_smoothed(sample, F):
+    """pair_corr_smoothed as it was written before the bands: numpy's
+    pairwise sum of F over a fresh enumeration at F's edge."""
+    gaps = forward_window_pairs(sample.points, F.edge_f).gaps
+    return 2.0 * float(F.eval_array(gaps).sum()) / sample.n_max
+
+
+def assert_smoothed_sums(sample, F, counts):
+    """pair_corr_smoothed, with these counts and with its own pass, is 2/N
+    times the fsum of F over a fresh enumeration at F's edge, bit for bit;
+    the band holds exactly that enumeration's pairs above the plateau; and
+    the pairwise sum agrees within 2 gamma_K sum|v|."""
+    N = sample.n_max
+    fresh = forward_window_pairs(sample.points, F.edge_f)
+    values = F.eval_array(fresh.gaps)
+    want = 2.0 * math.fsum(values) / N
+    assert pair_corr_smoothed(sample, F, counts).hex() == want.hex()
+    assert pair_corr_smoothed(sample, F).hex() == want.hex()
+    assert_same_bytes(np.sort(counts.bands[F]),
+                      np.sort(fresh.gaps[fresh.gaps > F.p_f]))
+    K = len(values)
+    gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
+    tol = 2.0 * gamma * (2.0 * math.fsum(np.abs(values)) / N)
+    assert abs(pairwise_smoothed(sample, F) - want) <= tol
+
+
 @given(shared_enumeration_cases())
 @settings(max_examples=150, deadline=None)
-def test_cut_reproduces_a_fresh_enumeration(case):
+def test_one_pass_gives_every_count_and_smoothed_sum(case):
+    """One pass at the widest edge: pair counts and triple correlations
+    equal those of a pass of their own, and each window's smoothed sum
+    equals the fsum over a fresh enumeration at its edge."""
     sample, s_values = case
-    N = sample.n_max
-    windows, widths = case_widths(sample, s_values)
-    wide = forward_window_pairs(sample.points, max(widths))
-    for w in widths:
-        keep = wide.cut(w)
-        fresh = forward_window_pairs(sample.points, w)
-        # the same pairs in the same order, bit for bit
-        for field in ("gaps", "ends", "pos_i", "pos_j"):
-            assert_same_bytes(getattr(wide, field)[keep],
-                              getattr(fresh, field))
-        assert np.array_equal(wide.order, fresh.order)
-    counts = count_pairs(sample.points, [s / N for s in s_values], runs=True)
+    windows, _ = case_widths(sample, s_values)
+    counts = count_pairs(sample.points, [s / sample.n_max for s in s_values],
+                         runs=True,
+                         windows=[F for pair in windows.values() for F in pair])
     for s in s_values:
         assert pair_corr(sample, s, counts) == pair_corr(sample, s)
         for F in windows[s]:
-            assert (pair_corr_smoothed(sample, F, wide)
-                    == pair_corr_smoothed(sample, F))
+            assert_smoothed_sums(sample, F, counts)
         for s2 in s_values:
             r3 = triple_corr(sample, s, s2)
             assert triple_corr(sample, s, s2, counts) == r3
             assert r3 == triple_by_add_at(sample, s, s2)
+
+
+@given(shared_enumeration_cases(),
+       st.sampled_from([None, Fraction(1, 2 ** 10)]))
+@settings(max_examples=100, deadline=None)
+def test_smoothed_sums_sandwich_the_count_exactly(case, delta):
+    """r2_inner <= r2 <= r2_outer with no slack at every s of the grid:
+    the plateau count is an integer and fsum rounds monotonically."""
+    sample, s_values = case
+    N = sample.n_max
+    windows = {s: (make_inner(s, N, delta), make_outer(s, N, delta))
+               for s in s_values}
+    counts = count_pairs(sample.points, [s / N for s in s_values],
+                         windows=[F for pair in windows.values() for F in pair])
+    for s, (inner, outer) in windows.items():
+        r2 = pair_corr(sample, s, counts)
+        assert pair_corr_smoothed(sample, inner, counts) <= r2
+        assert r2 <= pair_corr_smoothed(sample, outer, counts)
 
 
 @given(shared_enumeration_cases())
@@ -362,21 +399,34 @@ def test_a_point_exactly_at_the_reach_is_in_its_run(width):
         assert pw.ends[pw.counts[0] - 1] == at_reach
 
 
-def test_cut_tests_the_far_end_not_the_gap():
+def dyadic_sample(points):
+    from powcorr.hpgen import UnitSample
+    return UnitSample(n_max=len(points), points=np.array(points),
+                      err_bound=0.0, base=DyadicRational.from_int(2),
+                      xi=DyadicRational.from_int(1))
+
+
+def test_band_tests_the_far_end_not_the_gap():
     """At N = 8, s = 1/4 the run of y = 3 * 2^-58 reaches 0x1.0000000001003p-5;
     the point one ulp past it is outside the run, yet its float gap from y
-    rounds onto the reach's own gap, so only the far end tells them apart."""
-    from powcorr.hpgen import UnitSample
-    pts = np.array([3 * 2.0 ** -58, float.fromhex("0x1.0000000001004p-5"),
-                    0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
-    sample = UnitSample(n_max=8, points=pts, err_bound=0.0,
-                        base=DyadicRational.from_int(2),
-                        xi=DyadicRational.from_int(1))
+    rounds onto the reach's own gap, so only the far end tells them apart.
+    A pass at s = 1/2 holds that pair; the band of the inner window at
+    s = 1/4, whose edge is 1/32, must leave it out."""
+    sample = dyadic_sample([3 * 2.0 ** -58,
+                            float.fromhex("0x1.0000000001004p-5"),
+                            0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
+    pts = sample.points
     wide = enumerate_as_searchsorted(pts, 0.5 / 8)
     fresh = enumerate_as_searchsorted(pts, 0.25 / 8)
-    keep = wide.cut(0.25 / 8)
-    assert len(wide.gaps[keep]) == len(fresh.gaps) == len(wide.gaps) - 1
-    counts = count_pairs(pts, [0.25 / 8, 0.5 / 8], runs=True)
+    assert len(fresh.gaps) == len(wide.gaps) - 1 == 0
+    F = make_inner(0.25, 8)
+    assert F.edge_f == 0.25 / 8
+    # the pair's gap passes the edge by under 2^-39 relative, inside the
+    # band's gap test; only its far end is outside
+    assert F.p_f < wide.gaps[0] <= F.edge_f * (1.0 + 2.0 ** -39)
+    counts = count_pairs(pts, [0.25 / 8, 0.5 / 8], runs=True, windows=[F])
+    assert len(counts.bands[F]) == 0
+    assert_smoothed_sums(sample, F, counts)
     assert counts.pairs[0.25 / 8] == int(np.count_nonzero(fresh.gaps
                                                           <= 0.25 / 8))
     assert pair_corr(sample, 0.25, counts) == pair_corr(sample, 0.25) == 0.0
@@ -384,14 +434,67 @@ def test_cut_tests_the_far_end_not_the_gap():
             == triple_by_add_at(sample, 0.25, 0.5))
 
 
-def test_cut_refuses_a_wider_width_and_another_sample():
+def test_pairs_exactly_at_the_plateau_and_at_the_edge():
+    """N = 8, s = 1, delta = 1/64: the outer plateau ends at 1/8 and its
+    support at 9/64, the inner ones at 7/64 and 1/8; dyadic points put
+    pairs exactly on each.  A pair at p_f is counted (value 1.0), not in
+    the band; one at edge_f falls in the band with value 0.0."""
+    d = Fraction(1, 64)
+    sample = dyadic_sample([0.0, 1 / 8, 0.25, 0.25 + 9 / 64, 0.5,
+                            0.5 + 7 / 64, 0.75, 0.9375])
+    inner, outer = make_inner(1, 8, d), make_outer(1, 8, d)
+    counts = count_pairs(sample.points, [1 / 8], windows=[inner, outer])
+    assert float(outer.eval_array(9 / 64)) == 0.0
+    assert 9 / 64 in counts.bands[outer].tolist()
+    assert 1 / 8 in counts.bands[inner].tolist()
+    assert 1 / 8 not in counts.bands[outer].tolist()
+    assert 7 / 64 not in counts.bands[inner].tolist()
+    for F in (inner, outer):
+        assert_smoothed_sums(sample, F, counts)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_a_wide_ramp_puts_many_pairs_in_the_band(seed):
+    """delta = 1/2^10 at N = 500: each band holds hundreds of pairs."""
+    sample = uniform_control(500, seed)
+    d = Fraction(1, 2 ** 10)
+    windows = [maker(s, 500, d) for s in (1.0, 2.0)
+               for maker in (make_inner, make_outer)]
+    counts = count_pairs(sample.points, [1 / 500, 2 / 500], windows=windows)
+    assert min(len(counts.bands[F]) for F in windows) > 100
+    for F in windows:
+        assert_smoothed_sums(sample, F, counts)
+
+
+def test_an_outer_edge_of_one_half():
+    """N = 4, s = 3/2, delta = 1/8: the outer support edge is exactly 1/2,
+    and the forward gap 1/2 + 2^-42 is inside the run at 1/2, so it is in
+    the band although it passes the edge.  F reads it as 1/2 - 2^-42 from
+    the next integer; its ramp value 3 (2^-39)^2 is lost in the rounding
+    of 1 - v^2 (3 - 2 v), so it adds 0.0, as in the enumeration."""
+    F = make_outer(Fraction(3, 2), 4, Fraction(1, 8))
+    assert F.edge_f == 0.5
+    sample = dyadic_sample([0.0, 0.5 + 2.0 ** -42, 0.625, 0.8125])
+    counts = count_pairs(sample.points, [], windows=[F])
+    assert 0.5 + 2.0 ** -42 in counts.bands[F].tolist()
+    assert_smoothed_sums(sample, F, counts)
+
+
+def test_counts_refuse_another_sample_a_missing_width_or_window():
     sample = uniform_control(100, 3)
-    wide = forward_window_pairs(sample.points, 1.0 / 100)
+    F = make_outer(0.5, 100)
+    counts = count_pairs(sample.points, [1.0 / 100], windows=[F])
+    assert pair_corr_smoothed(sample, F, counts) == pair_corr_smoothed(
+        sample, F)
+    with pytest.raises(DomainError):     # counted over another N
+        pair_corr_smoothed(uniform_control(90, 3), make_outer(0.5, 90),
+                           counts)
+    for other in (make_outer(1.0, 100), make_inner(0.5, 100),
+                  make_outer(0.5, 100, Fraction(1, 2 ** 12))):
+        with pytest.raises(DomainError):     # without this window's band
+            pair_corr_smoothed(sample, other, counts)
     with pytest.raises(DomainError):
-        wide.cut(2.0 / 100)
-    with pytest.raises(DomainError):
-        pair_corr_smoothed(uniform_control(90, 3), make_outer(0.5, 90), wide)
-    counts = count_pairs(sample.points, [1.0 / 100])
+        pair_corr_smoothed(sample, F, count_pairs(sample.points, [F.p_f]))
     with pytest.raises(DomainError):
         pair_corr(sample, 2.0, counts)
     with pytest.raises(DomainError):
