@@ -16,10 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from .config import (ExperimentConfig, UsageError, parse_rational,
                      parse_config_file, resolve_config, is_power,
@@ -128,8 +131,9 @@ def _spacings_rows(cfg, idx, N, sample) -> list:
            "star_discrepancy": corr.star_discrepancy(sample)}
     if idx == 0 and N == max(cfg.n_values):
         # the ECDF table rides along on its row; cmd_spacings detaches it
-        row["ecdf"] = [{"t": t, "ecdf": f, "model": 1.0 - math.exp(-t)}
-                       for t, f in ecdf.tolist()]
+        t = ecdf[:, 0]
+        row["ecdf"] = _Columns(("t", "ecdf", "model"), (
+            t, ecdf[:, 1], [1.0 - math.exp(-v) for v in t.tolist()]))
     return [row]
 
 
@@ -222,8 +226,8 @@ def cmd_paircorr(cfg: ExperimentConfig):
 
 def cmd_spacings(cfg: ExperimentConfig):
     rows = _run_samples(cfg, _spacings_rows, _effective_samples(cfg))
-    ecdf_rows = [r.pop("ecdf") for r in rows if "ecdf" in r][-1]
-    return {"rows": rows, "ecdf": ecdf_rows}, ecdf_rows, EXIT_OK
+    table = [r.pop("ecdf") for r in rows if "ecdf" in r][-1]
+    return {"rows": rows, "ecdf": table}, table, EXIT_OK
 
 
 def cmd_triple(cfg: ExperimentConfig):
@@ -499,6 +503,32 @@ _DISPATCH = {
 }
 
 
+# rows per encoder call of a column table; bounds the transient text
+_CHUNK_ROWS = 1 << 14
+
+
+@dataclasses.dataclass(frozen=True)
+class _Columns:
+    """A row table held by columns: row i is the dict of keys[j] to
+    columns[j][i], in key order.  The columns, lists or numpy arrays, are
+    of one length and hold values json writes on one line (numbers,
+    strings, booleans, None, or objects it writes by default=str); a
+    table of no columns has no rows."""
+
+    keys: tuple
+    columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def chunks(self):
+        """The columns in runs of _CHUNK_ROWS rows, as lists of Python
+        values; a numpy column gives what its tolist() gives."""
+        for a in range(0, len(self), _CHUNK_ROWS):
+            yield [c[a:a + _CHUNK_ROWS].tolist() if isinstance(c, np.ndarray)
+                   else c[a:a + _CHUNK_ROWS] for c in self.columns]
+
+
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 # indent -> C encoder whose item separator starts a line at that indent
 _ENCODERS: dict = {}
@@ -512,6 +542,10 @@ def _encoder(indent: str) -> json.JSONEncoder:
         enc = _ENCODERS[indent] = json.JSONEncoder(
             separators=(",\n" + indent, ": "), default=str)
     return enc
+
+
+# encoded items never hold a raw newline, so "\n" splits them again
+_COLUMN_ENCODER = json.JSONEncoder(separators=("\n", ": "), default=str)
 
 
 def _key_text(key) -> str:
@@ -531,7 +565,11 @@ def _lay_out(value, indent: str, out: list) -> None:
 
     A container of scalars, and a list of such dicts (a row table), take
     one C encoder call each; the pure-Python encoder that json.dumps uses
-    once `indent` is set costs several times more on large reports."""
+    once `indent` is set costs several times more on large reports.  A
+    column table takes one call per column chunk."""
+    if isinstance(value, _Columns):
+        _lay_columns(value, indent, out)
+        return
     if isinstance(value, (list, tuple)):
         values, opener, closer = value, "[", "]"
     elif isinstance(value, dict):
@@ -568,6 +606,28 @@ def _lay_out(value, indent: str, out: list) -> None:
     out += ("\n", indent, closer)
 
 
+def _lay_columns(table: _Columns, indent: str, out: list) -> None:
+    """Append the text json.dumps writes for the table's list of row dicts:
+    each column chunk is encoded in one call and split into its items,
+    which are interleaved with the key prefixes and the row braces."""
+    if not len(table):
+        out.append("[]")
+        return
+    inner, row = indent + "  ", indent + "    "
+    heads = [("," if j else "{") + "\n" + row + _key_text(key) + ": "
+             for j, key in enumerate(table.keys)]
+    closer = itertools.repeat("\n" + inner + "}")
+    sep = ",\n" + inner
+    out += ("[\n", inner)
+    for i, chunk in enumerate(table.chunks()):
+        parts = []
+        for head, column in zip(heads, chunk):
+            items = _COLUMN_ENCODER.encode(column)[1:-1].split("\n")
+            parts += (itertools.repeat(head), items)
+        out += (sep if i else "", sep.join(map("".join, zip(*parts, closer))))
+    out += ("\n", indent, "]")
+
+
 def _dumps(value) -> str:
     """json.dumps(value, indent=2, default=str), byte for byte."""
     out = []
@@ -600,11 +660,23 @@ def _emit(command: str, cfg: ExperimentConfig, results: dict,
         if csv_rows:
             with open(cfg.out + ".csv", "w", encoding="utf-8",
                       newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(csv_rows[0]))
-                writer.writeheader()
-                writer.writerows(csv_rows)
+                _write_csv(fh, csv_rows)
     except OSError as exc:
         raise UsageError(f"cannot write the --out files: {exc}") from None
+
+
+def _write_csv(fh, rows) -> None:
+    """A header of the first row's keys, then one line per row; a column
+    table writes the same bytes from its columns."""
+    if isinstance(rows, _Columns):
+        writer = csv.writer(fh)
+        writer.writerow(rows.keys)
+        for chunk in rows.chunks():
+            writer.writerows(zip(*chunk))
+        return
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def _check_out_dir(out: str) -> None:

@@ -440,8 +440,8 @@ def uniform_control(N: int, seed: int) -> UnitSample:
     """Seeded i.i.d. uniform points; the baseline every statistic targets.
 
     The points are those of N calls of random.Random(seed).random(), drawn
-    in bulk: a numpy MT19937 takes over that generator's state, and each
-    point is CPython's ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two
+    in bulk: a numpy MT19937 takes over that generator's state, and its
+    doubles are CPython's ((a >> 5) * 2^26 + (b >> 6)) / 2^53 of two
     consecutive 32-bit outputs a, b, exact in binary64."""
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -450,8 +450,7 @@ def uniform_control(N: int, seed: int) -> UnitSample:
     mt.state = {"bit_generator": "MT19937",
                 "state": {"key": np.array(key[:-1], dtype=np.uint32),
                           "pos": key[-1]}}
-    raw = mt.random_raw(2 * N)
-    pts = ((raw[0::2] >> 5) * 2.0 ** 26 + (raw[1::2] >> 6)) / 2.0 ** 53
+    pts = np.random.Generator(mt).random(N)
     return UnitSample(n_max=N, points=pts, err_bound=0.0,
                       base=DyadicRational.from_int(2),
                       xi=DyadicRational.from_int(1))

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: JSON envelopes, exit codes, files."""
 
+import csv
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -596,8 +598,26 @@ def test_smoothed_paircorr_reports_both_windows(capsys):
 # report text: json.dumps(indent=2, default=str), byte for byte
 
 
+def rows_of(table: cli._Columns) -> list:
+    """The list of row dicts a column table stands for, holding the values
+    such a list holds (a numpy column's values as tolist() gives them)."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+               for c in table.columns]
+    return [dict(zip(table.keys, values)) for values in zip(*columns)]
+
+
 def reference_dumps(value) -> str:
-    return json.dumps(value, indent=2, default=str)
+    # a column table is written as its list of row dicts
+    return json.dumps(value, indent=2, default=lambda o: (
+        rows_of(o) if isinstance(o, cli._Columns) else str(o)))
+
+
+def reference_csv(fh, rows) -> None:
+    if isinstance(rows, cli._Columns):
+        rows = rows_of(rows)
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 TRICKY_TEXT = st.sampled_from(["", "},\n  {", "},\n      {", "}", "{", "[",
@@ -639,6 +659,56 @@ def test_report_text_is_json_dumps_indent_2(value):
     assert cli._dumps(value) == reference_dumps(value)
 
 
+@st.composite
+def column_tables(draw, rows):
+    keys = tuple(draw(st.dictionaries(KEYS, st.none(), max_size=4)))
+    n = draw(rows) if keys else 0
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    column = (st.lists(SCALARS | DEFAULTED, min_size=n, max_size=n)
+              | st.lists(floats, min_size=n, max_size=n).map(np.array)
+              | st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n,
+                         max_size=n).map(lambda v: np.array(v, np.int64)))
+    return cli._Columns(keys, tuple(draw(column) for _ in keys))
+
+
+def chunked_payloads(chunk: int):
+    # tables of no row, one row and one row either side of the chunk, at
+    # the top, as list items and as dict values at several indents
+    tables = column_tables(st.sampled_from([0, 1, chunk - 1, chunk,
+                                            chunk + 1]))
+    return st.tuples(st.just(chunk), st.recursive(
+        tables | SCALARS,
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(KEYS, inner, max_size=3)),
+        max_leaves=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(chunked_payloads))
+@example((2, cli._Columns(("t", "},\n    {"), ([0.5, float("nan"), -0.0],
+                                              np.array([1.0, 2.0, 3.0])))))
+@example((3, {"ecdf": cli._Columns((), ())}))
+def test_column_tables_are_written_as_their_rows(case):
+    chunk, value = case
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+        assert cli._dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_column_tables_split_at_the_chunk_size(tmp_path, extra):
+    n = cli._CHUNK_ROWS + extra
+    t = np.random.default_rng(n).random(n)
+    table = cli._Columns(("t", 2.5, None), (t, (t * n).tolist(),
+                                            ["a\nb"] * n))
+    value = {"rows": [1], "ecdf": [table]}
+    assert cli._dumps(value) == reference_dumps(value)
+    for write in (cli._write_csv, reference_csv):
+        with open(tmp_path / write.__name__, "w", newline="") as fh:
+            write(fh, table)
+    assert ((tmp_path / "_write_csv").read_bytes()
+            == (tmp_path / "reference_csv").read_bytes())
+
+
 @pytest.mark.parametrize("argv", [
     ("gen", "--x", "3/2", "--N", "3", "--out", "{tmp}/sample.txt"),
     ("paircorr", "--smoothed", "--control", "uniform", "--N", "500",
@@ -646,6 +716,8 @@ def test_report_text_is_json_dumps_indent_2(value):
     ("spacings", "--N", "300", "--samples", "2"),
     ("spacings", "--control", "uniform", "--N", "300", "--samples", "1",
      "--out", "{tmp}/sp"),
+    ("spacings", "--control", "uniform", "--N", "300", "--samples", "2",
+     "--workers", "2", "--out", "{tmp}/sp"),
     ("triple", "--control", "uniform", "--N", "500", "--s", "1",
      "--samples", "2"),
     ("sweep", "--A", "1.02", "--N", "200", "--s", "1", "--samples", "10",
@@ -661,19 +733,22 @@ def test_report_text_is_json_dumps_indent_2(value):
     ("probe", "condexp", "--N", "1024", "--j", "1", "--k", "3",
      "--sample-count", "2"),
     ("probe", "z", "--A", "3/2", "--N", "1024", "--k", "2"),
-], ids=["gen", "paircorr-smoothed", "spacings", "spacings-out", "triple",
+], ids=["gen", "paircorr-smoothed", "spacings", "spacings-out",
+        "spacings-pooled", "triple",
         "sweep", "mollifier-check", "fourier-check", "probe-partition",
         "probe-vdc", "probe-count", "probe-overlap", "probe-condexp",
         "probe-z"])
 def test_reports_match_json_dumps_byte_for_byte(tmp_path, capsys,
                                                 monkeypatch, argv):
-    # the --out path is part of the report, so both runs write to it
+    # the --out path is part of the report, so both runs write to it; the
+    # reference writes the CSV of row dicts through csv.DictWriter
     def outputs():
         got = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
-        return got, {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+        return got, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     fast = outputs()
     monkeypatch.setattr(cli, "_dumps", reference_dumps)
+    monkeypatch.setattr(cli, "_write_csv", reference_csv)
     assert fast == outputs()
     assert fast[0][1] or fast[1]
 

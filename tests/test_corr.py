@@ -136,11 +136,12 @@ def test_uniform_control_is_near_poisson_at_moderate_n():
 @pytest.mark.parametrize("seed", [0, 5, 4242, 2 ** 40 + 3, 123456789])
 def test_uniform_control_draws_the_points_of_random_random(seed):
     # the bulk draw must reproduce N calls of random.Random(seed).random()
-    # bit for bit
-    rng = random.Random(seed)
-    loop = np.array([rng.random() for _ in range(50_000)])
-    got = uniform_control(50_000, seed).points
-    assert got.tobytes() == loop.tobytes()
+    # bit for bit, also across the 624-word refill of the generator
+    for N in (1, 2, 625, 50_000):
+        rng = random.Random(seed)
+        loop = np.array([rng.random() for _ in range(N)])
+        got = uniform_control(N, seed).points
+        assert got.tobytes() == loop.tobytes(), N
 
 
 def test_spacings_ecdf_shape():
