@@ -530,22 +530,10 @@ class _Columns:
 
 
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-# indent -> C encoder whose item separator starts a line at that indent
-_ENCODERS: dict = {}
-
-
-def _encoder(indent: str) -> json.JSONEncoder:
-    enc = _ENCODERS.get(indent)
-    if enc is None:
-        # no indent, so encode() takes the C encoder, which escapes every
-        # newline inside a string: each raw newline is an item separator
-        enc = _ENCODERS[indent] = json.JSONEncoder(
-            separators=(",\n" + indent, ": "), default=str)
-    return enc
-
-
-# encoded items never hold a raw newline, so "\n" splits them again
-_COLUMN_ENCODER = json.JSONEncoder(separators=("\n", ": "), default=str)
+# no indent, so encode() takes the C encoder, which escapes every newline
+# inside a string: encoded items never hold a raw newline, so "\n" splits
+# a column's items again, and a lone scalar is one line
+_ENCODER = json.JSONEncoder(separators=("\n", ": "), default=str)
 
 
 def _key_text(key) -> str:
@@ -563,10 +551,10 @@ def _lay_out(value, indent: str, out: list) -> None:
     """Append the text of `value` as json.dumps(indent=2, default=str)
     writes it on a line indented by `indent`.
 
-    A container of scalars, and a list of such dicts (a row table), take
-    one C encoder call each; the pure-Python encoder that json.dumps uses
-    once `indent` is set costs several times more on large reports.  A
-    column table takes one call per column chunk."""
+    A non-empty container of scalars takes one C encoder call; the
+    pure-Python encoder that json.dumps uses once `indent` is set costs
+    several times more.  A column table takes one call per column chunk,
+    and any other container lays out its items in turn."""
     if isinstance(value, _Columns):
         _lay_columns(value, indent, out)
         return
@@ -575,27 +563,16 @@ def _lay_out(value, indent: str, out: list) -> None:
     elif isinstance(value, dict):
         values, opener, closer = value.values(), "{", "}"
     else:
-        out.append(_encoder(indent).encode(value))
+        out.append(_ENCODER.encode(value))
         return
     if not value:
         out.append(opener + closer)
         return
     inner = indent + "  "
-    types = set(map(type, values))
-    if types <= _SCALARS:
-        text = _encoder(inner).encode(value)
+    if set(map(type, values)) <= _SCALARS:
+        text = json.JSONEncoder(separators=(",\n" + inner, ": "),
+                                default=str).encode(value)
         out += (opener, "\n", inner, text[1:-1], "\n", indent, closer)
-        return
-    if (types == {dict} and opener == "[" and all(value)
-            and {type(v) for row in value for v in row.values()} <= _SCALARS):
-        # each row is a non-empty dict of scalars, so outside strings, which
-        # hold no raw newline, "},\n" + row indent + "{" ends one row and
-        # opens the next
-        row = inner + "  "
-        text = _encoder(row).encode(value)[2:-2].replace(
-            "},\n" + row + "{", f"\n{inner}}},\n{inner}{{\n{row}")
-        out += ("[\n", inner, "{\n", row, text, "\n", inner, "}\n", indent,
-                "]")
         return
     keys = ([_key_text(key) + ": " for key in value] if opener == "{"
             else [""] * len(value))
@@ -622,29 +599,33 @@ def _lay_columns(table: _Columns, indent: str, out: list) -> None:
     for i, chunk in enumerate(table.chunks()):
         parts = []
         for head, column in zip(heads, chunk):
-            items = _COLUMN_ENCODER.encode(column)[1:-1].split("\n")
+            items = _ENCODER.encode(column)[1:-1].split("\n")
             parts += (itertools.repeat(head), items)
         out += (sep if i else "", sep.join(map("".join, zip(*parts, closer))))
     out += ("\n", indent, "]")
 
 
-def _dumps(value) -> str:
-    """json.dumps(value, indent=2, default=str), byte for byte."""
+def _pieces(value) -> list:
+    """The text of json.dumps(value, indent=2, default=str), byte for byte,
+    as pieces to be written in order."""
     out = []
     _lay_out(value, "", out)
-    return "".join(out)
+    return out
 
 
 def _emit(command: str, cfg: ExperimentConfig, results: dict,
           csv_rows) -> None:
     payload = {"schema": 1, "command": command,
                "config": dataclasses.asdict(cfg), "results": results}
-    text = _dumps(payload)
+    # the report leaves as its pieces, so it is never held twice
+    pieces = _pieces(payload)
+    pieces.append("\n")
     if not cfg.out or command == "gen":
         if sys.stdout is None:          # fd 1 was closed before the start
             raise UsageError("cannot write the report to stdout: closed")
         try:
-            print(text, flush=True)
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
         except OSError as exc:
             # the interpreter flushes stdout again at exit: send what is
             # left to the null device, so no second error is printed
@@ -656,7 +637,7 @@ def _emit(command: str, cfg: ExperimentConfig, results: dict,
         return
     try:
         with open(cfg.out + ".json", "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(pieces)
         if csv_rows:
             with open(cfg.out + ".csv", "w", encoding="utf-8",
                       newline="") as fh:

@@ -311,8 +311,12 @@ def block_sum_Y(sample: UnitSample, k: int, scheme: BlockScheme,
 
 
 def _parity_term_counts(scheme: BlockScheme) -> tuple:
-    counts = [_term_count(k, scheme.K) for k in range(1, scheme.n_blocks + 1)]
-    return sum(counts[0::2]), sum(counts[1::2])
+    """(sum of _term_count(k, K) over odd k, over even k), exactly: block k
+    holds K^2 k - K(K+1)/2 terms, and the odd k up to 2o - 1 sum to o^2,
+    the even k up to 2e to e(e+1)."""
+    K, B = scheme.K, scheme.n_blocks
+    odd, even, h = (B + 1) // 2, B // 2, K * (K + 1) // 2
+    return K * K * odd * odd - odd * h, K * K * even * (even + 1) - even * h
 
 
 def parity_block_sums(sample: UnitSample, scheme: BlockScheme,

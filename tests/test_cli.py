@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -612,6 +613,11 @@ def reference_dumps(value) -> str:
         rows_of(o) if isinstance(o, cli._Columns) else str(o)))
 
 
+def dumps(value) -> str:
+    """The report text as _emit writes it, from its pieces."""
+    return "".join(cli._pieces(value))
+
+
 def reference_csv(fh, rows) -> None:
     if isinstance(rows, cli._Columns):
         rows = rows_of(rows)
@@ -656,7 +662,7 @@ PAYLOADS = st.recursive(
 @example([{"t": 1.5}, [1.5], {"t": -float("inf")}])
 @example([[], {}, [[]], [{}], {"x": {}}])
 def test_report_text_is_json_dumps_indent_2(value):
-    assert cli._dumps(value) == reference_dumps(value)
+    assert dumps(value) == reference_dumps(value)
 
 
 @st.composite
@@ -691,7 +697,7 @@ def chunked_payloads(chunk: int):
 def test_column_tables_are_written_as_their_rows(case):
     chunk, value = case
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
-        assert cli._dumps(value) == reference_dumps(value)
+        assert dumps(value) == reference_dumps(value)
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -701,7 +707,7 @@ def test_column_tables_split_at_the_chunk_size(tmp_path, extra):
     table = cli._Columns(("t", 2.5, None), (t, (t * n).tolist(),
                                             ["a\nb"] * n))
     value = {"rows": [1], "ecdf": [table]}
-    assert cli._dumps(value) == reference_dumps(value)
+    assert dumps(value) == reference_dumps(value)
     for write in (cli._write_csv, reference_csv):
         with open(tmp_path / write.__name__, "w", newline="") as fh:
             write(fh, table)
@@ -733,11 +739,14 @@ def test_column_tables_split_at_the_chunk_size(tmp_path, extra):
     ("probe", "condexp", "--N", "1024", "--j", "1", "--k", "3",
      "--sample-count", "2"),
     ("probe", "z", "--A", "3/2", "--N", "1024", "--k", "2"),
+    ("probe", "y", "--N", "1024", "--k", "3", "--samples", "2"),
+    ("probe", "moment", "--N", "1024", "--mc-samples", "100",
+     "--workers", "1"),
 ], ids=["gen", "paircorr-smoothed", "spacings", "spacings-out",
         "spacings-pooled", "triple",
         "sweep", "mollifier-check", "fourier-check", "probe-partition",
         "probe-vdc", "probe-count", "probe-overlap", "probe-condexp",
-        "probe-z"])
+        "probe-z", "probe-y", "probe-moment"])
 def test_reports_match_json_dumps_byte_for_byte(tmp_path, capsys,
                                                 monkeypatch, argv):
     # the --out path is part of the report, so both runs write to it; the
@@ -747,10 +756,32 @@ def test_reports_match_json_dumps_byte_for_byte(tmp_path, capsys,
         return got, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
     fast = outputs()
-    monkeypatch.setattr(cli, "_dumps", reference_dumps)
+    # the reference must reach the writer, or both runs are the fast one
+    laid_out = []
+    monkeypatch.setattr(cli, "_pieces", lambda value: laid_out.append(
+        value) or [reference_dumps(value)])
     monkeypatch.setattr(cli, "_write_csv", reference_csv)
     assert fast == outputs()
+    assert len(laid_out) == 1
     assert fast[0][1] or fast[1]
+
+
+def test_a_report_is_not_held_twice_while_written(tmp_path):
+    # about 2 MB of column table; a small chunk keeps one chunk's
+    # encoding, which is bounded apart from the report, out of the peak
+    t = np.random.default_rng(2).random(20000)
+    table = cli._Columns(("t", "ecdf", "model"), (t, t / 2, (1 - t).tolist()))
+    cfg = resolve_config({}, {"out": str(tmp_path / "report")})
+    with mock.patch.object(cli, "_CHUNK_ROWS", 1024):
+        tracemalloc.start()
+        try:
+            cli._emit("spacings", cfg, {"ecdf": table}, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = (tmp_path / "report.json").stat().st_size
+    assert size > 2_000_000
+    assert peak < 1.5 * size
 
 
 def test_a_closed_stdout_is_one_usage_error_line():

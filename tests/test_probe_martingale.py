@@ -13,7 +13,8 @@ import pytest
 from powcorr import DomainError, DyadicRational, ResourceError
 from powcorr.hpgen import ladder_frac_powers, sample_x
 from powcorr.mollify import centered, make_outer
-from powcorr.probe import (block_sum_Y, blocks, cond_exp_Z, cond_exp_cross,
+from powcorr.probe import (_parity_term_counts, _term_count, block_sum_Y,
+                           blocks, cond_exp_Z, cond_exp_cross,
                            filtration, parity_block_sums,
                            parity_identity_check,
                            parity_moment, parity_moment_both,
@@ -66,6 +67,21 @@ def test_parity_split_sums_to_all_blocks(sample, scheme, G):
     full = sum(block_sum_Y(sample, k, scheme, G)
                for k in range(1, scheme.n_blocks + 1))
     assert odd + even == pytest.approx(full, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_parity_term_counts_match_the_blockwise_sum(K):
+    scheme = blocks(K ** 10)
+    counts = [_term_count(k, K) for k in range(1, scheme.n_blocks + 1)]
+    t_odd, t_even = _parity_term_counts(scheme)
+    assert (t_odd, t_even) == (sum(counts[0::2]), sum(counts[1::2]))
+    assert t_odd + t_even == scheme.N * (scheme.N - 1) // 2
+
+
+def test_parity_block_sums_locked_bits(sample, scheme, G):
+    odd, even = parity_block_sums(sample, scheme, G)
+    assert (odd.hex(), even.hex()) == ("0x1.8ab1fa82c9800p-3",
+                                       "0x1.89ff800000000p+5")
 
 
 def test_parity_identity_holds_at_machine_precision(scheme, G):
