@@ -89,14 +89,15 @@ def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float,
     return {"r2": r2, "ratio": ratio, "within_tol": abs(ratio - 1.0) <= tol}
 
 
-def _grid_counts(cfg, sample, runs: bool = False) -> corr.PairCounts:
+def _grid_counts(cfg, sample, threads: int,
+                 runs: bool = False) -> corr.PairCounts:
     """One counting pass over the sample at every s/N of the grid."""
     return corr.count_pairs(
         sample.points, [corr.window_width(sample, s) for s in cfg.s_grid],
-        runs)
+        runs, threads=threads)
 
 
-def _paircorr_rows(cfg, idx, N, sample) -> list:
+def _paircorr_rows(cfg, idx, N, sample, threads) -> list:
     # every s is checked and every window built before the one counting
     # pass, which with --smoothed also collects each window's band
     widths, smoothed, delta = [], {}, _delta_arg(cfg)
@@ -106,7 +107,7 @@ def _paircorr_rows(cfg, idx, N, sample) -> list:
             smoothed[s] = {"r2_inner": mollify.make_inner(s, N, delta),
                            "r2_outer": mollify.make_outer(s, N, delta)}
     counts = corr.count_pairs(sample.points, widths, windows=[
-        F for Fs in smoothed.values() for F in Fs.values()])
+        F for Fs in smoothed.values() for F in Fs.values()], threads=threads)
     return [{"sample": idx, "control": cfg.control, "N": N, "s": s,
              **_pair_ratio(sample, s, cfg.tol, counts),
              **{key: corr.pair_corr_smoothed(sample, F, counts)
@@ -114,17 +115,17 @@ def _paircorr_rows(cfg, idx, N, sample) -> list:
             for s in cfg.s_grid]
 
 
-def _sweep_rows(cfg, idx, N, sample) -> list:
+def _sweep_rows(cfg, idx, N, sample, threads) -> list:
     M = subsequence_index(N)
     squeeze = ((M + 1) / M) ** 20
-    counts = _grid_counts(cfg, sample)
+    counts = _grid_counts(cfg, sample, threads)
     return [{"sample": idx, "x": str(sample.base), "N": N, "M": M,
              "squeeze": squeeze, "s": s,
              **_pair_ratio(sample, s, cfg.tol, counts)}
             for s in cfg.s_grid]
 
 
-def _spacings_rows(cfg, idx, N, sample) -> list:
+def _spacings_rows(cfg, idx, N, sample, threads) -> list:
     ecdf = corr.level_spacings(sample)
     row = {"sample": idx, "N": N,
            "sup_exponential": corr.spacings_sup_exponential(ecdf),
@@ -137,14 +138,14 @@ def _spacings_rows(cfg, idx, N, sample) -> list:
     return [row]
 
 
-def _triple_rows(cfg, idx, N, sample) -> list:
-    counts = _grid_counts(cfg, sample, runs=True)
+def _triple_rows(cfg, idx, N, sample, threads) -> list:
+    counts = _grid_counts(cfg, sample, threads, runs=True)
     return [{"sample": idx, "N": N, "s1": s, "s2": s,
              "r3": corr.triple_corr(sample, s, s, counts),
              "poisson_value": 4.0 * s * s} for s in cfg.s_grid]
 
 
-def _y_rows(cfg, idx, N, sample) -> list:
+def _y_rows(cfg, idx, N, sample, threads) -> list:
     G = mollify.centered(_window(cfg, cfg.s_grid[0], N))
     return [{"sample": idx, "x": str(sample.base), "k": cfg.k,
              "y": probe.block_sum_Y(sample, cfg.k, probe.blocks(N), G)}]
@@ -154,20 +155,23 @@ def _sweep_sample(job: tuple) -> list:
     """Worker: the rows of one sample index, over every N of the grid.
 
     Named for its first user, sweep; tools that time jobs wrap this name."""
-    rows_at, cfg, idx = job
+    rows_at, cfg, idx, threads = job
     rows = []
     for N in cfg.n_values:
-        rows += rows_at(cfg, idx, N, _sample_for(cfg, idx, N))
+        rows += rows_at(cfg, idx, N, _sample_for(cfg, idx, N), threads)
     return rows
 
 
 def _run_samples(cfg: ExperimentConfig, rows_at, n_samples: int) -> list:
-    """rows_at(cfg, idx, N, sample) over sample indices 0..n_samples-1 and
-    every N, in that order: one `hpgen.run_jobs` job per index, which
-    builds its point set once per N, on --workers."""
+    """rows_at(cfg, idx, N, sample, threads) over sample indices
+    0..n_samples-1 and every N, in that order: one `hpgen.run_jobs` job per
+    index, which builds its point set once per N, on --workers.  A job
+    counts pairs on `threads` threads (`hpgen.job_threads`): all the
+    allowed CPUs for one job in this process, one for pooled jobs."""
+    threads = hpgen.job_threads(cfg.workers, n_samples)
     # looked up by name at each call, so a wrapper set on the module
     # attribute sees every in-process job
-    jobs = [(rows_at, cfg, idx) for idx in range(n_samples)]
+    jobs = [(rows_at, cfg, idx, threads) for idx in range(n_samples)]
     outcomes = hpgen.run_jobs(_sweep_sample, jobs, cfg.workers)
     return [row for rows in outcomes for row in rows]
 

@@ -119,8 +119,9 @@ class ExperimentConfig:
     b: str = _setting("5/2", _rational, "interval right endpoint")
     out: str | None = _setting(
         None, str, "output path (sample file for gen, else JSON/CSV prefix)")
-    workers: int | None = _setting(None, int,
-                                   "worker processes (0: one per CPU)")
+    workers: int | None = _setting(
+        None, int, "worker processes for multi-sample runs, or threads of "
+        "the counting pass for one sample (0 or unset: every allowed CPU)")
 
     def __post_init__(self) -> None:
         if any(s <= 0 for s in self.s_grid):

@@ -11,19 +11,29 @@ point is within its reach, over a contiguous slice while at least a
 quarter of the runs are open, then over the open runs only.  Each run is
 a prefix, and a window test on the gaps selects a prefix of it at any
 narrower width.  So `count_pairs` turns one pass into the pair counts of
-`pair_corr`, the run lengths behind `triple_corr`'s degrees and the
-smoothed sums of `pair_corr_smoothed` at every width of an s grid: a
-window F is exactly 1.0 on its plateau, so its sum is the pair count at
-F.p_f plus the values of the few pairs on its ramp (F's band), added
-with one rounding by math.fsum.  Only the block sums of `probe` need the
-pairs themselves (`forward_window_pairs`).  Called without a pass's
-counts, a statistic makes its own at its own width.
+`pair_corr`, the degrees of `triple_corr` (run lengths plus what each
+step's runs reach) and the smoothed sums of `pair_corr_smoothed` at every
+width of an s grid: a window F is exactly 1.0 on its plateau, so its sum
+is the pair count at F.p_f plus the values of the few pairs on its ramp
+(F's band), added with one rounding by math.fsum.  Only the block sums of
+`probe` need the pairs themselves (`forward_window_pairs`).  Called
+without a pass's counts, a statistic makes its own at its own width.
+
+A run reads only its own start, reach and the points ahead of it, so
+`count_pairs` walks contiguous chunks of sorted positions, one thread
+each (`threads`; numpy releases the GIL in the pass's ufuncs).
+The chunks step in lockstep and every test of a step is made in one
+place (`_chunk_steps`), so counts, bands and degrees, the refusal at the
+cap included, are those of one chunk, whatever the threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import random
+from concurrent import futures
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,14 +58,15 @@ ORACLE_CAP = 4000
 MAX_WINDOW_PAIRS = 80_000_000
 
 
-def _reach(ys: np.ndarray, width: float) -> np.ndarray:
-    """Upper endpoint of each sorted point's run at `width`.
+def _reach(ys: np.ndarray, width: float, out=None) -> np.ndarray:
+    """Upper endpoint of each sorted point's run at `width`, into `out`
+    if given.
 
     Inflated, so that the runs hold a strict superset of the pairs with
     doubled[j] - ys[i] <= width.  With ys >= 0 and width > 0 the sum is
     positive and finite, so its next float up is the next int64 bit
     pattern, as np.nextafter(a, np.inf) gives at a tenth of the cost."""
-    a = ys + width * (1.0 + 2.0 ** -40)
+    a = np.add(ys, width * (1.0 + 2.0 ** -40), out=out)
     bits = a.view(np.int64)
     bits += 1
     return a
@@ -102,19 +113,26 @@ class PairWindows:
         return np.remainder(pair_j, n, out=pair_j)
 
 
-def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float):
-    """Walk every run of the sorted points ys at `width` offset by offset.
+def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float,
+                 lo: int = 0, hi: int | None = None, out=None):
+    """Walk the runs lo .. hi-1 (all by default) of the sorted points ys at
+    `width`, offset by offset.
 
     doubled is ys followed by ys + 1.0, and run i holds the offsets
     k = 1 .. n-1 with doubled[i + k] <= reach_i (`_reach`).  doubled is
     sorted, so a run holds k only if it holds every offset before it: each
     run is a prefix, and a run that fails one step is closed for good.
-    Step k yields (at, ends, starts) for the runs still open:
+    Run i reads only ys[i], reach_i and doubled[i + k], so the runs split
+    into chunks that walk apart.  out = (reach, inside) are arrays of n
+    floats and n booleans of which the chunk writes its slice lo:hi;
+    without them the pass makes its own.  Step k yields (at, ends, starts,
+    m) for the m runs of the chunk still open, with positions counted
+    from lo:
 
-    - while at least a quarter of the runs are open, a step compares the
-      contiguous slice ends = doubled[k:k+n] with the reach and yields
-      at, the mask of the open runs, with ends and starts = ys over all n
-      positions;
+    - while at least a quarter of the chunk's runs are open, a step
+      compares the contiguous slice ends = doubled[lo+k:hi+k] with the
+      reach and yields at, the mask of the open runs (a view of inside),
+      with ends and starts = ys[lo:hi] over all the chunk's positions;
     - after that it works on the open runs' indices only: at holds them,
       and ends and starts are gathered at them.
 
@@ -123,32 +141,27 @@ def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float):
     gaps <= w selects a prefix of each run and is false at the positions
     a mask leaves out; callers need not mask it.
 
-    The pass keeps the total of candidate pairs it has touched and raises
-    ResourceError at the step where that total passes MAX_WINDOW_PAIRS,
-    before yielding it, so a refused pass stops within one step of the
-    cap; it refuses exactly when the runs hold more than the cap.  The
-    longest run bounds the number of steps.  A run of L points holds
-    L(L - 1)/2 candidate pairs, since reaches grow with ys and the runs
-    of its later points hold the rest of it, so under the cap L is at most
-    about sqrt(2 * MAX_WINDOW_PAIRS) + 1.  Time is O(n + candidate pairs)
-    and memory O(n).
+    The longest run bounds the number of steps, and the caller charges
+    each step's m against the cap (`_charge`).  Time is O(chunk +
+    candidate pairs); after the mask steps memory is that of the open
+    runs.
     """
     n = len(ys)
-    reach = _reach(ys, width)
-    touched = 0
+    hi = n if hi is None else hi
+    reach, inside = out if out is not None else (np.empty(n),
+                                                 np.empty(n, dtype=bool))
+    reach = _reach(ys[lo:hi], width, out=reach[lo:hi])
+    inside, starts = inside[lo:hi], ys[lo:hi]
     at = None
     for k in range(1, n):
         if at is None:
-            ends = doubled[k:k + n]
-            inside = ends <= reach
-            m = int(np.count_nonzero(inside))
-            if 4 * m < n:
+            ends = doubled[lo + k:hi + k]
+            m = int(np.count_nonzero(np.less_equal(ends, reach, out=inside)))
+            if 4 * m < hi - lo:
                 at = np.flatnonzero(inside)
-                del inside
-                reach, starts = reach[at], ys[at]
-                ends = ends[at]
+                reach, starts, ends = reach[at], starts[at], ends[at]
         else:
-            ends = doubled[at + k]
+            ends = doubled[at + (lo + k)]
             keep = ends <= reach
             m = int(np.count_nonzero(keep))
             if m < len(at):
@@ -156,24 +169,41 @@ def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float):
                                            starts[keep], ends[keep])
         if m == 0:
             return
-        touched += m
-        if touched > MAX_WINDOW_PAIRS:
-            raise ResourceError(
-                f"window enumeration passed {MAX_WINDOW_PAIRS} candidate "
-                f"pairs at offset {k} ({touched} touched); narrow the window")
-        if at is None:
-            yield inside, ends, ys
-        else:
-            yield at, ends, starts
+        yield (inside if at is None else at), ends, starts, m
 
 
-def _tally(acc: np.ndarray, at: np.ndarray, inside=None) -> None:
-    """acc[i] += 1 at the open runs i of one `_offset_pass` step, or with
-    `inside`, a test on its gaps, acc[i] += inside[i]."""
+def _charge(touched: int, m: int, k: int) -> int:
+    """touched + m, the candidate pairs of a pass through its step k;
+    ResourceError once that passes MAX_WINDOW_PAIRS.
+
+    A refused pass so stops within one step of the cap, and refuses
+    exactly when its runs hold more than the cap.  A run of L points holds
+    L(L - 1)/2 candidate pairs, since reaches grow with ys and the runs of
+    its later points hold the rest of it, so under the cap L is at most
+    about sqrt(2 * MAX_WINDOW_PAIRS) + 1."""
+    touched += m
+    if touched > MAX_WINDOW_PAIRS:
+        raise ResourceError(
+            f"window enumeration passed {MAX_WINDOW_PAIRS} candidate "
+            f"pairs at offset {k} ({touched} touched); narrow the window")
+    return touched
+
+
+def _tally(acc: np.ndarray, shift: int, at: np.ndarray, inside=None) -> None:
+    """acc[(shift + i) mod n] += 1 at the open runs i of one chunk's
+    `_offset_pass` step, or with `inside`, a test on its gaps, += inside[i]
+    (positions i counted from the chunk's first run)."""
+    n = len(acc)
+    shift %= n
     if at.dtype == bool:
-        acc += at if inside is None else inside
+        add = at if inside is None else inside
+        head = add[:n - shift]
+        acc[shift:shift + len(head)] += head
+        acc[:len(add) - len(head)] += add[len(head):]
     else:
-        acc[at] += 1 if inside is None else inside
+        pos = at + shift
+        pos[pos >= n] -= n
+        acc[pos] += 1 if inside is None else inside
 
 
 def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
@@ -184,8 +214,10 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     ys = np.sort(points)
     doubled = np.concatenate([ys, ys + 1.0])
     counts = np.zeros(n, dtype=np.int64)
-    for at, _, _ in _offset_pass(ys, doubled, width):
-        _tally(counts, at)
+    touched = 0
+    for k, (at, _, _, m) in enumerate(_offset_pass(ys, doubled, width), 1):
+        touched = _charge(touched, m, k)
+        _tally(counts, 0, at)
     total = int(counts.sum())
     # pair k of run i sits at doubled[i + 1 + (k - run_starts[i])].
     # The pair arrays reach ~10^7 entries at N = 10^6, so each is built in
@@ -209,57 +241,135 @@ class PairCounts:
     pairs[w] is the number of pairs (i, j) of the runs (`_offset_pass`)
     whose float gap doubled[j] - ys[i] is <= w: every pair of points at
     circular distance <= w, once.  With `runs`, runs[w][i] is how many of
-    them start at sorted position i, a prefix of run i.  bands[F] holds
-    the gaps > F.p_f of the pairs of forward_window_pairs(points, F.edge_f)
-    for each window F counted; pairs[F.p_f] counts the rest.
+    them start at sorted position i, a prefix of run i, and degrees[w][i]
+    how many hold position i as either point.  bands[F] holds the gaps >
+    F.p_f of the pairs of forward_window_pairs(points, F.edge_f) for each
+    window F counted; pairs[F.p_f] counts the rest.
     """
 
     n: int
     pairs: dict
     bands: dict
     runs: dict | None = None
+    degrees: dict | None = None
+
+
+def _spans(n: int, threads: int) -> list:
+    """(lo, hi) of each chunk of sorted positions: min(threads, n)
+    contiguous chunks of near-equal length, and one for no points."""
+    parts = max(1, min(threads, n))
+    return [(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
+
+
+def _chunk_steps(ys, doubled, width, lo, hi, out, tests, tops, lengths,
+                 degrees):
+    """The steps of `_offset_pass` over the runs lo .. hi-1, one per next():
+    (m, {w: pairs with gap <= w, for w in tests}, {F: F's band part}).
+
+    Run lengths go to lengths[w][lo:hi] and, at step k, what a run
+    reaches to degrees[w] at position (i + k) mod n: in-degrees, to which
+    the caller adds the run lengths.  The O(n) buffers of the mask steps
+    are the caller's (out); only the index steps, which shrink with the
+    open runs, allocate here."""
+    reach, inside, gap_buf, test_buf, band_buf = out
+    for k, (at, ends, starts, m) in enumerate(_offset_pass(
+            ys, doubled, width, lo, hi, (reach, inside)), 1):
+        flat = at.dtype == bool
+        gaps = np.subtract(ends, starts, out=gap_buf[lo:hi] if flat else None)
+        test = test_buf[lo:hi] if flat else None
+        step = {}
+        for w in tests:
+            hit = np.less_equal(gaps, w, out=test)
+            step[w] = int(np.count_nonzero(hit))
+            if w in lengths:
+                _tally(lengths[w], lo, at, hit)
+                _tally(degrees[w], lo + k, at, hit)
+        bands = {}
+        for F, top in tops.items():
+            if step[top] > step[F.p_f]:
+                band = np.less_equal(gaps, top, out=test)
+                band &= np.greater(gaps, F.p_f,
+                                   out=band_buf[lo:hi] if flat else None)
+                band = np.flatnonzero(band)
+                # the far-end test also drops what a mask leaves out: it
+                # is beyond the widest reach, so beyond F's
+                band = band[ends[band] <= _reach(starts[band], F.edge_f)]
+                bands[F] = gaps[band]
+        yield m, step, bands
+
+
+def _advance(walks: list, pool) -> list:
+    """next(walk, None) of every walk: the first in this thread and the
+    others on the pool, all of them done before it returns."""
+    rest = [pool.submit(next, walk, None) for walk in walks[1:]]
+    try:
+        first = next(walks[0], None)
+    finally:
+        futures.wait(rest)
+    return [first] + [f.result() for f in rest]
 
 
 def count_pairs(points: np.ndarray, widths, runs: bool = False,
-                windows=()) -> PairCounts:
+                windows=(), threads: int = 1) -> PairCounts:
     """Pair counts at every width and the band of every window
-    (`PairCounts`), from one `_offset_pass` at the widest width or edge.
+    (`PairCounts`), from one `_offset_pass` at the widest width or edge,
+    walked in min(threads, n) chunks of sorted positions.
+
+    The chunks step in lockstep, one thread each: step k of every chunk
+    ends before any chunk starts step k + 1, so the in-degree tallies of
+    a step, which shift each chunk by k, never meet.  A step's counts are
+    summed and its band parts joined in chunk order, which is position
+    order, and the cap is charged with the step's total, so counts,
+    bands, run lengths and a refusal are those of one chunk, whatever the
+    threads.  With one chunk the pass runs in this thread alone.
 
     A window F is exactly 1.0 at gaps <= F.p_f, one more count width.  A
     step looks for F's band only where a gap passes F.p_f but not a top
     above every gap of F's enumeration, and the band keeps the pairs whose
     far end is within F's reach, the enumeration's own run test.  Counts
-    are Python ints and run lengths are built only with `runs`, so the
-    pass holds O(n) memory."""
+    are Python ints and run lengths and degrees are built only with
+    `runs`, so the pass holds O(n) memory."""
     near = {F: [] for F in windows}
     widths = sorted(set(widths).union(F.p_f for F in near))
     # a reach passes ys_i + edge_f by under 2^-40 relative plus two ulps
     # of a float below 2
     tops = {F: F.edge_f * (1.0 + 2.0 ** -39) + 2.0 ** -49 for F in near}
+    tests = sorted(set(widths).union(tops.values()))
     n = len(points)
     ys = np.sort(points)
     doubled = np.concatenate([ys, ys + 1.0])
     totals = dict.fromkeys(widths, 0)
-    lengths = {w: np.zeros(n, dtype=np.int64) for w in widths} if runs else {}
+    # int32 is ample: under the cap no run, and no in-degree, passes about
+    # 12650 (`_charge`)
+    lengths = {w: np.zeros(n, dtype=np.int32) for w in widths} if runs else {}
+    degrees = {w: np.zeros(n, dtype=np.int32) for w in lengths}
     widest = max(widths + [F.edge_f for F in near])
-    for at, ends, starts in _offset_pass(ys, doubled, widest):
-        gaps = ends - starts
-        step = {}
-        for w in sorted(set(widths).union(tops.values())):
-            inside = gaps <= w
-            step[w] = int(np.count_nonzero(inside))
-            if w in lengths:
-                _tally(lengths[w], at, inside)
-        for w in widths:
-            totals[w] += step[w]
-        for F, top in tops.items():
-            if step[top] > step[F.p_f]:
-                # the far-end test also drops what a contiguous mask leaves
-                # out: it is beyond the widest reach, so beyond F's
-                band = np.flatnonzero((gaps > F.p_f) & (gaps <= top))
-                band = band[ends[band] <= _reach(starts[band], F.edge_f)]
-                near[F].append(gaps[band])
+    # every O(n) buffer is made here: a thread's allocations stay in its
+    # own malloc arena, and would raise the peak resident memory
+    out = (np.empty(n), np.empty(n, dtype=bool), np.empty(n),
+           np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    spans = _spans(n, threads)
+    walks = [_chunk_steps(ys, doubled, widest, lo, hi, out, tests, tops,
+                          lengths, degrees) for lo, hi in spans]
+    touched = 0
+    with (futures.ThreadPoolExecutor(len(spans) - 1) if len(spans) > 1
+          else contextlib.nullcontext()) as pool:
+        for k in itertools.count(1):
+            steps = _advance(walks, pool)
+            walks = [walk for walk, step in zip(walks, steps) if step]
+            steps = [step for step in steps if step]
+            if not steps:
+                break
+            touched = _charge(touched, sum(m for m, _, _ in steps), k)
+            for _, step, bands in steps:
+                for w in widths:
+                    totals[w] += step[w]
+                for F, band in bands.items():
+                    near[F].append(band)
+    for w in degrees:
+        degrees[w] += lengths[w]
     return PairCounts(n=n, pairs=totals, runs=lengths if runs else None,
+                      degrees=degrees if runs else None,
                       bands={F: np.concatenate(parts + [[]])
                              for F, parts in near.items()})
 
@@ -348,32 +458,20 @@ def pair_corr_smoothed(sample: UnitSample, F: Mollifier,
     return 2.0 * math.fsum([counts.pairs[F.p_f], *values]) / sample.n_max
 
 
-def _degrees(c: np.ndarray) -> np.ndarray:
-    """Pairs at each sorted position, as either point, from the run
-    lengths c: the pairs (i, j) of run i are j = i+1 .. i+c_i (each run
-    is a prefix).  Position i counts c_i, and the j cover one range of
-    doubled positions, which folds mod n."""
-    n = len(c)
-    past = np.arange(1, n + 1)
-    past += c
-    cover = np.bincount(past, minlength=2 * n)
-    del past
-    np.negative(cover, out=cover)
-    cover[1:n + 1] += 1
-    np.cumsum(cover, out=cover)
-    return c + cover[:n] + cover[n:]
-
-
 def triple_corr(sample: UnitSample, s1: float, s2: float,
                 counts: PairCounts | None = None) -> float:
     """Pairwise-distinct (l, m, n) with l, n inside m's two windows, over N.
 
-    `counts` must hold the run lengths (count_pairs(..., runs=True))."""
+    Position i counts the pairs that hold it as either point
+    (`PairCounts.degrees`).  `counts` must hold the run lengths
+    (count_pairs(..., runs=True))."""
     w1 = window_width(sample, s1)
     w2 = window_width(sample, s2)
-    runs = _counted(sample, [w1, w2], counts, runs=True).runs
-    deg = {w: _degrees(runs[w]) for w in {w1, w2}}
-    return float(np.sum(deg[w1] * deg[w2] - deg[min(w1, w2)])) / sample.n_max
+    deg = _counted(sample, [w1, w2], counts, runs=True).degrees
+    terms = deg[w1].astype(np.int64)
+    terms *= deg[w2]
+    terms -= deg[min(w1, w2)]
+    return float(np.sum(terms)) / sample.n_max
 
 
 def level_spacings(sample: UnitSample) -> np.ndarray:

@@ -174,15 +174,33 @@ def sample_x(A, mantissa_bits: int, seed: int) -> DyadicRational:
     return A + DyadicRational(u, mantissa_bits)
 
 
+def allowed_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_jobs(fn, jobs: list, workers: int | None) -> list:
     """[fn(job) for job in jobs]: in this process for workers = 1 or one
-    job, else on a pool of min(workers or the CPU count, jobs) processes
+    job, else on a pool of min(workers or allowed_cpus(), jobs) processes
     started the platform's default way; fn goes to them by name."""
     if workers == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(min(workers or os.cpu_count() or 1,
+    with ProcessPoolExecutor(min(workers or allowed_cpus(),
                                  len(jobs))) as pool:
         return list(pool.map(fn, jobs))
+
+
+def job_threads(workers: int | None, n_jobs: int) -> int:
+    """Threads each job may run when run_jobs runs n_jobs jobs on
+    `workers`: 1 for jobs on a pool, so that no process runs threads on
+    top of the pool's, and min(workers or allowed_cpus(), allowed_cpus())
+    for jobs in this process (1 with workers = 1)."""
+    if workers == 1 or n_jobs <= 1:
+        return min(workers or allowed_cpus(), allowed_cpus())
+    return 1
 
 
 def _check_gen_args(x: DyadicRational, xi: DyadicRational, N: int) -> None:

@@ -267,15 +267,15 @@ def test_shared_enumeration_rows_are_byte_identical_across_workers(
 
 
 def watch_counting(monkeypatch):
-    """Record the width of every counting pass (the widest of its widths
-    and window edges) and of every enumeration."""
+    """Record the width of every offset pass, one per chunk of a counting
+    pass (the widest of its widths and window edges), and of every
+    enumeration."""
     from powcorr import corr
     passes, enumerations = [], []
-    count_pairs, enumerate_pairs = corr.count_pairs, corr.forward_window_pairs
+    offset_pass, enumerate_pairs = corr._offset_pass, corr.forward_window_pairs
     monkeypatch.setattr(
-        corr, "count_pairs", lambda pts, ws, *a, **kw: passes.append(
-            max([*ws, *(F.edge_f for F in kw.get("windows", ()))]))
-        or count_pairs(pts, ws, *a, **kw))
+        corr, "_offset_pass", lambda ys, doubled, width, *a: passes.append(
+            width) or offset_pass(ys, doubled, width, *a))
     monkeypatch.setattr(
         corr, "forward_window_pairs", lambda pts, w: enumerations.append(w)
         or enumerate_pairs(pts, w))
@@ -291,8 +291,8 @@ def watch_counting(monkeypatch):
 def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
                                        samples):
     """One counting pass per point set, at the widest s/N of the grid, or
-    with --smoothed at the outer edge of the largest s; no command
-    enumerates pairs."""
+    with --smoothed at the outer edge of the largest s, in one chunk with
+    --workers 1; no command enumerates pairs."""
     passes, enumerations = watch_counting(monkeypatch)
     code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
                        "--workers", "1")
@@ -325,7 +325,8 @@ def test_a_bad_s_exits_before_any_enumeration(capsys, monkeypatch, argv,
 def test_a_capped_smoothed_paircorr_exits_5_without_pair_arrays(
         capsys, monkeypatch):
     """At N = 10^6, s = 100 the runs hold about 10^8 candidate pairs: the
-    one counting pass refuses at the cap, and no pair array is built."""
+    one counting pass, one chunk per allowed CPU, refuses at the cap, and
+    no pair array is built."""
     passes, enumerations = watch_counting(monkeypatch)
     code, out, err = run(capsys, "paircorr", "--smoothed", "--control",
                          "uniform", "--N", "1000000", "--s", "100",
@@ -333,7 +334,7 @@ def test_a_capped_smoothed_paircorr_exits_5_without_pair_arrays(
     assert code == 5
     assert out == ""
     from powcorr.mollify import make_outer
-    assert passes == [make_outer(100, 1000000).edge_f]
+    assert passes == [make_outer(100, 1000000).edge_f] * hpgen.allowed_cpus()
     assert enumerations == []
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource cap:")
@@ -840,7 +841,7 @@ class RecordingPool:
     (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
       "--workers", "5000"), [10]),
     (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
-      "--workers", "0"), [min(os.cpu_count(), 10)]),
+      "--workers", "0"), [min(hpgen.allowed_cpus(), 10)]),
     (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
       "--workers", "3"), [3]),
     (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
@@ -861,3 +862,37 @@ def test_one_job_runner_sizes_its_pool_by_the_jobs(capsys, monkeypatch, argv,
     code_1, out_1, err_1 = run(capsys, *argv[:-1], "1")   # --workers 1
     assert (code_1, err_1) == (code, err)
     assert payload_of(out_1)["results"] == payload_of(out)["results"]
+
+
+SWEEP_200 = ("sweep", "--A", "1.02", "--N", "200", "--s", "0.5,1",
+             "--samples", "10")
+UNIFORM_200 = ("--control", "uniform", "--N", "200", "--s", "0.5,1",
+               "--samples")
+
+
+@pytest.mark.parametrize("argv, chunks, point_sets", [
+    (SWEEP_200, 1, 10),
+    ((*SWEEP_200, "--workers", "3"), 1, 10),
+    ((*SWEEP_200, "--workers", "1"), 1, 10),
+    (("paircorr", "--smoothed", *UNIFORM_200, "2"), 1, 2),
+    (("paircorr", "--smoothed", *UNIFORM_200, "1"), "all", 1),
+    (("triple", *UNIFORM_200, "1", "--workers", "0"), "all", 1),
+    (("triple", *UNIFORM_200, "1", "--workers", "5000"), "all", 1),
+    (("paircorr", *UNIFORM_200, "1", "--workers", "1"), 1, 1),
+    (("triple", *UNIFORM_200, "3", "--workers", "1"), 1, 3),
+], ids=["sweep-pooled", "sweep-3", "sweep-1", "paircorr-pooled",
+        "paircorr-one-job", "triple-0", "triple-5000", "paircorr-1",
+        "triple-1"])
+def test_the_thread_budget_of_a_counting_pass(capsys, monkeypatch, argv,
+                                              chunks, point_sets):
+    """Pooled jobs count in one chunk, so no process runs threads on top of
+    the pool's; one job in this process counts in one chunk per allowed
+    CPU (never more, whatever --workers asks), and --workers 1 in one."""
+    monkeypatch.setattr(hpgen, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    passes, _ = watch_counting(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    chunks = hpgen.allowed_cpus() if chunks == "all" else chunks
+    assert len(passes) == chunks * point_sets
+    assert len(set(passes)) == 1

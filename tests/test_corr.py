@@ -1,5 +1,6 @@
 """Correlation statistics against brute-force oracles and controls."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -386,6 +387,95 @@ def test_enumeration_and_counts_of_one_and_two_points(points, width):
                                       minlength=len(pts)))
 
 
+@st.composite
+def chunked_cases(draw):
+    """(sample, s values, windows): N from 1, so below a chunk count too;
+    ties, 0.0 and 1 - 2^-53, and clusters of points 2^-40 apart whose
+    runs are long and cross the edges of the chunks of sorted positions."""
+    from powcorr.hpgen import UnitSample
+    N = draw(st.integers(1, 48))
+    pts = draw(st.lists(st.sampled_from([0.0, 1.0 - 2.0 ** -53, 0.5]),
+                        max_size=3))
+    for centre in draw(st.lists(st.floats(0.0, 0.999), max_size=3)):
+        pts += [centre + j * 2.0 ** -40
+                for j in range(draw(st.integers(2, N // 2 + 2)))]
+    pts += draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                         min_size=N, max_size=N))
+    pts = pts[:N]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=4))      # ties
+    N = len(pts)
+    s_values = draw(st.lists(st.sampled_from(
+        [s for s in (0.25, 0.5, 1.0, 2.0, 3.0) if s / N < 0.5]),
+        min_size=1, max_size=3, unique=True))
+    delta = draw(st.sampled_from([None, Fraction(1, 2 ** 10)]))
+    windows = []
+    for s in s_values:
+        for maker in (make_inner, make_outer):
+            try:
+                windows.append(maker(s, N, delta))
+            except DomainError:         # no plateau at so small an N
+                pass
+    sample = UnitSample(n_max=N, points=np.array(pts), err_bound=0.0,
+                        base=DyadicRational.from_int(2),
+                        xi=DyadicRational.from_int(1))
+    return sample, s_values, windows
+
+
+@given(chunked_cases())
+@settings(max_examples=150, deadline=None)
+def test_a_chunked_pass_equals_the_one_chunk_pass_bit_for_bit(case):
+    """Pair counts, run lengths, degrees, bands, smoothed sums and triple
+    correlations of a pass in 2, 3 or 4 chunks are those of one chunk,
+    byte for byte; and the degrees are those of a fresh enumeration."""
+    sample, s_values, windows = case
+    N = sample.n_max
+    widths = [s / N for s in s_values]
+    one = count_pairs(sample.points, widths, runs=True, windows=windows)
+    for w in widths:
+        fresh = forward_window_pairs(sample.points, max(widths))
+        inside = fresh.gaps <= w
+        assert np.array_equal(
+            one.degrees[w], np.bincount(fresh.pos_i[inside], minlength=N)
+            + np.bincount(fresh.pos_j[inside], minlength=N))
+    for threads in (2, 3, 4):
+        many = count_pairs(sample.points, widths, runs=True, windows=windows,
+                           threads=threads)
+        assert many.pairs == one.pairs
+        for w in widths:
+            assert_same_bytes(many.runs[w], one.runs[w])
+            assert_same_bytes(many.degrees[w], one.degrees[w])
+        for F in windows:
+            assert_same_bytes(many.bands[F], one.bands[F])
+            assert (pair_corr_smoothed(sample, F, many).hex()
+                    == pair_corr_smoothed(sample, F, one).hex())
+        for s in s_values:
+            assert (triple_corr(sample, s, s, many).hex()
+                    == triple_corr(sample, s, s, one).hex())
+
+
+def test_more_chunks_than_cores_under_fast_thread_switches():
+    """Eight chunks on fewer cores, with the threads switching every
+    microsecond: each step's in-degree tallies land past the chunk's own
+    end, in its neighbour's positions, and a clustered stretch keeps
+    hundreds of steps going, so a tally lost or made twice would change a
+    degree; they all equal one chunk's."""
+    import sys
+    pts = np.concatenate([uniform_control(20000, 11).points,
+                          0.3 + 2.0 ** -40 * np.arange(300)])
+    widths = [1 / 20000, 3 / 20000]
+    one = count_pairs(pts, widths, runs=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = count_pairs(pts, widths, runs=True, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many.pairs == one.pairs
+    for w in widths:
+        assert_same_bytes(many.runs[w], one.runs[w])
+        assert_same_bytes(many.degrees[w], one.degrees[w])
+
+
 @pytest.mark.parametrize("width", [2.0 ** -30, 0.01, 0.2])
 def test_a_point_exactly_at_the_reach_is_in_its_run(width):
     """The reach is inclusive, both in the contiguous steps (two points)
@@ -506,40 +596,86 @@ def test_counts_refuse_another_sample_a_missing_width_or_window():
 
 # ---- the candidate-pair cap --------------------------------------------------
 
-def all_equal_pass(n, width=0.01):
-    """_offset_pass over n equal points: run i holds n - 1 - i pairs, so
-    step k opens n - k runs and n(n - 1)/2 pairs are touched in all."""
-    from powcorr.corr import _offset_pass
-    ys = np.full(n, 0.375)
-    return _offset_pass(ys, np.concatenate([ys, ys + 1.0]), width)
+def watch_passes(monkeypatch, delay=0.0):
+    """Record, for each `_offset_pass` (one per chunk), its width and the m
+    of every step it yields; with `delay`, every chunk but the first (the
+    one in the calling thread) sleeps that long before each step."""
+    import time
+    from powcorr import corr
+    passes, real = [], corr._offset_pass
+
+    def watched(ys, doubled, width, lo=0, hi=None, out=None):
+        steps = []
+        passes.append((width, steps))
+        for step in real(ys, doubled, width, lo, hi, out):
+            if lo:
+                time.sleep(delay)
+            steps.append(step[3])
+            yield step
+
+    monkeypatch.setattr(corr, "_offset_pass", watched)
+    return passes
+
+
+#: (threads, delay) of `watch_passes`: one to four chunks, and four whose
+#: threads lag the calling one
+CHUNKINGS = [(1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (4, 0.002)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 40])
 def test_cap_refuses_one_pair_over_the_candidate_total(monkeypatch, n):
+    """n equal points: run i holds n - 1 - i pairs, n(n - 1)/2 in all.  A
+    cap of the total passes and one less refuses, in any number of
+    chunks."""
     from powcorr import corr
     total = n * (n - 1) // 2
     pts = np.full(n, 0.375)
-    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total)
-    assert count_pairs(pts, [0.01]).pairs[0.01] == total
-    assert len(forward_window_pairs(pts, 0.01).gaps) == total
-    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total - 1)
-    with pytest.raises(ResourceError):
-        count_pairs(pts, [0.01])
-    with pytest.raises(ResourceError):
-        forward_window_pairs(pts, 0.01)
+    for threads in (1, 2, 3, 4):
+        monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total)
+        assert count_pairs(pts, [0.01], threads=threads).pairs[0.01] == total
+        assert len(forward_window_pairs(pts, 0.01).gaps) == total
+        monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", total - 1)
+        with pytest.raises(ResourceError):
+            count_pairs(pts, [0.01], threads=threads)
+        with pytest.raises(ResourceError):
+            forward_window_pairs(pts, 0.01)
 
 
 @pytest.mark.parametrize("cap", [0, 1, 39, 40, 100, 500, 779])
 def test_cap_stops_the_pass_at_the_step_that_crosses_it(monkeypatch, cap):
+    """n = 40 equal points: step k opens n - k runs.  The pass refuses at
+    the first step whose running total passes the cap and names that step
+    and total, whatever the chunks and however their threads are timed;
+    every chunk stops there, and all of them ran at one width."""
     from powcorr import corr
     n = 40
     monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", cap)
-    touched = []
+    totals = list(itertools.accumulate(n - k for k in range(1, n)))
+    k = next(k for k, total in enumerate(totals, 1) if total > cap)
+    for threads, delay in CHUNKINGS:
+        with monkeypatch.context() as mp:
+            passes = watch_passes(mp, delay)
+            with pytest.raises(ResourceError) as refusal:
+                count_pairs(np.full(n, 0.375), [0.01], threads=threads)
+        assert str(refusal.value) == (
+            f"window enumeration passed {cap} candidate pairs at offset {k} "
+            f"({totals[k - 1]} touched); narrow the window")
+        assert [width for width, _ in passes] == [0.01] * threads
+        assert max(len(steps) for _, steps in passes) == k
+        assert sum(sum(steps) for _, steps in passes) == totals[k - 1]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_threads_end_with_the_pass(monkeypatch, threads):
+    """count_pairs leaves no thread behind, whether it returns or
+    refuses."""
+    import threading
+    from powcorr import corr
+    before = threading.active_count()
+    pts = uniform_control(2000, 5).points
+    count_pairs(pts, [1 / 2000, 2 / 2000], runs=True, threads=threads)
+    assert threading.active_count() == before
+    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", 10)
     with pytest.raises(ResourceError):
-        for at, _, _ in all_equal_pass(n):
-            touched.append(int(np.count_nonzero(at)) if at.dtype == bool
-                           else len(at))
-    # steps 1, 2, ... open n - 1, n - 2, ... runs; the pass stops at the
-    # first step whose running total passes the cap and yields nothing of it
-    assert touched == [n - k for k in range(1, len(touched) + 1)]
-    assert sum(touched) <= cap < sum(touched) + (n - len(touched) - 1)
+        count_pairs(pts, [1 / 2000], threads=threads)
+    assert threading.active_count() == before

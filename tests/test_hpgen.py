@@ -390,3 +390,21 @@ def test_ladder_work_charges_the_blocked_ladder():
     x = sample_x(as_dyadic(1.02), 64, 1)
     assert 3 * ladder_work(x, 20000) < 20000 * precision_budget(
         x, 20000, default_guard_bits(20000)).total_bits
+
+
+def test_allowed_cpus_reads_the_affinity_set():
+    import os
+    from powcorr.hpgen import allowed_cpus
+    if hasattr(os, "sched_getaffinity"):
+        assert allowed_cpus() == len(os.sched_getaffinity(0))
+    assert 1 <= allowed_cpus() <= (os.cpu_count() or 1)
+
+
+@pytest.mark.parametrize("workers, jobs, threads", [
+    (None, 1, "all"), (0, 1, "all"), (5000, 1, "all"), (1, 1, 1),
+    (1, 20, 1), (None, 20, 1), (0, 20, 1), (3, 20, 1), (None, 0, "all")])
+def test_job_threads_go_to_jobs_in_this_process_only(workers, jobs,
+                                                     threads):
+    from powcorr.hpgen import allowed_cpus, job_threads
+    want = allowed_cpus() if threads == "all" else threads
+    assert job_threads(workers, jobs) == want
