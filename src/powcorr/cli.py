@@ -154,18 +154,25 @@ def _y_rows(cfg, idx, N, sample, threads) -> list:
 def _sweep_sample(job: tuple) -> list:
     """Worker: the rows of one sample index, over every N of the grid.
 
+    The point set is built once, at the largest N, and every N reads its
+    prefix (`UnitSample.prefix`): the statistic at N is over n <= N, and
+    the largest N's err_bound holds for every prefix.  Rows are evaluated
+    from the largest N down, whose (s/N)/100 gate is the tightest, so a
+    failed gate is the largest N's and its guard-bit hint is for the
+    ladder that ran; they come out in n_values order.
+
     Named for its first user, sweep; tools that time jobs wrap this name."""
     rows_at, cfg, idx, threads = job
-    rows = []
-    for N in cfg.n_values:
-        rows += rows_at(cfg, idx, N, _sample_for(cfg, idx, N), threads)
-    return rows
+    full = _sample_for(cfg, idx, max(cfg.n_values))
+    rows = {N: rows_at(cfg, idx, N, full.prefix(N), threads)
+            for N in sorted(set(cfg.n_values), reverse=True)}
+    return [row for N in cfg.n_values for row in rows[N]]
 
 
 def _run_samples(cfg: ExperimentConfig, rows_at, n_samples: int) -> list:
     """rows_at(cfg, idx, N, sample, threads) over sample indices
     0..n_samples-1 and every N, in that order: one `hpgen.run_jobs` job per
-    index, which builds its point set once per N, on --workers.  A job
+    index, which builds one point set, at the largest N, on --workers.  A job
     counts pairs on `threads` threads (`hpgen.job_threads`): all the
     allowed CPUs for one job in this process, one for pooled jobs."""
     threads = hpgen.job_threads(cfg.workers, n_samples)
@@ -404,14 +411,15 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise UsageError(
                 f"subsequence mode needs every N = M^20, got {bad}")
 
-    # the samples run are the first ones whose ladders, one per N at the
-    # sample's own x, fit the cap by the ladder's modelled cost
+    # the samples run are the first ones whose ladders, one per sample at
+    # its own x and the largest N (smaller N read its prefix), fit the cap
+    # by the ladder's modelled cost
     A = parse_rational(cfg.A)
+    top_n = max(cfg.n_values)
     spent = budgeted = 0
     for idx in range(cfg.samples):
         x = hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
-        cost = sum(hpgen.ladder_work(x, N, cfg.guard_bits)
-                   for N in cfg.n_values)
+        cost = hpgen.ladder_work(x, top_n, cfg.guard_bits)
         if spent + cost > cfg.work_cap:
             break
         spent += cost
@@ -425,7 +433,6 @@ def cmd_sweep(cfg: ExperimentConfig):
     rows = _run_samples(cfg, _sweep_rows, budgeted)
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}
                for N, s, frac, count in _fractions_within(cfg, rows)]
-    top_n = max(cfg.n_values)
     gate = all(item["fraction_within"] >= cfg.q
                for item in summary if item["N"] == top_n)
     results = {"rows": rows, "summary": summary, "partial": partial,
@@ -448,9 +455,11 @@ def cmd_sweep(cfg: ExperimentConfig):
 # parser and dispatch
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    """--config, then one text-valued flag per ExperimentConfig field; the
+def _common_flags() -> argparse.ArgumentParser:
+    """A parser without help of --config, then one text-valued flag per
+    ExperimentConfig field, which every subcommand takes as its parent; the
     field's parser reads the text, so argparse checks no value."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--config", default=None, help="key=value config file")
     for f in dataclasses.fields(ExperimentConfig):
         flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
@@ -459,6 +468,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                             const="true", help=f.metadata["help"])
         else:
             sp.add_argument(flag, dest=f.name, help=f.metadata["help"])
+    return sp
 
 
 class _Parser(argparse.ArgumentParser):
@@ -473,6 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
                     " xi * x^n, with exactness probes for every"
                     " constructive step of the analysis.")
     subs = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, blurb in (
             ("gen", "generate and save one certified sample file"),
             ("paircorr", "pair correlation over a sample/N/s grid"),
@@ -482,10 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("fourier-check", "truncation ladder and cutoff trend"),
             ("probe", "exactness probes for the constructive analysis"),
             ("sweep", "multi-sample Poissonian verdict with gating")):
-        sp = subs.add_parser(name, help=blurb)
+        sp = subs.add_parser(name, help=blurb, parents=[common])
         if name == "probe":
             sp.add_argument("mode", choices=PROBE_MODES)
-        _add_common(sp)
     return parser
 
 

@@ -72,6 +72,20 @@ def _reach(ys: np.ndarray, width: float, out=None) -> np.ndarray:
     return a
 
 
+def _sorted_doubled(points: np.ndarray) -> tuple:
+    """(ys, doubled): doubled is one buffer of 2n floats, the sorted points
+    followed by each plus 1.0, and ys is a view of its first half.  The
+    points are copied into it and sorted in place, so the caller's array
+    is left as it was and no other n-sized array is made."""
+    n = len(points)
+    doubled = np.empty(2 * n)
+    ys = doubled[:n]
+    ys[:] = points
+    ys.sort()
+    np.add(ys, 1.0, out=doubled[n:])
+    return ys, doubled
+
+
 @dataclass(frozen=True)
 class PairWindows:
     """Candidate close pairs of a sample in sorted order, at one width.
@@ -211,8 +225,7 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
     n = len(points)
     # the values of points[argsort(points, kind="stable")], without the
     # permutation, which only `order` needs
-    ys = np.sort(points)
-    doubled = np.concatenate([ys, ys + 1.0])
+    ys, doubled = _sorted_doubled(points)
     counts = np.zeros(n, dtype=np.int64)
     touched = 0
     for k, (at, _, _, m) in enumerate(_offset_pass(ys, doubled, width), 1):
@@ -229,8 +242,10 @@ def forward_window_pairs(points: np.ndarray, width: float) -> PairWindows:
         pair_j += np.repeat(starts, counts)
         del starts
     ends = doubled[pair_j]
-    del pair_j, doubled
-    gaps = ends - np.repeat(ys, counts)
+    del pair_j
+    gaps = np.repeat(ys, counts)
+    del ys, doubled
+    np.subtract(ends, gaps, out=gaps)
     return PairWindows(points=points, counts=counts, ends=ends, gaps=gaps)
 
 
@@ -336,8 +351,7 @@ def count_pairs(points: np.ndarray, widths, runs: bool = False,
     tops = {F: F.edge_f * (1.0 + 2.0 ** -39) + 2.0 ** -49 for F in near}
     tests = sorted(set(widths).union(tops.values()))
     n = len(points)
-    ys = np.sort(points)
-    doubled = np.concatenate([ys, ys + 1.0])
+    ys, doubled = _sorted_doubled(points)
     totals = dict.fromkeys(widths, 0)
     # int32 is ample: under the cap no run, and no in-degree, passes about
     # 12650 (`_charge`)
@@ -468,10 +482,10 @@ def triple_corr(sample: UnitSample, s1: float, s2: float,
     w1 = window_width(sample, s1)
     w2 = window_width(sample, s2)
     deg = _counted(sample, [w1, w2], counts, runs=True).degrees
-    terms = deg[w1].astype(np.int64)
-    terms *= deg[w2]
-    terms -= deg[min(w1, w2)]
-    return float(np.sum(terms)) / sample.n_max
+    # exact int64 sums, cast in einsum's buffers and not as n-sized copies
+    total = (np.einsum("i,i->", deg[w1], deg[w2], dtype=np.int64)
+             - np.sum(deg[min(w1, w2)], dtype=np.int64))
+    return float(total) / sample.n_max
 
 
 def level_spacings(sample: UnitSample) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +158,17 @@ class UnitSample:
             raise DomainError(f"bad err_bound {self.err_bound}")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
+
+    def prefix(self, n: int) -> "UnitSample":
+        """The sample of the first n points, a view of these, with this
+        sample's err_bound, guard bits, base and xi: the bound is a sup over
+        every point, so it holds for any prefix."""
+        if not 1 <= n <= self.n_max:
+            raise DomainError(f"prefix of {n} points of a sample of "
+                              f"{self.n_max}")
+        if n == self.n_max:
+            return self
+        return replace(self, n_max=n, points=self.points[:n])
 
 
 def sample_x(A, mantissa_bits: int, seed: int) -> DyadicRational:
@@ -394,18 +405,20 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
         raise DomainError(f"guard bits must be >= 32, got {g}")
     p, e = x.numerator, x.exponent
     q, f = xi.numerator, xi.exponent
-    budget = precision_budget(x, N, g)
-    F = budget.frac_bits
-    J, t = _block_shape(x, N, g, budget.total_bits)
+    J, t = _block_shape(x, N, g, _total_bits(x, N, g))
+    # the schedule at the block starts b = 1, 1 + J, ... only: N - b = N - 1,
+    # N - 1 - J, ...
+    F = (_ceil_log2_ratios(x, np.arange(N - 1, -1, -J, dtype=np.int64))
+         + g).tolist()
     pJ = p ** J
     keep = (1 << (t + e * J)) - 1
     slot = -(-(t + e * J + p.bit_length()) // 64) * 8       # S / 8 bytes
     windows = []
     V = _round_shift(q * p, (f + e) - F[0])
-    for b in range(0, N, J):
-        if b:
-            V = _round_shift(V * pJ, F[b - J] + e * J - F[b])
-        s = F[b] - t
+    for k, Fb in enumerate(F):
+        if k:
+            V = _round_shift(V * pJ, F[k - 1] + e * J - Fb)
+        s = Fb - t
         W = (V >> s if s >= 0 else V << -s) & keep
         windows.append(W.to_bytes(slot, "little"))
     blocks = len(windows)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -297,10 +298,10 @@ def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
     code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
                        "--workers", "1")
     assert code == 0, err
-    # sample by sample, N = 1000 then N = 2000
+    # sample by sample, N = 2000 then N = 1000 (`cli._sweep_sample`)
     from powcorr.mollify import make_outer
-    widest = ([make_outer(2.0, 1000).edge_f, make_outer(2.0, 2000).edge_f]
-              if "--smoothed" in argv else [2.0 / 1000, 2.0 / 2000])
+    widest = ([make_outer(2.0, 2000).edge_f, make_outer(2.0, 1000).edge_f]
+              if "--smoothed" in argv else [2.0 / 2000, 2.0 / 1000])
     assert passes == widest * samples
     assert enumerations == []
 
@@ -570,6 +571,83 @@ def test_sweep_work_cap_yields_partial_report_and_exit_5(tmp_path, capsys):
     assert res["partial"] is True
     assert 0 < res["samples_run"] < 12
     assert "partial" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--A", "1.02", "--s", "0.5,1", "--samples", "10"),
+    ("paircorr", "--A", "1.02", "--s", "0.5,1", "--samples", "3",
+     "--smoothed"),
+    ("paircorr", "--control", "uniform", "--s", "0.5,1", "--samples", "2"),
+    ("triple", "--control", "nalpha", "--s", "0.5,1"),
+    ("spacings", "--x", "3/2", "--xi", "5/4"),
+], ids=["sweep", "paircorr-ladder", "paircorr-uniform", "triple-nalpha",
+        "spacings-x"])
+def test_one_point_set_per_sample_read_by_every_smaller_n(
+        capsys, monkeypatch, argv):
+    """A job builds its point set once, at the largest N, and the rows of
+    a smaller N read its prefix: they equal the rows of a run at that N
+    alone, and come out in --N order."""
+    built = []
+    for owner, name in ((hpgen, "ladder_frac_powers"),
+                        (cli.corr, "uniform_control"),
+                        (cli.corr, "control_nalpha")):
+        make = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, make=make: built.append(
+            next(v for v in a if isinstance(v, int))) or make(*a))
+    code, out, err = run(capsys, *argv, "--N", "500,2000,500", "--seed", "3",
+                         "--workers", "1")
+    assert code in (0, 1), err
+    rows = payload_of(out)["results"]["rows"]
+    assert built == [2000] * len({r["sample"] for r in rows})
+    first = [r["N"] for r in rows if r["sample"] == 0]
+    assert [n for n, _ in itertools.groupby(first)] == [500, 2000, 500]
+    code, out, err = run(capsys, *argv, "--N", "500", "--seed", "3",
+                         "--workers", "1")
+    assert code in (0, 1), err
+    alone = payload_of(out)["results"]["rows"]
+
+    def at(rows, N):
+        return [[r for r in rows if r["sample"] == i and r["N"] == N]
+                for i in sorted({r["sample"] for r in rows})]
+    assert at(rows, 500) == [rs + rs for rs in at(alone, 500)]
+
+
+def test_a_failed_gate_hints_the_guard_bits_of_the_largest_n(capsys):
+    """At --guard-bits 32 the N = 500 and N = 2000 gates at s = 0.01 of the
+    first sample both fail: the refusal (exit 3, the documented code of
+    the gate) is the largest N's, whose ladder ran, and at the hinted
+    guard bits that sample passes."""
+    grid = ("--N", "500,2000", "--s", "0.01,1", "--workers", "1")
+    x = hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1)
+    ladder = hpgen.ladder_frac_powers(x, 1, 2000, 32)
+    hint = hpgen.required_guard_bits(ladder, 0.01)
+    assert hint > hpgen.required_guard_bits(ladder.prefix(500), 0.01)
+    refusal = (f"(margin {ladder.err_bound / 5e-8:.3g}); "
+               f"regenerate with guard bits >= {hint}\n")
+    for argv in (("sweep", "--A", "1.02", "--samples", "10", "--seed", "1"),
+                 ("paircorr", "--x", str(x))):
+        code, out, err = run(capsys, *argv, *grid, "--guard-bits", "32")
+        assert (code, out) == (3, "")
+        assert err.endswith(refusal)
+    code, out, err = run(capsys, "paircorr", "--x", str(x), *grid,
+                         "--guard-bits", str(hint))
+    assert code == 0, err
+    assert len(payload_of(out)["results"]["rows"]) == 4
+
+
+def test_the_work_cap_funds_one_ladder_per_sample(capsys):
+    """A sample costs the modelled work of its one ladder, at the largest
+    N: a cap of the first four samples' costs runs exactly four."""
+    xs = [hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1 + i)
+          for i in range(4)]
+    cap = sum(hpgen.ladder_work(x, 2000) for x in xs)
+    code, out, err = run(capsys, "sweep", "--A", "1.02", "--N", "500,2000",
+                         "--s", "1", "--samples", "10", "--seed", "1",
+                         "--workers", "1", "--work-cap", str(cap))
+    assert code == 5, err
+    res = payload_of(out)["results"]
+    assert (res["samples_run"], res["partial"]) == (4, True)
+    assert len(res["rows"]) == 8
 
 
 def test_spacings_and_triple_smoke(tmp_path, capsys):

@@ -453,6 +453,19 @@ def test_a_chunked_pass_equals_the_one_chunk_pass_bit_for_bit(case):
                     == triple_corr(sample, s, s, one).hex())
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_counting_and_enumeration_leave_their_input_unchanged(threads):
+    """The points are sorted in a buffer of their own: a writeable input
+    array keeps its order and values."""
+    pts = uniform_control(3000, 5).points.copy()
+    assert pts.flags.writeable
+    before = pts.copy()
+    count_pairs(pts, [1 / 3000, 2 / 3000], runs=True, threads=threads)
+    assert np.array_equal(pts, before)
+    forward_window_pairs(pts, 2 / 3000)
+    assert np.array_equal(pts, before)
+
+
 def test_more_chunks_than_cores_under_fast_thread_switches():
     """Eight chunks on fewer cores, with the threads switching every
     microsecond: each step's in-degree tallies land past the chunk's own

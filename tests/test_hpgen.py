@@ -392,6 +392,33 @@ def test_ladder_work_charges_the_blocked_ladder():
         x, 20000, default_guard_bits(20000)).total_bits
 
 
+@pytest.mark.parametrize("x", [
+    DyadicRational(3, 1), sample_x(as_dyadic(1.02), 64, 1),
+    sample_x(as_dyadic(1.02), 64, 2)], ids=["3/2", "1.02+u-1", "1.02+u-2"])
+@pytest.mark.parametrize("small, large", [(500, 2000), (37, 500)])
+def test_a_prefix_is_the_smaller_ladder_with_the_larger_bound(x, small,
+                                                             large):
+    """The first `small` points of the `large` ladder are the `small`
+    ladder's bit for bit (their default guard bits differ, so this holds
+    wherever no exact value lies within about 2^-g of a binary64 rounding
+    boundary, here everywhere), and the prefix carries the larger ladder's
+    bound, which is a sup over every n <= large."""
+    big = ladder_frac_powers(x, 1, large)
+    own = ladder_frac_powers(x, 1, small)
+    part = big.prefix(small)
+    assert part.n_max == small
+    assert np.array_equal(part.points, own.points)
+    assert np.shares_memory(part.points, big.points)
+    assert (part.err_bound, part.guard_bits) == (big.err_bound,
+                                                 big.guard_bits)
+    assert part.err_bound >= own.err_bound
+    assert (part.base, part.xi) == (big.base, big.xi)
+    assert big.prefix(large) is big
+    for bad in (0, large + 1):
+        with pytest.raises(DomainError):
+            big.prefix(bad)
+
+
 def test_allowed_cpus_reads_the_affinity_set():
     import os
     from powcorr.hpgen import allowed_cpus
