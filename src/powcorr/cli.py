@@ -416,19 +416,25 @@ def cmd_sweep(cfg: ExperimentConfig):
     # by the ladder's modelled cost
     A = parse_rational(cfg.A)
     top_n = max(cfg.n_values)
-    spent = budgeted = 0
+    g = (hpgen.default_guard_bits(top_n) if cfg.guard_bits is None
+         else cfg.guard_bits)
+    spent, xs = 0, []
     for idx in range(cfg.samples):
         x = hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
-        cost = hpgen.ladder_work(x, top_n, cfg.guard_bits)
+        cost = hpgen.ladder_work(x, top_n, g)
         if spent + cost > cfg.work_cap:
             break
         spent += cost
-        budgeted += 1
+        xs.append(x)
+    budgeted = len(xs)
     partial = budgeted < cfg.samples
     if budgeted == 0:
         raise ResourceError(
             f"work cap {cfg.work_cap} cannot fund even one sample "
             f"(about {cost:.3g} units each)")
+    # the largest N at the smallest s is every ladder's tightest gate:
+    # refuse before any runs, with the guard bits that pass them all
+    hpgen.ensure_ladders_resolve(xs, top_n, g, min(cfg.s_grid))
 
     rows = _run_samples(cfg, _sweep_rows, budgeted)
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}

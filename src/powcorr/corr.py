@@ -73,16 +73,19 @@ def _reach(ys: np.ndarray, width: float, out=None) -> np.ndarray:
 
 
 def _sorted_doubled(points: np.ndarray) -> tuple:
-    """(ys, doubled): doubled is one buffer of 2n floats, the sorted points
-    followed by each plus 1.0, and ys is a view of its first half.  The
-    points are copied into it and sorted in place, so the caller's array
-    is left as it was and no other n-sized array is made."""
+    """(ys, doubled): doubled is one buffer of n + min(n, MAX_OFFSET)
+    floats, the sorted points followed by the first min(n, MAX_OFFSET) of
+    them plus 1.0, and ys is a view of its first n.  No pass reads past
+    that tail (`_charge`).  The points are copied into it and sorted in
+    place, so the caller's array is left as it was and no other n-sized
+    array is made."""
     n = len(points)
-    doubled = np.empty(2 * n)
+    tail = min(n, MAX_OFFSET)
+    doubled = np.empty(n + tail)
     ys = doubled[:n]
     ys[:] = points
     ys.sort()
-    np.add(ys, 1.0, out=doubled[n:])
+    np.add(ys[:tail], 1.0, out=doubled[n:])
     return ys, doubled
 
 
@@ -90,9 +93,10 @@ def _sorted_doubled(points: np.ndarray) -> tuple:
 class PairWindows:
     """Candidate close pairs of a sample in sorted order, at one width.
 
-    ys are the sorted points and doubled is ys followed by ys + 1.0.  Run
-    i holds the pairs (i, j) for j = i+1, i+2, ... with doubled[j] <=
-    reach_i (`_reach`), at most n - 1 of them; counts[i] is its length.
+    ys are the sorted points and doubled is ys followed by ys + 1.0, as
+    far as a run can reach (`_sorted_doubled`).  Run i holds the pairs
+    (i, j) for j = i+1, i+2, ... with doubled[j] <= reach_i (`_reach`), at
+    most n - 1 of them; counts[i] is its length.
     ends[k] is doubled[j] and gaps[k] the forward float gap
     doubled[j] - ys[i] of pair k.  The pairs are a superset of those at
     circular distance <= width; callers re-test the exact predicate on
@@ -132,23 +136,25 @@ def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float,
     """Walk the runs lo .. hi-1 (all by default) of the sorted points ys at
     `width`, offset by offset.
 
-    doubled is ys followed by ys + 1.0, and run i holds the offsets
-    k = 1 .. n-1 with doubled[i + k] <= reach_i (`_reach`).  doubled is
-    sorted, so a run holds k only if it holds every offset before it: each
-    run is a prefix, and a run that fails one step is closed for good.
-    Run i reads only ys[i], reach_i and doubled[i + k], so the runs split
-    into chunks that walk apart.  out = (reach, inside) are arrays of n
-    floats and n booleans of which the chunk writes its slice lo:hi;
-    without them the pass makes its own.  Step k yields (at, ends, starts,
-    m) for the m runs of the chunk still open, with positions counted
-    from lo:
+    doubled is ys followed by ys + 1.0 (`_sorted_doubled`), and run i
+    holds the offsets k = 1 .. n-1 with doubled[i + k] <= reach_i
+    (`_reach`).  doubled is sorted, so a run holds k only if it holds
+    every offset before it: each run is a prefix, and a run that fails one
+    step is closed for good.  Run i reads only ys[i], reach_i and
+    doubled[i + k], so the runs split into chunks that walk apart.
+    out = (buf, inside) are arrays of n floats and n booleans of which the
+    chunk writes its slice lo:hi; without them the pass makes its own.
+    Step k yields (at, ends, starts, m) for the m runs of the chunk still
+    open, with positions counted from lo:
 
     - while at least a quarter of the chunk's runs are open, a step
-      compares the contiguous slice ends = doubled[lo+k:hi+k] with the
-      reach and yields at, the mask of the open runs (a view of inside),
-      with ends and starts = ys[lo:hi] over all the chunk's positions;
+      writes the reach into buf, compares the contiguous slice
+      ends = doubled[lo+k:hi+k] with it and yields at, the mask of the
+      open runs (a view of inside), with ends and starts = ys[lo:hi] over
+      all the chunk's positions.  The caller may overwrite buf (with the
+      step's gaps) before the next step, which writes the reach again;
     - after that it works on the open runs' indices only: at holds them,
-      and ends and starts are gathered at them.
+      and ends, starts and the reach are gathered at them.
 
     A float gap ends - starts grows along a run, and at any w <= width it
     is <= w only inside the run (the reach is a superset).  So a test
@@ -162,14 +168,14 @@ def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float,
     """
     n = len(ys)
     hi = n if hi is None else hi
-    reach, inside = out if out is not None else (np.empty(n),
-                                                 np.empty(n, dtype=bool))
-    reach = _reach(ys[lo:hi], width, out=reach[lo:hi])
-    inside, starts = inside[lo:hi], ys[lo:hi]
+    buf, inside = out if out is not None else (np.empty(n),
+                                               np.empty(n, dtype=bool))
+    buf, inside, starts = buf[lo:hi], inside[lo:hi], ys[lo:hi]
     at = None
     for k in range(1, n):
         if at is None:
             ends = doubled[lo + k:hi + k]
+            reach = _reach(starts, width, out=buf)
             m = int(np.count_nonzero(np.less_equal(ends, reach, out=inside)))
             if 4 * m < hi - lo:
                 at = np.flatnonzero(inside)
@@ -188,19 +194,54 @@ def _offset_pass(ys: np.ndarray, doubled: np.ndarray, width: float,
 
 def _charge(touched: int, m: int, k: int) -> int:
     """touched + m, the candidate pairs of a pass through its step k;
-    ResourceError once that passes MAX_WINDOW_PAIRS.
+    ResourceError once that passes MAX_WINDOW_PAIRS, or once a run is
+    MAX_OFFSET long, so that no step reads past the doubled tail.
 
     A refused pass so stops within one step of the cap, and refuses
-    exactly when its runs hold more than the cap.  A run of L points holds
-    L(L - 1)/2 candidate pairs, since reaches grow with ys and the runs of
-    its later points hold the rest of it, so under the cap L is at most
-    about sqrt(2 * MAX_WINDOW_PAIRS) + 1."""
+    exactly when its runs hold more than the cap.  The cap also bounds
+    every run, and the run bound refuses only a pass that rounding at the
+    wrap let past it (`_longest_offset`)."""
     touched += m
     if touched > MAX_WINDOW_PAIRS:
         raise ResourceError(
             f"window enumeration passed {MAX_WINDOW_PAIRS} candidate "
             f"pairs at offset {k} ({touched} touched); narrow the window")
+    if k >= MAX_OFFSET:
+        raise ResourceError(
+            f"window enumeration reached offset {k}, the longest a pass "
+            f"reads ({touched} candidate pairs touched); narrow the window")
     return touched
+
+
+def _longest_offset(cap: int) -> int:
+    """K, the longest offset that a pass under `cap` candidate pairs reads.
+
+    A pass reads offset k only after step k - 1 passed the cap with a run
+    of k - 1 offsets still open.  That run spans k points, and the runs of
+    its later points hold the rest of their pairs, since reaches grow with
+    ys: C(k, 2) candidate pairs, all charged by step k - 1.  So
+    k(k - 1) <= 2 cap, and k <= isqrt(2 cap) + 1.  Across the wrap a run
+    compares ys + 1.0, rounded, where the runs of the wrapped points
+    compare ys, so a cluster straddling 0 can hold fewer pairs than its
+    span; K adds 15 offsets of slack for that, and `_charge` refuses a
+    pass whose runs would pass K."""
+    return math.isqrt(2 * cap) + 16
+
+
+def _tally_dtype(longest: int) -> type:
+    """The smallest signed integer type that holds 2 * longest: a run
+    length is at most the longest offset, and so is the in-degree of a
+    point, at most one from each of the runs that start that many
+    positions or fewer before it."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= 2 * longest)
+
+
+#: the longest offset of a pass under the cap, and the tail of the
+#: doubled buffer (`_sorted_doubled`)
+MAX_OFFSET = _longest_offset(MAX_WINDOW_PAIRS)
+#: dtype of run lengths and degrees (`PairCounts`); it widens with the cap
+TALLY = _tally_dtype(MAX_OFFSET)
 
 
 def _tally(acc: np.ndarray, shift: int, at: np.ndarray, inside=None) -> None:
@@ -286,9 +327,9 @@ def _chunk_steps(ys, doubled, width, lo, hi, out, tests, tops, lengths,
     the caller adds the run lengths.  The O(n) buffers of the mask steps
     are the caller's (out); only the index steps, which shrink with the
     open runs, allocate here."""
-    reach, inside, gap_buf, test_buf, band_buf = out
+    gap_buf, inside, test_buf, band_buf = out
     for k, (at, ends, starts, m) in enumerate(_offset_pass(
-            ys, doubled, width, lo, hi, (reach, inside)), 1):
+            ys, doubled, width, lo, hi, (gap_buf, inside)), 1):
         flat = at.dtype == bool
         gaps = np.subtract(ends, starts, out=gap_buf[lo:hi] if flat else None)
         test = test_buf[lo:hi] if flat else None
@@ -341,9 +382,25 @@ def count_pairs(points: np.ndarray, widths, runs: bool = False,
     A window F is exactly 1.0 at gaps <= F.p_f, one more count width.  A
     step looks for F's band only where a gap passes F.p_f but not a top
     above every gap of F's enumeration, and the band keeps the pairs whose
-    far end is within F's reach, the enumeration's own run test.  Counts
-    are Python ints and run lengths and degrees are built only with
-    `runs`, so the pass holds O(n) memory."""
+    far end is within F's reach, the enumeration's own run test.
+
+    Counts are Python ints.  The pass holds these O(n) buffers, in bytes
+    per point:
+
+    - 8, the sorted points, and a tail of MAX_OFFSET of them plus 1.0
+      (`_sorted_doubled`; about 100 kB);
+    - 8, the gaps of a mask step, which hold its reach until the gaps
+      overwrite it (`_offset_pass`);
+    - 1 each, the open-run mask and the test mask;
+    - 1, the band mask, only with windows;
+    - with `runs`, 2 per width for run lengths and 2 for degrees: they are
+      TALLY, int16 under today's cap, which holds twice MAX_OFFSET
+      (`_tally_dtype`).
+
+    The index steps gather at most a quarter of a chunk's runs, about
+    10 bytes per point more while they start.  At n = 2 * 10^5 with three
+    widths a pass peaks near 27 bytes per point (tracemalloc), 39 with
+    `runs`."""
     near = {F: [] for F in windows}
     widths = sorted(set(widths).union(F.p_f for F in near))
     # a reach passes ys_i + edge_f by under 2^-40 relative plus two ulps
@@ -353,15 +410,13 @@ def count_pairs(points: np.ndarray, widths, runs: bool = False,
     n = len(points)
     ys, doubled = _sorted_doubled(points)
     totals = dict.fromkeys(widths, 0)
-    # int32 is ample: under the cap no run, and no in-degree, passes about
-    # 12650 (`_charge`)
-    lengths = {w: np.zeros(n, dtype=np.int32) for w in widths} if runs else {}
-    degrees = {w: np.zeros(n, dtype=np.int32) for w in lengths}
+    lengths = {w: np.zeros(n, dtype=TALLY) for w in widths} if runs else {}
+    degrees = {w: np.zeros(n, dtype=TALLY) for w in lengths}
     widest = max(widths + [F.edge_f for F in near])
     # every O(n) buffer is made here: a thread's allocations stay in its
     # own malloc arena, and would raise the peak resident memory
-    out = (np.empty(n), np.empty(n, dtype=bool), np.empty(n),
-           np.empty(n, dtype=bool), np.empty(n, dtype=bool))
+    out = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool),
+           np.empty(n, dtype=bool) if tops else None)
     spans = _spans(n, threads)
     walks = [_chunk_steps(ys, doubled, widest, lo, hi, out, tests, tops,
                           lengths, degrees) for lo, hi in spans]

@@ -151,8 +151,9 @@ class UnitSample:
         if pts.ndim != 1 or len(pts) != self.n_max:
             raise DomainError(
                 f"expected {self.n_max} points, got shape {pts.shape}")
-        # a NaN fails both comparisons, so it is refused with the rest
-        if not np.all((pts >= 0.0) & (pts < 1.0)):
+        # min and max propagate a NaN, which fails both comparisons, so it
+        # is refused with the rest; neither makes an n-sized temporary
+        if len(pts) and not (pts.min() >= 0.0 and pts.max() < 1.0):
             raise DomainError("all points must lie in [0, 1)")
         if not (math.isfinite(self.err_bound) and self.err_bound >= 0.0):
             raise DomainError(f"bad err_bound {self.err_bound}")
@@ -431,39 +432,71 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
         words = np.frombuffer(Z.to_bytes(slot * blocks, "little"),
                               dtype="<u8").reshape(blocks, slot // 8)
         pts[:, i] = _unit_floats(words, t + e * i)
-    bound = ladder_err_bound(x, N, g) + FLOAT64_QUANTUM
     return UnitSample(n_max=N, points=pts.ravel()[:N],
-                      err_bound=_round_float_up(bound), base=x, xi=xi,
+                      err_bound=ladder_bound(x, N, g), base=x, xi=xi,
                       guard_bits=g)
+
+
+def ladder_bound(x: DyadicRational, N: int, g: int) -> float:
+    """The err_bound a ladder of N points at x with g guard bits stores:
+    `ladder_err_bound` plus the binary64 output quantum, rounded up."""
+    return _round_float_up(ladder_err_bound(x, N, g) + FLOAT64_QUANTUM)
+
+
+def _window_gate(s: float, N: int) -> float:
+    """(s/N)/100, which the err_bound of a sample of N points must stay
+    below for a statistic at scale s."""
+    return (s / N) / 100.0
+
+
+def _least_guard_bits(x: DyadicRational, N: int, s: float) -> int:
+    """Least guard-bit count whose stored ladder bound passes the gate."""
+    gate = _window_gate(s, N)
+    # the stored bound exceeds the quantum at any guard-bit count
+    floor = math.nextafter(float(FLOAT64_QUANTUM), math.inf)
+    if not gate > floor:
+        raise DomainError(
+            f"window s/N = {s}/{N} is below binary64 resolution; "
+            "no guard-bit count can certify it")
+    # start a little below the float estimate, then step up to the least
+    g = max(32, math.ceil(math.log2(
+        N * float(x) / (float(x) - 1.0) / (gate - floor))) - 2)
+    while ladder_bound(x, N, g) >= gate:
+        g += 1
+    return g
 
 
 def required_guard_bits(sample: UnitSample, s: float) -> int:
     """Least guard-bit count whose ladder bound meets the s/N/100 gate."""
-    N = sample.n_max
-    target = Fraction(s) / N / 100 - FLOAT64_QUANTUM
-    if target <= 0:
-        raise DomainError(
-            f"window s/N = {s}/{N} is below binary64 resolution; "
-            "no guard-bit count can certify it")
-    x = sample.base
-    g = max(32, int(math.ceil(math.log2(
-        N * float(x) / (float(x) - 1.0) / float(target)))))
-    while ladder_err_bound(x, N, g) >= target:
-        g += 1
-    return g
+    return _least_guard_bits(sample.base, sample.n_max, s)
+
+
+def _gate_refusal(err_bound: float, s: float, N: int,
+                  g: int | None) -> PrecisionError:
+    return PrecisionError(Check("err_bound against the (s/N)/100 gate",
+                                err_bound, _window_gate(s, N)), g)
 
 
 def ensure_window_resolution(sample: UnitSample, s: float) -> None:
     """Gate: certified error must be far below the statistic window s/N,
     err_bound < (s/N)/100; a failure carries its record and, for a ladder
     sample, the guard bits that would pass."""
-    gate = (s / sample.n_max) / 100.0
-    if sample.err_bound < gate:
+    if sample.err_bound < _window_gate(s, sample.n_max):
         return
     g = (required_guard_bits(sample, s)
          if sample.base > DyadicRational(1, 0) else None)
-    raise PrecisionError(Check("err_bound against the (s/N)/100 gate",
-                               sample.err_bound, gate), g)
+    raise _gate_refusal(sample.err_bound, s, sample.n_max, g)
+
+
+def ensure_ladders_resolve(xs: list, N: int, g: int, s: float) -> None:
+    """The gate of `ensure_window_resolution` at scale s for the ladders
+    of N points at each base of xs with g guard bits, checked before any
+    of them runs: a failure is that of the largest bound, and carries the
+    guard bits that pass every one."""
+    x = max(xs, key=lambda x: ladder_err_bound(x, N, g))
+    bound = ladder_bound(x, N, g)
+    if bound >= _window_gate(s, N):
+        raise _gate_refusal(bound, s, N, _least_guard_bits(x, N, s))
 
 
 # ---- serialization ------------------------------------------------------

@@ -616,23 +616,49 @@ def test_a_failed_gate_hints_the_guard_bits_of_the_largest_n(capsys):
     """At --guard-bits 32 the N = 500 and N = 2000 gates at s = 0.01 of the
     first sample both fail: the refusal (exit 3, the documented code of
     the gate) is the largest N's, whose ladder ran, and at the hinted
-    guard bits that sample passes."""
+    guard bits that sample passes.  A sweep checks every sample's ladder
+    at the largest N before any runs, and refuses with the largest bound
+    and the largest hint among its ten samples."""
     grid = ("--N", "500,2000", "--s", "0.01,1", "--workers", "1")
-    x = hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1)
-    ladder = hpgen.ladder_frac_powers(x, 1, 2000, 32)
+    xs = [hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1 + idx)
+          for idx in range(10)]
+    ladders = [hpgen.ladder_frac_powers(x, 1, 2000, 32) for x in xs]
+    ladder = ladders[0]
     hint = hpgen.required_guard_bits(ladder, 0.01)
     assert hint > hpgen.required_guard_bits(ladder.prefix(500), 0.01)
-    refusal = (f"(margin {ladder.err_bound / 5e-8:.3g}); "
-               f"regenerate with guard bits >= {hint}\n")
-    for argv in (("sweep", "--A", "1.02", "--samples", "10", "--seed", "1"),
-                 ("paircorr", "--x", str(x))):
+    worst = max(smp.err_bound for smp in ladders)
+    sweep_hint = max(hpgen.required_guard_bits(smp, 0.01) for smp in ladders)
+    assert sweep_hint > hint
+    for argv, bound, g in (
+            (("sweep", "--A", "1.02", "--samples", "10", "--seed", "1"),
+             worst, sweep_hint),
+            (("paircorr", "--x", str(xs[0])), ladder.err_bound, hint)):
         code, out, err = run(capsys, *argv, *grid, "--guard-bits", "32")
         assert (code, out) == (3, "")
-        assert err.endswith(refusal)
-    code, out, err = run(capsys, "paircorr", "--x", str(x), *grid,
+        assert err.endswith(f"(margin {bound / 5e-8:.3g}); "
+                            f"regenerate with guard bits >= {g}\n")
+    code, out, err = run(capsys, "paircorr", "--x", str(xs[0]), *grid,
                          "--guard-bits", str(hint))
     assert code == 0, err
     assert len(payload_of(out)["results"]["rows"]) == 4
+
+
+@pytest.mark.parametrize("start", [32, 37, 38])
+def test_a_sweep_passes_its_gates_at_the_hinted_guard_bits(capsys, start):
+    """Whatever guard bits a sweep is refused at, a rerun at its hint
+    passes every gate of every sample (exit 0 or 1, the verdict); one bit
+    fewer is refused with the same hint."""
+    argv = ("sweep", "--A", "1.02", "--N", "500,2000", "--s", "0.01,1",
+            "--samples", "10", "--seed", "1", "--workers", "1")
+    code, out, err = run(capsys, *argv, "--guard-bits", str(start))
+    assert (code, out) == (3, "")
+    hint = int(err.rsplit(">= ", 1)[1])
+    code, out, err = run(capsys, *argv, "--guard-bits", str(hint))
+    assert code in (0, 1), err
+    assert len(payload_of(out)["results"]["rows"]) == 10 * 2 * 2
+    code, out, err = run(capsys, *argv, "--guard-bits", str(hint - 1))
+    assert (code, out) == (3, "")
+    assert err.endswith(f"regenerate with guard bits >= {hint}\n")
 
 
 def test_the_work_cap_funds_one_ladder_per_sample(capsys):

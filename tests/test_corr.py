@@ -692,3 +692,128 @@ def test_threads_end_with_the_pass(monkeypatch, threads):
     with pytest.raises(ResourceError):
         count_pairs(pts, [1 / 2000], threads=threads)
     assert threading.active_count() == before
+
+
+# ---- the bounds of a pass: its longest offset and its tally dtype -----------
+
+def cluster_sample(size: int, wrap: bool) -> np.ndarray:
+    """`size` points within 1e-6 of each other, at 0.375 or split across
+    0/1, among 8000 points spread over [0.5, 0.99]: more than MAX_OFFSET
+    points in all, so the doubled tail is shorter than the sample."""
+    from powcorr import corr
+    if wrap:
+        cluster = np.concatenate([np.full(size // 2, 1.0 - 2e-7),
+                                  np.full(size - size // 2, 2e-7)])
+    else:
+        cluster = np.full(size, 0.375)
+    pts = np.concatenate([cluster, np.linspace(0.5, 0.99, 8000)])
+    assert len(pts) > corr.MAX_OFFSET
+    return pts
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+@pytest.mark.parametrize("threads,runs", [(1, False), (2, True)])
+def test_a_cluster_past_the_cap_is_refused_at_the_cap(wrap, threads, runs):
+    """12700 points within the window hold 80,638,650 pairs, more than
+    the cap: the pass is refused at the cap, in 1 and 2 chunks, with runs
+    on and off, and never reads past the doubled tail."""
+    pts = cluster_sample(12_700, wrap)
+    with pytest.raises(ResourceError, match="passed 80000000 candidate"):
+        count_pairs(pts, [1e-6], runs=runs, threads=threads)
+
+
+WRAPPED_XI = str(1 - Fraction(1, 2 ** 70))
+
+
+@pytest.mark.parametrize("command,xi,workers", [
+    ("paircorr", "1", "1"), ("paircorr", WRAPPED_XI, "0"),
+    ("triple", WRAPPED_XI, "1"), ("triple", "1", "0")])
+def test_a_cluster_past_the_cap_exits_5_through_the_cli(capsys, command, xi,
+                                                        workers):
+    """{xi * 2^n} is 0 for every n with xi = 1.  With xi = 1 - 2^-70 the
+    first 55 points lie within the window s/N = 5e-5 below 1 and the last
+    19931 at 0.  Either cluster, plain or across 0/1, holds about
+    2 * 10^8 pairs.  paircorr and triple (run lengths on), on one chunk
+    or one per allowed CPU, exit 5 with the cap's refusal."""
+    from powcorr import cli
+    code = cli.main([command, "--x", "2", "--xi", xi, "--N", "20000",
+                     "--s", "1", "--samples", "1", "--workers", workers])
+    out, err = capsys.readouterr()
+    assert (code, out) == (5, "")
+    assert err.startswith("resource cap: window enumeration passed")
+
+
+@pytest.mark.parametrize("threads,runs", [(1, True), (2, False)])
+def test_the_largest_admitted_cluster_is_counted_exactly(threads, runs):
+    """12640 equal points hold C(12640, 2) = 79,878,480 pairs, under the
+    cap: every pair is counted, and each point of the cluster has degree
+    12639 in the int16 tallies, in 1 and 2 chunks."""
+    pts = cluster_sample(12_640, False)
+    counts = count_pairs(pts, [1e-6], runs=runs, threads=threads)
+    assert counts.pairs == {1e-6: 79_878_480}
+    if runs:
+        assert counts.degrees[1e-6].dtype == np.int16
+        assert np.array_equal(counts.degrees[1e-6],
+                              np.repeat([12_639, 0], [12_640, 8000]))
+        assert counts.runs[1e-6].sum() == 79_878_480
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_run_that_the_wrap_rounds_past_the_tail_is_refused(monkeypatch,
+                                                            threads):
+    """ys + 1.0 rounds away the low bits of points near 0, so the run of
+    the point below 1 holds all six points near 0 while the three at 0
+    do not reach the three just above the window: 12 candidate pairs, not
+    the C(7, 2) = 21 of a 7-point span.  With the tail cut to 5 offsets
+    and a cap of 15 such a run would read past the tail at offset 6; the
+    pass is refused at offset 5 instead."""
+    from powcorr import corr
+    w = 2.0 ** -30
+    pts = np.array([0.0] * 3 + [w + 2.0 ** -52] * 3
+                   + [0.25, 0.5, 0.75, 1.0 - 2.0 ** -53])
+    assert len(forward_window_pairs(pts, w).gaps) == 12
+    monkeypatch.setattr(corr, "MAX_OFFSET", 5)
+    monkeypatch.setattr(corr, "MAX_WINDOW_PAIRS", 15)
+    for runs in (False, True):
+        with pytest.raises(ResourceError) as refusal:
+            count_pairs(pts, [w], runs=runs, threads=threads)
+        assert str(refusal.value).startswith(
+            "window enumeration reached offset 5")
+    with pytest.raises(ResourceError):
+        forward_window_pairs(pts, w)
+
+
+def test_the_tally_dtype_holds_twice_the_longest_offset():
+    """Under today's cap the longest offset is isqrt(2 cap) + 16 and its
+    double fits int16; a larger cap widens the dtype instead of letting it
+    wrap."""
+    from powcorr import corr
+    assert corr.MAX_OFFSET == math.isqrt(2 * corr.MAX_WINDOW_PAIRS) + 16
+    assert corr.TALLY is corr._tally_dtype(corr.MAX_OFFSET) is np.int16
+    for cap in (10, 80_000_000, 10 ** 9, 10 ** 12, 10 ** 19):
+        longest = corr._longest_offset(cap)
+        dtype = corr._tally_dtype(longest)
+        assert np.iinfo(dtype).max >= 2 * longest
+        narrower = {np.int16: np.int8, np.int32: np.int16,
+                    np.int64: np.int32}.get(dtype)
+        assert narrower is None or np.iinfo(narrower).max < 2 * longest
+    assert corr._tally_dtype(corr._longest_offset(10 ** 9)) is np.int32
+
+
+@pytest.mark.parametrize("runs,limit", [(False, 32), (True, 45)])
+def test_a_pass_peaks_within_its_bytes_per_point(runs, limit):
+    """A pass over 2 * 10^5 uniform points at three widths peaks at most
+    32 bytes per point of traced memory, 45 with run lengths and
+    degrees."""
+    import tracemalloc
+    n = 200_000
+    pts = uniform_control(n, 1).points
+    widths = [0.5 / n, 1.0 / n, 2.0 / n]
+    count_pairs(pts, widths, runs=runs)
+    tracemalloc.start()
+    try:
+        count_pairs(pts, widths, runs=runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= limit

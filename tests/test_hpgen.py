@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from powcorr import DyadicRational, DomainError, PrecisionError, as_dyadic
 from powcorr.hpgen import (UnitSample, _block_length, _block_shape,
                            _round_shift, _unit_floats, ceil_log2_ratio,
-                           default_guard_bits, exact_frac_powers,
+                           default_guard_bits, ensure_ladders_resolve,
+                           exact_frac_powers, ladder_bound,
                            ladder_frac_powers, precision_budget,
                            required_guard_bits, sample_x, save_sample,
                            ensure_window_resolution)
@@ -89,6 +90,57 @@ def test_required_guard_bits_grow_with_n():
     big = UnitSample(n_max=40000, points=np.zeros(40000), err_bound=1.0,
                      base=x, xi=DyadicRational.from_int(1))
     assert required_guard_bits(big, 1.0) > required_guard_bits(small, 1.0)
+
+
+@pytest.mark.parametrize("A,N,s", [("1.02", 2000, 0.01), ("1.02", 500, 1.0),
+                                   ("3/2", 3000, 0.5), ("5", 700, 2.0)])
+def test_the_hint_is_the_least_guard_bit_count_that_passes(A, N, s):
+    """The ladder at the hinted guard bits stores `ladder_bound` and passes
+    the gate; one bit fewer fails it with the same hint."""
+    for seed in range(4):
+        x = sample_x(as_dyadic(A), 64, seed)
+        g = required_guard_bits(ladder_frac_powers(x, 1, N, 32), s)
+        passing = ladder_frac_powers(x, 1, N, g)
+        assert passing.err_bound == ladder_bound(x, N, g)
+        ensure_window_resolution(passing, s)
+        if g > 32:
+            with pytest.raises(PrecisionError) as err:
+                ensure_window_resolution(ladder_frac_powers(x, 1, N, g - 1),
+                                         s)
+            assert err.value.required_guard_bits == g
+
+
+def test_ladders_are_checked_before_they_run_with_the_largest_hint():
+    """ensure_ladders_resolve refuses with the largest stored bound and the
+    largest hint of the ladders it checks, and passes at that hint."""
+    xs = [sample_x(as_dyadic("1.02"), 64, seed) for seed in range(1, 11)]
+    ladders = [ladder_frac_powers(x, 1, 2000, 32) for x in xs]
+    with pytest.raises(PrecisionError) as err:
+        ensure_ladders_resolve(xs, 2000, 32, 0.01)
+    g = max(required_guard_bits(smp, 0.01) for smp in ladders)
+    assert err.value.required_guard_bits == g
+    assert err.value.check.value == max(smp.err_bound for smp in ladders)
+    assert err.value.check.bound == 0.01 / 2000 / 100
+    ensure_ladders_resolve(xs, 2000, g, 0.01)
+    for x in xs:
+        ensure_window_resolution(ladder_frac_powers(x, 1, 2000, g), 0.01)
+
+
+def test_a_unit_sample_is_checked_without_n_sized_temporaries():
+    """Building a sample of 10^6 float64 points allocates no copy and no
+    mask of them."""
+    import tracemalloc
+    pts = np.random.default_rng(1).random(10 ** 6)
+    tracemalloc.start()
+    try:
+        sample = UnitSample(n_max=len(pts), points=pts, err_bound=0.0,
+                            base=DyadicRational(3, 1),
+                            xi=DyadicRational.from_int(1))
+        sample.prefix(10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
 
 
 def test_ladder_rejects_x_below_one():
