@@ -60,26 +60,35 @@ def _window(cfg: ExperimentConfig, s: float, N: int) -> mollify.Mollifier:
     return maker(s, N, _delta_arg(cfg))
 
 
-def _sample_for(cfg: ExperimentConfig, idx: int, N: int) -> hpgen.UnitSample:
-    """One point set per (sample index, N) according to the control mode."""
+def _bases(cfg: ExperimentConfig) -> list:
+    """The sample plan: each sample's ladder base, or None for a control
+    sample; a pinned x and the {n alpha} control admit one sample."""
+    if cfg.control != "none":
+        return [None] * (1 if cfg.control == "nalpha" else cfg.samples)
+    if cfg.x is not None:
+        return [parse_rational(cfg.x)]
+    A = parse_rational(cfg.A)
+    return [hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
+            for idx in range(cfg.samples)]
+
+
+def _resolved(cfg: ExperimentConfig, bases: list) -> list:
+    """bases, once their ladders pass the (s/N)/100 gate at the largest N
+    and the smallest s, the tightest of the grid, before any of them runs."""
+    if bases[0] is not None:
+        hpgen.ensure_ladders_resolve(bases, max(cfg.n_values),
+                                     cfg.guard_bits, cfg.s_grid[0])
+    return bases
+
+
+def _sample_for(cfg, idx: int, x, N: int) -> hpgen.UnitSample:
+    """Sample idx of the plan, of base x, at N points."""
     if cfg.control == "uniform":
         return corr.uniform_control(N, cfg.seed + idx)
     if cfg.control == "nalpha":
         return corr.control_nalpha(corr.golden_ratio_dyadic(), N)
-    if cfg.x is not None:
-        x = parse_rational(cfg.x)
-    else:
-        x = hpgen.sample_x(parse_rational(cfg.A), cfg.mantissa_bits,
-                           cfg.seed + idx)
     return hpgen.ladder_frac_powers(x, parse_rational(cfg.xi), N,
                                     cfg.guard_bits)
-
-
-def _effective_samples(cfg: ExperimentConfig) -> int:
-    # a pinned x or the deterministic {n alpha} control admit one sample
-    if cfg.control == "nalpha" or (cfg.control == "none" and cfg.x is not None):
-        return 1
-    return cfg.samples
 
 
 def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float,
@@ -152,33 +161,31 @@ def _y_rows(cfg, idx, N, sample, threads) -> list:
 
 
 def _sweep_sample(job: tuple) -> list:
-    """Worker: the rows of one sample index, over every N of the grid.
+    """Worker: the rows of one sample of the plan, over every N of the grid.
 
     The point set is built once, at the largest N, and every N reads its
     prefix (`UnitSample.prefix`): the statistic at N is over n <= N, and
-    the largest N's err_bound holds for every prefix.  Rows are evaluated
-    from the largest N down, whose (s/N)/100 gate is the tightest, so a
-    failed gate is the largest N's and its guard-bit hint is for the
-    ladder that ran; they come out in n_values order.
+    the largest N's err_bound holds for every prefix.  Each distinct N is
+    evaluated once, in n_values order.
 
     Named for its first user, sweep; tools that time jobs wrap this name."""
-    rows_at, cfg, idx, threads = job
-    full = _sample_for(cfg, idx, max(cfg.n_values))
+    rows_at, cfg, idx, x, threads = job
+    full = _sample_for(cfg, idx, x, max(cfg.n_values))
     rows = {N: rows_at(cfg, idx, N, full.prefix(N), threads)
-            for N in sorted(set(cfg.n_values), reverse=True)}
+            for N in dict.fromkeys(cfg.n_values)}
     return [row for N in cfg.n_values for row in rows[N]]
 
 
-def _run_samples(cfg: ExperimentConfig, rows_at, n_samples: int) -> list:
-    """rows_at(cfg, idx, N, sample, threads) over sample indices
-    0..n_samples-1 and every N, in that order: one `hpgen.run_jobs` job per
-    index, which builds one point set, at the largest N, on --workers.  A job
-    counts pairs on `threads` threads (`hpgen.job_threads`): all the
+def _run_samples(cfg: ExperimentConfig, rows_at, bases: list) -> list:
+    """rows_at(cfg, idx, N, sample, threads) over the samples of the plan
+    `bases` (`_bases`) and every N, in that order: one `hpgen.run_jobs` job
+    per sample, which builds one point set, at the largest N, on --workers.
+    A job counts pairs on `threads` threads (`hpgen.job_threads`): all the
     allowed CPUs for one job in this process, one for pooled jobs."""
-    threads = hpgen.job_threads(cfg.workers, n_samples)
+    threads = hpgen.job_threads(cfg.workers, len(bases))
     # looked up by name at each call, so a wrapper set on the module
     # attribute sees every in-process job
-    jobs = [(rows_at, cfg, idx, threads) for idx in range(n_samples)]
+    jobs = [(rows_at, cfg, idx, x, threads) for idx, x in enumerate(bases)]
     outcomes = hpgen.run_jobs(_sweep_sample, jobs, cfg.workers)
     return [row for rows in outcomes for row in rows]
 
@@ -200,7 +207,7 @@ def cmd_gen(cfg: ExperimentConfig):
     if cfg.out is None:
         raise UsageError("gen requires --out (path for the sample file)")
     N = cfg.n_values[0]
-    sample = _sample_for(cfg, 0, N)
+    sample = _sample_for(cfg, 0, _bases(cfg)[0], N)
     try:
         hpgen.save_sample(sample, cfg.out)
     except OSError as exc:
@@ -214,8 +221,8 @@ def cmd_gen(cfg: ExperimentConfig):
 
 
 def cmd_paircorr(cfg: ExperimentConfig):
-    n_samples = _effective_samples(cfg)
-    rows = _run_samples(cfg, _paircorr_rows, n_samples)
+    bases = _resolved(cfg, _bases(cfg))
+    rows = _run_samples(cfg, _paircorr_rows, bases)
     summary = [{"N": N, "s": s, "fraction_within": frac}
                for N, s, frac, _ in _fractions_within(cfg, rows)]
     results = {"rows": rows, "summary": summary}
@@ -230,19 +237,19 @@ def cmd_paircorr(cfg: ExperimentConfig):
     else:
         for item in summary:
             _say(f"INFO paircorr N={item['N']} s={item['s']}: "
-                 f"{item['fraction_within']:.0%} of {n_samples} samples "
+                 f"{item['fraction_within']:.0%} of {len(bases)} samples "
                  f"within {cfg.tol:.0%} of 2s")
     return results, rows, code
 
 
 def cmd_spacings(cfg: ExperimentConfig):
-    rows = _run_samples(cfg, _spacings_rows, _effective_samples(cfg))
+    rows = _run_samples(cfg, _spacings_rows, _bases(cfg))
     table = [r.pop("ecdf") for r in rows if "ecdf" in r][-1]
     return {"rows": rows, "ecdf": table}, table, EXIT_OK
 
 
 def cmd_triple(cfg: ExperimentConfig):
-    rows = _run_samples(cfg, _triple_rows, _effective_samples(cfg))
+    rows = _run_samples(cfg, _triple_rows, _resolved(cfg, _bases(cfg)))
     return {"rows": rows}, rows, EXIT_OK
 
 
@@ -318,7 +325,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
 
     if mode == "y":
         rows = _run_samples(dataclasses.replace(cfg, n_values=(scheme.N,)),
-                            _y_rows, cfg.samples)
+                            _y_rows, _bases(cfg))
         _say(f"INFO block sum Y_k at k={cfg.k}, N={scheme.N}: "
              f"max |y| = {max(abs(r['y']) for r in rows):.6g} "
              f"over {len(rows)} samples")
@@ -411,32 +418,20 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise UsageError(
                 f"subsequence mode needs every N = M^20, got {bad}")
 
-    # the samples run are the first ones whose ladders, one per sample at
-    # its own x and the largest N (smaller N read its prefix), fit the cap
-    # by the ladder's modelled cost
-    A = parse_rational(cfg.A)
+    # the plan is cut after the first samples whose ladders, each at its
+    # own x and the largest N, fit the cap by their modelled cost
     top_n = max(cfg.n_values)
-    g = (hpgen.default_guard_bits(top_n) if cfg.guard_bits is None
-         else cfg.guard_bits)
-    spent, xs = 0, []
-    for idx in range(cfg.samples):
-        x = hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
-        cost = hpgen.ladder_work(x, top_n, g)
-        if spent + cost > cfg.work_cap:
-            break
-        spent += cost
-        xs.append(x)
-    budgeted = len(xs)
+    bases = _bases(cfg)
+    spent = list(itertools.accumulate(
+        hpgen.ladder_work(x, top_n, cfg.guard_bits) for x in bases))
+    budgeted = sum(total <= cfg.work_cap for total in spent)
     partial = budgeted < cfg.samples
     if budgeted == 0:
         raise ResourceError(
             f"work cap {cfg.work_cap} cannot fund even one sample "
-            f"(about {cost:.3g} units each)")
-    # the largest N at the smallest s is every ladder's tightest gate:
-    # refuse before any runs, with the guard bits that pass them all
-    hpgen.ensure_ladders_resolve(xs, top_n, g, min(cfg.s_grid))
+            f"(about {spent[0]:.3g} units each)")
 
-    rows = _run_samples(cfg, _sweep_rows, budgeted)
+    rows = _run_samples(cfg, _sweep_rows, _resolved(cfg, bases[:budgeted]))
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}
                for N, s, frac, count in _fractions_within(cfg, rows)]
     gate = all(item["fraction_within"] >= cfg.q

@@ -295,6 +295,14 @@ def default_guard_bits(N: int) -> int:
     return 64 + max(0, (max(N, 1) - 1).bit_length())
 
 
+def _guard_bits(N: int, g: int | None) -> int:
+    """A ladder's guard bits: g, else the default for N; refused below 32."""
+    g = default_guard_bits(N) if g is None else g
+    if g < 32:
+        raise DomainError(f"guard bits must be >= 32, got {g}")
+    return g
+
+
 def _round_shift(a: int, k: int) -> int:
     """round(a / 2^k) half-up for a >= 0; exact left shift for k <= 0."""
     if k <= 0:
@@ -341,8 +349,7 @@ def ladder_work(x, N: int, g: int | None = None) -> int:
     ceil(N / J) full-width products of total_bits each, plus N window
     steps of t + e*J bits each, with the ladder's own J and t."""
     x = as_dyadic(x)
-    if g is None:
-        g = default_guard_bits(N)
+    g = _guard_bits(N, g)
     total = _total_bits(x, N, g)
     J, t = _block_shape(x, N, g, total)
     return -(-N // J) * total + N * (t + x.exponent * J)
@@ -400,10 +407,7 @@ def ladder_frac_powers(x, xi, N: int, g: int | None = None) -> UnitSample:
     x = as_dyadic(x)
     xi = as_dyadic(xi)
     _check_gen_args(x, xi, N)
-    if g is None:
-        g = default_guard_bits(N)
-    if g < 32:
-        raise DomainError(f"guard bits must be >= 32, got {g}")
+    g = _guard_bits(N, g)
     p, e = x.numerator, x.exponent
     q, f = xi.numerator, xi.exponent
     J, t = _block_shape(x, N, g, _total_bits(x, N, g))
@@ -488,11 +492,11 @@ def ensure_window_resolution(sample: UnitSample, s: float) -> None:
     raise _gate_refusal(sample.err_bound, s, sample.n_max, g)
 
 
-def ensure_ladders_resolve(xs: list, N: int, g: int, s: float) -> None:
-    """The gate of `ensure_window_resolution` at scale s for the ladders
-    of N points at each base of xs with g guard bits, checked before any
-    of them runs: a failure is that of the largest bound, and carries the
-    guard bits that pass every one."""
+def ensure_ladders_resolve(xs: list, N: int, g: int | None, s: float) -> None:
+    """The gate of `ensure_window_resolution` at scale s for the ladders of
+    N points at each base of xs with g guard bits (None: the default), before
+    any runs: a failure is the largest bound's, with the guard bits for all."""
+    g = _guard_bits(N, g)
     x = max(xs, key=lambda x: ladder_err_bound(x, N, g))
     bound = ladder_bound(x, N, g)
     if bound >= _window_gate(s, N):

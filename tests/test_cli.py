@@ -298,10 +298,10 @@ def test_one_enumeration_per_point_set(capsys, monkeypatch, argv,
     code, _, err = run(capsys, *argv, "--N", "1000,2000", "--s", "0.5,1,2",
                        "--workers", "1")
     assert code == 0, err
-    # sample by sample, N = 2000 then N = 1000 (`cli._sweep_sample`)
+    # sample by sample, N = 1000 then N = 2000 (`cli._sweep_sample`)
     from powcorr.mollify import make_outer
-    widest = ([make_outer(2.0, 2000).edge_f, make_outer(2.0, 1000).edge_f]
-              if "--smoothed" in argv else [2.0 / 2000, 2.0 / 1000])
+    widest = ([make_outer(2.0, 1000).edge_f, make_outer(2.0, 2000).edge_f]
+              if "--smoothed" in argv else [2.0 / 1000, 2.0 / 2000])
     assert passes == widest * samples
     assert enumerations == []
 
@@ -557,6 +557,10 @@ def test_sweep_gates_on_the_fraction(tmp_path, capsys):
     assert res["rows"][0]["squeeze"] == 2.0 ** 20
     assert [r["sample"] for r in res["rows"]] == sorted(
         r["sample"] for r in res["rows"])
+    # sample idx draws its x at seed + idx, as the benchmark's sweep repeats
+    assert [r["x"] for r in res["rows"]] == [
+        str(hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1 + idx))
+        for idx in range(10)]
 
 
 def test_sweep_work_cap_yields_partial_report_and_exit_5(tmp_path, capsys):
@@ -615,10 +619,10 @@ def test_one_point_set_per_sample_read_by_every_smaller_n(
 def test_a_failed_gate_hints_the_guard_bits_of_the_largest_n(capsys):
     """At --guard-bits 32 the N = 500 and N = 2000 gates at s = 0.01 of the
     first sample both fail: the refusal (exit 3, the documented code of
-    the gate) is the largest N's, whose ladder ran, and at the hinted
-    guard bits that sample passes.  A sweep checks every sample's ladder
-    at the largest N before any runs, and refuses with the largest bound
-    and the largest hint among its ten samples."""
+    the gate) is the largest N's, and at the hinted guard bits that sample
+    passes.  A sweep checks every sample's ladder at the largest N before
+    any runs, and refuses with the largest bound and the largest hint
+    among its ten samples."""
     grid = ("--N", "500,2000", "--s", "0.01,1", "--workers", "1")
     xs = [hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1 + idx)
           for idx in range(10)]
@@ -643,22 +647,47 @@ def test_a_failed_gate_hints_the_guard_bits_of_the_largest_n(capsys):
     assert len(payload_of(out)["results"]["rows"]) == 4
 
 
-@pytest.mark.parametrize("start", [32, 37, 38])
-def test_a_sweep_passes_its_gates_at_the_hinted_guard_bits(capsys, start):
-    """Whatever guard bits a sweep is refused at, a rerun at its hint
-    passes every gate of every sample (exit 0 or 1, the verdict); one bit
-    fewer is refused with the same hint."""
-    argv = ("sweep", "--A", "1.02", "--N", "500,2000", "--s", "0.01,1",
+@pytest.mark.parametrize("command, start", [
+    pytest.param(command, start,
+                 id=f"{command}-{start}" if command != "sweep" else str(start))
+    for command in ("sweep", "paircorr", "triple") for start in (32, 37, 38)])
+def test_a_sweep_passes_its_gates_at_the_hinted_guard_bits(capsys, command,
+                                                           start):
+    """Whatever guard bits a run over drawn x's is refused at, a rerun at
+    its hint passes every gate of every sample (exit 0 or 1, the verdict);
+    one bit fewer is refused with the same hint.  sweep, paircorr and
+    triple check one plan of samples, so they give one hint."""
+    argv = (command, "--A", "1.02", "--N", "500,2000", "--s", "0.01,1",
             "--samples", "10", "--seed", "1", "--workers", "1")
     code, out, err = run(capsys, *argv, "--guard-bits", str(start))
     assert (code, out) == (3, "")
     hint = int(err.rsplit(">= ", 1)[1])
+    assert hint == 40
     code, out, err = run(capsys, *argv, "--guard-bits", str(hint))
     assert code in (0, 1), err
     assert len(payload_of(out)["results"]["rows"]) == 10 * 2 * 2
     code, out, err = run(capsys, *argv, "--guard-bits", str(hint - 1))
     assert (code, out) == (3, "")
     assert err.endswith(f"regenerate with guard bits >= {hint}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "--out", "{tmp}/sample.txt"),
+    ("paircorr",),
+    ("triple",),
+    ("spacings",),
+    ("sweep",),
+    ("probe", "y"),
+], ids=["gen", "paircorr", "triple", "spacings", "sweep", "probe-y"])
+def test_guard_bits_below_32_are_one_refusal(tmp_path, capsys, argv):
+    """Every command that runs a ladder refuses --guard-bits below 32 with
+    the same line, before any gate."""
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv],
+                         "--A", "1.02", "--N", "1024", "--samples", "10",
+                         "--workers", "1", "--guard-bits", "12")
+    assert (code, out) == (3, "")
+    assert err == "domain error: guard bits must be >= 32, got 12\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_work_cap_funds_one_ladder_per_sample(capsys):
@@ -951,10 +980,14 @@ class RecordingPool:
     (("sweep", "--A", "1.02", "--N", "200", "--samples", "10",
       "--workers", "1"), []),
     (("paircorr", "--x", "3/2", "--N", "200", "--workers", "4"), []),
+    (("probe", "y", "--x", "3/2", "--N", "1024", "--samples", "3",
+      "--workers", "4"), []),
+    (("probe", "y", "--control", "nalpha", "--N", "1024", "--samples", "3",
+      "--workers", "4"), []),
     (("probe", "moment", "--N", "1024", "--mc-samples", "100",
       "--workers", "5000"), [100]),
 ], ids=["sweep-5000", "sweep-cpus", "sweep-3", "sweep-1", "one-job",
-        "moment-5000"])
+        "probe-y-x", "probe-y-nalpha", "moment-5000"])
 def test_one_job_runner_sizes_its_pool_by_the_jobs(capsys, monkeypatch, argv,
                                                    sizes):
     # under fork every max_workers process starts at the first submit, so
