@@ -60,21 +60,22 @@ def _window(cfg: ExperimentConfig, s: float, N: int) -> mollify.Mollifier:
     return maker(s, N, _delta_arg(cfg))
 
 
-def _bases(cfg: ExperimentConfig) -> list:
-    """The sample plan: each sample's ladder base, or None for a control
-    sample; a pinned x and the {n alpha} control admit one sample."""
+def _bases(cfg: ExperimentConfig):
+    """The sample plan, drawn as read: each sample's ladder base, or None for
+    a control sample; a pinned x and the {n alpha} control admit one sample."""
     if cfg.control != "none":
-        return [None] * (1 if cfg.control == "nalpha" else cfg.samples)
+        return iter([None] * (1 if cfg.control == "nalpha" else cfg.samples))
     if cfg.x is not None:
-        return [parse_rational(cfg.x)]
+        return iter([parse_rational(cfg.x)])
     A = parse_rational(cfg.A)
-    return [hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
-            for idx in range(cfg.samples)]
+    return (hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
+            for idx in range(cfg.samples))
 
 
-def _resolved(cfg: ExperimentConfig, bases: list) -> list:
+def _resolved(cfg: ExperimentConfig, bases) -> list:
     """bases, once their ladders pass the (s/N)/100 gate at the largest N
     and the smallest s, the tightest of the grid, before any of them runs."""
+    bases = list(bases)
     if bases[0] is not None:
         hpgen.ensure_ladders_resolve(bases, max(cfg.n_values),
                                      cfg.guard_bits, cfg.s_grid[0])
@@ -161,14 +162,11 @@ def _y_rows(cfg, idx, N, sample, threads) -> list:
 
 
 def _sweep_sample(job: tuple) -> list:
-    """Worker: the rows of one sample of the plan, over every N of the grid.
-
-    The point set is built once, at the largest N, and every N reads its
-    prefix (`UnitSample.prefix`): the statistic at N is over n <= N, and
-    the largest N's err_bound holds for every prefix.  Each distinct N is
-    evaluated once, in n_values order.
-
-    Named for its first user, sweep; tools that time jobs wrap this name."""
+    """Worker: one sample's rows over every N, each distinct N evaluated
+    once, in n_values order, on the prefix (`UnitSample.prefix`) of one
+    point set built at the largest N, whose err_bound holds for every
+    prefix.  Named for its first user, sweep; tools that time jobs wrap
+    this name."""
     rows_at, cfg, idx, x, threads = job
     full = _sample_for(cfg, idx, x, max(cfg.n_values))
     rows = {N: rows_at(cfg, idx, N, full.prefix(N), threads)
@@ -176,12 +174,13 @@ def _sweep_sample(job: tuple) -> list:
     return [row for N in cfg.n_values for row in rows[N]]
 
 
-def _run_samples(cfg: ExperimentConfig, rows_at, bases: list) -> list:
+def _run_samples(cfg: ExperimentConfig, rows_at, bases) -> list:
     """rows_at(cfg, idx, N, sample, threads) over the samples of the plan
     `bases` (`_bases`) and every N, in that order: one `hpgen.run_jobs` job
     per sample, which builds one point set, at the largest N, on --workers.
     A job counts pairs on `threads` threads (`hpgen.job_threads`): all the
     allowed CPUs for one job in this process, one for pooled jobs."""
+    bases = list(bases)
     threads = hpgen.job_threads(cfg.workers, len(bases))
     # looked up by name at each call, so a wrapper set on the module
     # attribute sees every in-process job
@@ -207,7 +206,7 @@ def cmd_gen(cfg: ExperimentConfig):
     if cfg.out is None:
         raise UsageError("gen requires --out (path for the sample file)")
     N = cfg.n_values[0]
-    sample = _sample_for(cfg, 0, _bases(cfg)[0], N)
+    sample = _sample_for(cfg, 0, next(_bases(cfg)), N)
     try:
         hpgen.save_sample(sample, cfg.out)
     except OSError as exc:
@@ -418,20 +417,21 @@ def cmd_sweep(cfg: ExperimentConfig):
             raise UsageError(
                 f"subsequence mode needs every N = M^20, got {bad}")
 
-    # the plan is cut after the first samples whose ladders, each at its
-    # own x and the largest N, fit the cap by their modelled cost
-    top_n = max(cfg.n_values)
-    bases = _bases(cfg)
-    spent = list(itertools.accumulate(
-        hpgen.ladder_work(x, top_n, cfg.guard_bits) for x in bases))
-    budgeted = sum(total <= cfg.work_cap for total in spent)
-    partial = budgeted < cfg.samples
-    if budgeted == 0:
+    # the plan stops where its ladders' summed modelled cost passes the cap
+    top_n, funded, spent = max(cfg.n_values), [], 0
+    for x in _bases(cfg):
+        spent += hpgen.ladder_work(x, top_n, cfg.guard_bits)
+        if spent > cfg.work_cap:
+            break
+        funded.append(x)
+    if not funded:
         raise ResourceError(
             f"work cap {cfg.work_cap} cannot fund even one sample "
-            f"(about {spent[0]:.3g} units each)")
+            f"(about {spent:.3g} units each)")
+    budgeted = len(funded)
+    partial = budgeted < cfg.samples
 
-    rows = _run_samples(cfg, _sweep_rows, _resolved(cfg, bases[:budgeted]))
+    rows = _run_samples(cfg, _sweep_rows, _resolved(cfg, funded))
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}
                for N, s, frac, count in _fractions_within(cfg, rows)]
     gate = all(item["fraction_within"] >= cfg.q

@@ -705,6 +705,29 @@ def test_the_work_cap_funds_one_ladder_per_sample(capsys):
     assert len(res["rows"]) == 8
 
 
+def test_the_plan_draws_no_x_past_the_one_that_breaks_the_cap(
+        capsys, monkeypatch, tmp_path):
+    """sweep draws the funded x's and the one that breaks the cap, not every
+    requested sample's; gen draws the one x it writes."""
+    draws = []
+    real = hpgen.sample_x
+    monkeypatch.setattr(hpgen, "sample_x",
+                        lambda *a: draws.append(a) or real(*a))
+    xs = [real(DyadicRational.parse("1.02"), 64, 1 + i) for i in range(4)]
+    cap = sum(hpgen.ladder_work(x, 2000) for x in xs)
+    code, out, err = run(capsys, "sweep", "--A", "1.02", "--N", "2000",
+                         "--s", "1", "--samples", "1000", "--seed", "1",
+                         "--workers", "1", "--work-cap", str(cap))
+    assert code == 5, err
+    assert payload_of(out)["results"]["samples_run"] == 4
+    assert len(draws) == 5
+    draws.clear()
+    code, _, err = run(capsys, "gen", "--A", "1.02", "--N", "50",
+                       "--samples", "1000", "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    assert len(draws) == 1
+
+
 def test_spacings_and_triple_smoke(tmp_path, capsys):
     code, out, _ = run(capsys, "spacings", "--control", "uniform",
                        "--N", "1500", "--samples", "2")

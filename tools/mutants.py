@@ -1,13 +1,13 @@
 """Mutation check: every mutant in MUTANTS must make its selected tests fail.
 
-    python3 tools/mutants.py [--only NAME ...] [--timeout SECONDS]
+    python3 tools/mutants.py
 
 Run from anywhere; the checkout is the parent of this file's directory.
 For each mutant the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` into a fresh temporary directory, replaces the mutant's
 old text, which must occur exactly once in its file, with the new text,
 and runs ``python -m pytest -q -x`` on the mutant's selector there, with
-the copy's ``src`` first on PYTHONPATH and a timeout.
+the copy's ``src`` first on PYTHONPATH and a timeout of TIMEOUT seconds.
 
 It prints one JSON line per mutant, {"name", "file", "status", "seconds",
 "why"} (and "occurrences" of the old text when it is missing), where
@@ -17,16 +17,15 @@ status is
 * ``survived``: every selected test passed;
 * ``missing``: the old text does not occur exactly once, so the table no
   longer matches the code and the entry needs mending;
-* ``timeout``: pytest ran past the timeout;
+* ``timeout``: pytest ran past TIMEOUT;
 * ``error``: pytest exited otherwise (bad selector, no test collected).
 
-The exit code is 0 when every mutant was killed, 1 otherwise, and 2 on
-bad usage.  Standard library only; it is not part of the Tier-1 suite.
+The exit code is 0 when every mutant was killed, 1 otherwise.  Standard
+library only; it is not part of the Tier-1 suite.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -38,6 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 600.0      # seconds allowed for one mutant's tests
 
 
 class Mutant(NamedTuple):
@@ -53,7 +53,7 @@ MUTANTS = (
     Mutant("paircorr-skips-the-plan-gate", "src/powcorr/cli.py",
            "    bases = _resolved(cfg, _bases(cfg))\n"
            "    rows = _run_samples(cfg, _paircorr_rows, bases)",
-           "    bases = _bases(cfg)\n"
+           "    bases = list(_bases(cfg))\n"
            "    rows = _run_samples(cfg, _paircorr_rows, bases)",
            ("tests/test_cli.py::"
             "test_a_sweep_passes_its_gates_at_the_hinted_guard_bits",),
@@ -74,8 +74,8 @@ MUTANTS = (
            "every ladder command refuses fewer than 32 guard bits with one "
            "message, before any gate"),
     Mutant("x-drawn-one-seed-later", "src/powcorr/cli.py",
-           "    return [hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)",
-           "    return [hpgen.sample_x(A, cfg.mantissa_bits, "
+           "    return (hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)",
+           "    return (hpgen.sample_x(A, cfg.mantissa_bits, "
            "cfg.seed + idx + 1)",
            ("tests/test_cli.py::test_sweep_gates_on_the_fraction",),
            "sample idx draws its x at --seed + idx; the benchmark's sweep "
@@ -119,7 +119,7 @@ MUTANTS = (
 )
 
 
-def _run(mutant: Mutant, timeout: float) -> dict:
+def _run(mutant: Mutant) -> dict:
     record = {"name": mutant.name, "file": mutant.file}
     text = (ROOT / mutant.file).read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
@@ -141,7 +141,7 @@ def _run(mutant: Mutant, timeout: float) -> dict:
                 [sys.executable, "-m", "pytest", "-q", "-x",
                  "-p", "no:cacheprovider", *mutant.tests],
                 cwd=work, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL, timeout=timeout).returncode
+                stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
             status = {0: "survived", 1: "killed"}.get(code, "error")
         except subprocess.TimeoutExpired:
             status = "timeout"
@@ -150,22 +150,10 @@ def _run(mutant: Mutant, timeout: float) -> dict:
             "why": mutant.why}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME",
-                        help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds allowed for one mutant's tests")
-    args = parser.parse_args(argv)
-    names = {m.name for m in MUTANTS}
-    unknown = sorted(set(args.only or ()) - names)
-    if unknown:
-        parser.error(f"no mutants named {', '.join(unknown)}")
+def main() -> int:
     ok = True
     for mutant in MUTANTS:
-        if args.only and mutant.name not in args.only:
-            continue
-        record = _run(mutant, args.timeout)
+        record = _run(mutant)
         print(json.dumps(record), flush=True)
         ok &= record["status"] == "killed"
     return 0 if ok else 1
