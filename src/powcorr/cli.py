@@ -25,8 +25,7 @@ import sys
 import numpy as np
 
 from .config import (ExperimentConfig, UsageError, parse_rational,
-                     parse_config_file, resolve_config, is_power,
-                     subsequence_index)
+                     parse_config_file, resolve_config, is_power)
 from .dyadic import DyadicRational
 from .errors import DomainError, NumericalError, ResourceError
 from . import corr, fourier, hpgen, mollify, probe
@@ -60,16 +59,33 @@ def _window(cfg: ExperimentConfig, s: float, N: int) -> mollify.Mollifier:
     return maker(s, N, _delta_arg(cfg))
 
 
+def _plan_size(cfg: ExperimentConfig) -> int:
+    """Samples the plan asks for: a pinned x and the {n alpha} control admit
+    one."""
+    pinned = cfg.control == "none" and cfg.x is not None
+    return 1 if pinned or cfg.control == "nalpha" else cfg.samples
+
+
 def _bases(cfg: ExperimentConfig):
     """The sample plan, drawn as read: each sample's ladder base, or None for
-    a control sample; a pinned x and the {n alpha} control admit one sample."""
+    a control sample.  It stops before the first base whose ladder would
+    bring the summed `hpgen.ladder_work` at the largest N past --work-cap,
+    and raises ResourceError when that base is the first."""
     if cfg.control != "none":
-        return iter([None] * (1 if cfg.control == "nalpha" else cfg.samples))
-    if cfg.x is not None:
-        return iter([parse_rational(cfg.x)])
-    A = parse_rational(cfg.A)
-    return (hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)
-            for idx in range(cfg.samples))
+        yield from [None] * _plan_size(cfg)
+        return
+    A, top_n, spent = parse_rational(cfg.A), max(cfg.n_values), 0
+    for idx in range(_plan_size(cfg)):
+        x = (parse_rational(cfg.x) if cfg.x is not None
+             else hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx))
+        spent += hpgen.ladder_work(x, top_n, cfg.guard_bits)
+        if spent > cfg.work_cap:
+            if not idx:
+                raise ResourceError(
+                    f"work cap {cfg.work_cap} cannot fund even one sample "
+                    f"(about {spent:.3g} units each)")
+            return
+        yield x
 
 
 def _resolved(cfg: ExperimentConfig, bases) -> list:
@@ -126,11 +142,8 @@ def _paircorr_rows(cfg, idx, N, sample, threads) -> list:
 
 
 def _sweep_rows(cfg, idx, N, sample, threads) -> list:
-    M = subsequence_index(N)
-    squeeze = ((M + 1) / M) ** 20
     counts = _grid_counts(cfg, sample, threads)
-    return [{"sample": idx, "x": str(sample.base), "N": N, "M": M,
-             "squeeze": squeeze, "s": s,
+    return [{"sample": idx, "x": str(sample.base), "N": N, "s": s,
              **_pair_ratio(sample, s, cfg.tol, counts)}
             for s in cfg.s_grid]
 
@@ -174,19 +187,26 @@ def _sweep_sample(job: tuple) -> list:
     return [row for N in cfg.n_values for row in rows[N]]
 
 
-def _run_samples(cfg: ExperimentConfig, rows_at, bases) -> list:
+def _run_samples(cfg: ExperimentConfig, rows_at, bases) -> tuple:
     """rows_at(cfg, idx, N, sample, threads) over the samples of the plan
     `bases` (`_bases`) and every N, in that order: one `hpgen.run_jobs` job
     per sample, which builds one point set, at the largest N, on --workers.
     A job counts pairs on `threads` threads (`hpgen.job_threads`): all the
-    allowed CPUs for one job in this process, one for pooled jobs."""
+    allowed CPUs for one job in this process, one for pooled jobs.
+    Returns the rows and EXIT_RESOURCE, after one FAIL line, when the work
+    cap cut the plan short, else EXIT_OK."""
     bases = list(bases)
     threads = hpgen.job_threads(cfg.workers, len(bases))
     # looked up by name at each call, so a wrapper set on the module
     # attribute sees every in-process job
     jobs = [(rows_at, cfg, idx, x, threads) for idx, x in enumerate(bases)]
     outcomes = hpgen.run_jobs(_sweep_sample, jobs, cfg.workers)
-    return [row for rows in outcomes for row in rows]
+    rows = [row for rows in outcomes for row in rows]
+    if len(bases) < _plan_size(cfg):
+        _say(f"FAIL plan stopped at the work cap after {len(bases)} of "
+             f"{_plan_size(cfg)} samples; report is partial")
+        return rows, EXIT_RESOURCE
+    return rows, EXIT_OK
 
 
 def _fractions_within(cfg: ExperimentConfig, rows: list):
@@ -206,7 +226,8 @@ def cmd_gen(cfg: ExperimentConfig):
     if cfg.out is None:
         raise UsageError("gen requires --out (path for the sample file)")
     N = cfg.n_values[0]
-    sample = _sample_for(cfg, 0, next(_bases(cfg)), N)
+    x = next(_bases(dataclasses.replace(cfg, n_values=(N,))))
+    sample = _sample_for(cfg, 0, x, N)
     try:
         hpgen.save_sample(sample, cfg.out)
     except OSError as exc:
@@ -221,13 +242,13 @@ def cmd_gen(cfg: ExperimentConfig):
 
 def cmd_paircorr(cfg: ExperimentConfig):
     bases = _resolved(cfg, _bases(cfg))
-    rows = _run_samples(cfg, _paircorr_rows, bases)
+    rows, code = _run_samples(cfg, _paircorr_rows, bases)
     summary = [{"N": N, "s": s, "fraction_within": frac}
                for N, s, frac, _ in _fractions_within(cfg, rows)]
     results = {"rows": rows, "summary": summary}
-    code = EXIT_OK
     if cfg.control == "nalpha":
-        # the asserted check: this control must NOT look Poissonian
+        # the asserted check: this control must NOT look Poissonian; its
+        # plan is one sample, so the cap refuses it or runs it whole
         flagged = all(not r["within_tol"] for r in rows)
         results["non_poissonian"] = flagged
         _say(("PASS" if flagged else "FAIL")
@@ -242,14 +263,14 @@ def cmd_paircorr(cfg: ExperimentConfig):
 
 
 def cmd_spacings(cfg: ExperimentConfig):
-    rows = _run_samples(cfg, _spacings_rows, _bases(cfg))
+    rows, code = _run_samples(cfg, _spacings_rows, _bases(cfg))
     table = [r.pop("ecdf") for r in rows if "ecdf" in r][-1]
-    return {"rows": rows, "ecdf": table}, table, EXIT_OK
+    return {"rows": rows, "ecdf": table}, table, code
 
 
 def cmd_triple(cfg: ExperimentConfig):
-    rows = _run_samples(cfg, _triple_rows, _resolved(cfg, _bases(cfg)))
-    return {"rows": rows}, rows, EXIT_OK
+    rows, code = _run_samples(cfg, _triple_rows, _resolved(cfg, _bases(cfg)))
+    return {"rows": rows}, rows, code
 
 
 def cmd_mollifier_check(cfg: ExperimentConfig):
@@ -323,12 +344,12 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
         return results, results["runs"], EXIT_OK
 
     if mode == "y":
-        rows = _run_samples(dataclasses.replace(cfg, n_values=(scheme.N,)),
-                            _y_rows, _bases(cfg))
+        cfg = dataclasses.replace(cfg, n_values=(scheme.N,))
+        rows, code = _run_samples(cfg, _y_rows, _bases(cfg))
         _say(f"INFO block sum Y_k at k={cfg.k}, N={scheme.N}: "
              f"max |y| = {max(abs(r['y']) for r in rows):.6g} "
              f"over {len(rows)} samples")
-        return {"rows": rows}, rows, EXIT_OK
+        return {"rows": rows}, rows, code
 
     if mode == "z":
         terms = probe._term_count(cfg.k, scheme.K)         # pairs m < n
@@ -411,33 +432,16 @@ def cmd_sweep(cfg: ExperimentConfig):
     if cfg.samples < 10:
         raise UsageError(
             f"sweep needs at least 10 x-samples, got {cfg.samples}")
-    if cfg.subsequence:
-        bad = [N for N in cfg.n_values if not is_power(N, 20)]
-        if bad:
-            raise UsageError(
-                f"subsequence mode needs every N = M^20, got {bad}")
 
-    # the plan stops where its ladders' summed modelled cost passes the cap
-    top_n, funded, spent = max(cfg.n_values), [], 0
-    for x in _bases(cfg):
-        spent += hpgen.ladder_work(x, top_n, cfg.guard_bits)
-        if spent > cfg.work_cap:
-            break
-        funded.append(x)
-    if not funded:
-        raise ResourceError(
-            f"work cap {cfg.work_cap} cannot fund even one sample "
-            f"(about {spent:.3g} units each)")
-    budgeted = len(funded)
-    partial = budgeted < cfg.samples
-
-    rows = _run_samples(cfg, _sweep_rows, _resolved(cfg, funded))
+    bases = _resolved(cfg, _bases(cfg))
+    rows, code = _run_samples(cfg, _sweep_rows, bases)
+    top_n, partial = max(cfg.n_values), code == EXIT_RESOURCE
     summary = [{"N": N, "s": s, "fraction_within": frac, "samples": count}
                for N, s, frac, count in _fractions_within(cfg, rows)]
     gate = all(item["fraction_within"] >= cfg.q
                for item in summary if item["N"] == top_n)
     results = {"rows": rows, "summary": summary, "partial": partial,
-               "samples_run": budgeted, "samples_requested": cfg.samples,
+               "samples_run": len(bases), "samples_requested": cfg.samples,
                "poissonian": gate}
     for item in summary:
         mark = " (asserted)" if item["N"] == top_n else ""
@@ -445,11 +449,7 @@ def cmd_sweep(cfg: ExperimentConfig):
              f"{item['fraction_within']:.0%} within tolerance{mark}")
     _say(f"{'PASS' if gate else 'FAIL'} sweep fraction >= {cfg.q:.0%} "
          f"at N={top_n} for every s")
-    if partial:
-        _say(f"FAIL sweep stopped at the work cap after {budgeted} of "
-             f"{cfg.samples} samples; report is partial")
-        return results, rows, EXIT_RESOURCE
-    return results, rows, EXIT_OK if gate else EXIT_CHECK_FAILED
+    return results, rows, code if partial or gate else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,7 @@ from .dyadic import DyadicRational
 from .errors import DomainError, PowcorrError
 
 __all__ = ["ExperimentConfig", "UsageError", "parse_rational",
-           "parse_config_file", "resolve_config", "is_power",
-           "subsequence_index"]
+           "parse_config_file", "resolve_config", "is_power"]
 
 
 class UsageError(PowcorrError, ValueError):
@@ -97,9 +96,7 @@ class ExperimentConfig:
     q: float = _setting(0.9, float,
                         "required fraction of samples within tolerance")
     tol: float = _setting(0.15, float, "tolerance on r2 / 2s around 1")
-    subsequence: bool = _setting(False, _parse_bool,
-                                 "restrict sweeps to N = M^20")
-    work_cap: int = _setting(2 ** 34, int, "sweep ladder work cap")
+    work_cap: int = _setting(2 ** 34, int, "ladder work cap")
     k: int = _setting(1, int, "block index")
     j: int = _setting(1, int, "coarser block index")
     atom_index: int = _setting(0, int, "filtration atom of probe z")
@@ -197,15 +194,3 @@ def is_power(N: int, exponent: int) -> bool:
         return False
     M = round(N ** (1.0 / exponent))
     return any(c >= 1 and c ** exponent == N for c in (M - 1, M, M + 1))
-
-
-def subsequence_index(N: int) -> int:
-    """The M with M^20 <= N < (M+1)^20."""
-    if N < 1:
-        raise UsageError(f"N must be positive, got {N}")
-    M = max(1, round(N ** 0.05))
-    while M ** 20 > N:
-        M -= 1
-    while (M + 1) ** 20 <= N:
-        M += 1
-    return M

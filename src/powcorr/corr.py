@@ -1,9 +1,9 @@
 """Correlation statistics on unit-interval samples.
 
-The pair counter and its quadratic-time oracle are kept predicate-identical:
-both decide membership through the same float subtractions (forward gap
-y_j - y_i, wrapped gap (y_j + 1.0) - y_i) compared against the same window
-w = s/N, so their counts agree exactly, ties included.
+The pair counter decides membership through the float subtractions of
+the quadratic oracle the tests keep (forward gap y_j - y_i, wrapped gap
+(y_j + 1.0) - y_i) compared against the same window w = s/N, so their
+counts agree exactly, ties included.
 
 Close pairs come from one offset pass over the sorted points
 (`_offset_pass`): step k tests whether the point k places ahead of each
@@ -46,14 +46,11 @@ from .mollify import Mollifier
 
 __all__ = [
     "PairWindows", "forward_window_pairs", "PairCounts", "count_pairs",
-    "window_width", "pair_corr",
-    "pair_corr_bruteforce", "pair_corr_smoothed", "triple_corr",
+    "window_width", "pair_corr", "pair_corr_smoothed", "triple_corr",
     "level_spacings", "spacings_sup_exponential", "star_discrepancy",
     "control_nalpha", "uniform_control",
 ]
 
-#: largest N the quadratic oracle will accept
-ORACLE_CAP = 4000
 #: cap on enumerated candidate pairs in the windowed counter
 MAX_WINDOW_PAIRS = 80_000_000
 
@@ -486,25 +483,6 @@ def pair_corr(sample: UnitSample, s: float,
     """
     w = window_width(sample, s)
     return 2.0 * _counted(sample, [w], counts).pairs[w] / sample.n_max
-
-
-def pair_corr_bruteforce(sample: UnitSample, s: float) -> float:
-    """Quadratic reference counter with identical tie semantics."""
-    n = sample.n_max
-    if n > ORACLE_CAP:
-        raise ResourceError(f"oracle cap is N <= {ORACLE_CAP}, got {n}")
-    w = window_width(sample, s)
-    pts = sample.points
-    inside_total = 0
-    block = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, n, block):
-        rows = pts[lo:lo + block, None]
-        d = np.abs(rows - pts[None, :])
-        hi = np.maximum(rows, pts[None, :])
-        small = np.minimum(rows, pts[None, :])
-        wrap = (small + 1.0) - hi
-        inside_total += int(np.count_nonzero((d <= w) | (wrap <= w)))
-    return (inside_total - n) / n  # remove the n diagonal self-pairs
 
 
 def pair_corr_smoothed(sample: UnitSample, F: Mollifier,

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from unittest import mock
 
@@ -94,19 +95,19 @@ def test_a_bad_name_in_a_config_file_is_a_usage_error(tmp_path, capsys,
     assert len(lines) == 1 and lines[0].startswith("usage error:")
 
 
-#: a non-default text for every setting; the two switches take no text
+#: a non-default text for every setting; the switch takes no text
 SETTING_TEXTS = {
     "A": "5/4", "x": "3/2", "xi": "3", "mantissa_bits": "32", "seed": "7",
     "n_values": "10,20", "s_grid": "0.5,1", "guard_bits": "12",
     "delta": "1/2^10", "flavor": "inner", "smoothed": "true",
     "control": "uniform", "samples": "3", "q": "0.5", "tol": "0.2",
-    "subsequence": "true", "work_cap": "1000", "k": "2", "j": "3",
-    "atom_index": "4", "parity": "even", "mc_samples": "5",
+    "work_cap": "1000", "k": "2", "j": "3", "atom_index": "4",
+    "parity": "even", "mc_samples": "5",
     "sample_count": "6", "l_values": "1,2", "n_powers": "3,4",
     "m_powers": "1,2", "m1": "3", "m2": "2", "a": "5/4", "b": "9/4",
     "out": "report", "workers": "2",
 }
-SWITCHES = ("smoothed", "subsequence")
+SWITCHES = ("smoothed",)
 
 
 def test_one_flag_per_setting_reads_text_as_a_config_line(tmp_path):
@@ -534,13 +535,6 @@ def test_sweep_needs_ten_samples(capsys):
     assert "10" in err
 
 
-def test_sweep_subsequence_mode_requires_twentieth_powers(capsys):
-    code, _, err = run(capsys, "sweep", "--N", "5000", "--samples", "10",
-                       "--subsequence")
-    assert code == 2
-    assert "M^20" in err
-
-
 def test_sweep_gates_on_the_fraction(tmp_path, capsys):
     prefix = tmp_path / "sw"
     code, _, err = run(capsys, "sweep", "--A", "1.02", "--N", "2000",
@@ -552,9 +546,6 @@ def test_sweep_gates_on_the_fraction(tmp_path, capsys):
     assert res["poissonian"] is True
     assert res["partial"] is False
     assert len(res["rows"]) == 10
-    # squeeze ratio at N = 2000: 1^20 <= N < 2^20
-    assert res["rows"][0]["M"] == 1
-    assert res["rows"][0]["squeeze"] == 2.0 ** 20
     assert [r["sample"] for r in res["rows"]] == sorted(
         r["sample"] for r in res["rows"])
     # sample idx draws its x at seed + idx, as the benchmark's sweep repeats
@@ -726,6 +717,49 @@ def test_the_plan_draws_no_x_past_the_one_that_breaks_the_cap(
                        "--samples", "1000", "--out", str(tmp_path / "s"))
     assert code == 0, err
     assert len(draws) == 1
+
+
+def test_a_ladder_past_the_cap_is_refused_before_it_runs(capsys):
+    """A pinned x whose one ladder costs more than the default cap (about
+    3.8e11 modelled units at N = 3e7, 22 times 2^34) is refused at once."""
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "paircorr", "--x", "3/2", "--N", "30000000",
+                         "--s", "1")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (5, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap:")
+
+
+@pytest.mark.parametrize("command", ["paircorr", "triple"])
+def test_a_capped_drawn_plan_emits_the_funded_prefix(capsys, command):
+    """Under a cap of the first three samples' ladders every ladder command
+    runs those three, as a run of three samples does, and exits 5 after
+    one partial line."""
+    xs = [hpgen.sample_x(DyadicRational.parse("1.02"), 64, 1 + i)
+          for i in range(3)]
+    cap = sum(hpgen.ladder_work(x, 2000) for x in xs)
+    argv = (command, "--A", "1.02", "--N", "500,2000", "--s", "0.5,1",
+            "--seed", "1", "--workers", "1")
+    code, out, err = run(capsys, *argv, "--samples", "10",
+                         "--work-cap", str(cap))
+    assert code == 5, err
+    assert [line for line in err.splitlines() if "partial" in line] == [
+        "FAIL plan stopped at the work cap after 3 of 10 samples; "
+        "report is partial"]
+    rows = payload_of(out)["results"]["rows"]
+    code, out, err = run(capsys, *argv, "--samples", "3")
+    assert code in (0, 1), err
+    assert rows == payload_of(out)["results"]["rows"]
+
+
+def test_gen_past_the_cap_writes_no_file(tmp_path, capsys):
+    code, out, err = run(capsys, "gen", "--x", "3/2", "--N", "100000",
+                         "--work-cap", "1000", "--out",
+                         str(tmp_path / "sample.txt"))
+    assert (code, out) == (5, "")
+    assert err.startswith("resource cap:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_spacings_and_triple_smoke(tmp_path, capsys):

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from powcorr import DomainError, DyadicRational, ResourceError, as_dyadic
 from powcorr.corr import (control_nalpha, count_pairs, forward_window_pairs,
                           golden_ratio_dyadic, level_spacings,
-                          pair_corr, pair_corr_bruteforce,
-                          pair_corr_smoothed, spacings_sup_exponential,
-                          star_discrepancy, triple_corr, uniform_control)
+                          pair_corr, pair_corr_smoothed,
+                          spacings_sup_exponential, star_discrepancy,
+                          triple_corr, uniform_control)
 from powcorr.hpgen import ladder_frac_powers, sample_x
 from powcorr.mollify import make_inner, make_outer
+
+from oracles import pair_corr_bruteforce
 
 
 def circ_dist(a: float, b: float) -> float:

@@ -52,9 +52,9 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("paircorr-skips-the-plan-gate", "src/powcorr/cli.py",
            "    bases = _resolved(cfg, _bases(cfg))\n"
-           "    rows = _run_samples(cfg, _paircorr_rows, bases)",
+           "    rows, code = _run_samples(cfg, _paircorr_rows, bases)",
            "    bases = list(_bases(cfg))\n"
-           "    rows = _run_samples(cfg, _paircorr_rows, bases)",
+           "    rows, code = _run_samples(cfg, _paircorr_rows, bases)",
            ("tests/test_cli.py::"
             "test_a_sweep_passes_its_gates_at_the_hinted_guard_bits",),
            "without the check of every drawn x before any job, paircorr "
@@ -74,12 +74,18 @@ MUTANTS = (
            "every ladder command refuses fewer than 32 guard bits with one "
            "message, before any gate"),
     Mutant("x-drawn-one-seed-later", "src/powcorr/cli.py",
-           "    return (hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx)",
-           "    return (hpgen.sample_x(A, cfg.mantissa_bits, "
-           "cfg.seed + idx + 1)",
+           "else hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx))",
+           "else hpgen.sample_x(A, cfg.mantissa_bits, cfg.seed + idx + 1))",
            ("tests/test_cli.py::test_sweep_gates_on_the_fraction",),
            "sample idx draws its x at --seed + idx; the benchmark's sweep "
            "reference repeats that draw"),
+    Mutant("drawn-plan-runs-past-the-cap", "src/powcorr/cli.py",
+           "            return\n        yield x\n",
+           "        yield x\n",
+           ("tests/test_cli.py::"
+            "test_a_capped_drawn_plan_emits_the_funded_prefix",),
+           "every ladder command funds the prefix of its plan that fits "
+           "--work-cap; a plan that runs on past the cap is unbounded"),
     Mutant("tally-without-its-mod-n-wrap", "src/powcorr/corr.py",
            "        acc[:len(add) - len(head)] += add[len(head):]\n",
            "",
