@@ -115,25 +115,24 @@ def _pair_ratio(sample: hpgen.UnitSample, s: float, tol: float,
     return {"r2": r2, "ratio": ratio, "within_tol": abs(ratio - 1.0) <= tol}
 
 
-def _grid_counts(cfg, sample, threads: int,
-                 runs: bool = False) -> corr.PairCounts:
-    """One counting pass over the sample at every s/N of the grid."""
+def _grid_counts(cfg, sample, threads: int, runs: bool = False,
+                 windows=()) -> corr.PairCounts:
+    """One counting pass over the sample at every s/N of the grid, which
+    also collects the band of each window; every s is checked before the
+    windows are read."""
     return corr.count_pairs(
         sample.points, [corr.window_width(sample, s) for s in cfg.s_grid],
-        runs, threads=threads)
+        runs, windows, threads)
 
 
 def _paircorr_rows(cfg, idx, N, sample, threads) -> list:
-    # every s is checked and every window built before the one counting
-    # pass, which with --smoothed also collects each window's band
-    widths, smoothed, delta = [], {}, _delta_arg(cfg)
-    for s in cfg.s_grid:
-        widths.append(corr.window_width(sample, s))
-        if cfg.smoothed:
-            smoothed[s] = {"r2_inner": mollify.make_inner(s, N, delta),
-                           "r2_outer": mollify.make_outer(s, N, delta)}
-    counts = corr.count_pairs(sample.points, widths, windows=[
-        F for Fs in smoothed.values() for F in Fs.values()], threads=threads)
+    delta = _delta_arg(cfg)
+    makers = {"r2_inner": mollify.make_inner, "r2_outer": mollify.make_outer}
+    smoothed = {s: {} for s in cfg.s_grid if cfg.smoothed}
+    # a generator: the pass builds the windows once every s is checked
+    counts = _grid_counts(cfg, sample, threads, windows=(
+        smoothed[s].setdefault(key, make(s, N, delta))
+        for s in smoothed for key, make in makers.items()))
     return [{"sample": idx, "control": cfg.control, "N": N, "s": s,
              **_pair_ratio(sample, s, cfg.tol, counts),
              **{key: corr.pair_corr_smoothed(sample, F, counts)

@@ -96,7 +96,8 @@ class ExperimentConfig:
     q: float = _setting(0.9, float,
                         "required fraction of samples within tolerance")
     tol: float = _setting(0.15, float, "tolerance on r2 / 2s around 1")
-    work_cap: int = _setting(2 ** 34, int, "ladder work cap")
+    work_cap: int = _setting(2 ** 34, int, "cap, >= 0, on the plan's summed "
+                             "hpgen.ladder_work, in modelled bit operations")
     k: int = _setting(1, int, "block index")
     j: int = _setting(1, int, "coarser block index")
     atom_index: int = _setting(0, int, "filtration atom of probe z")
@@ -136,6 +137,8 @@ class ExperimentConfig:
             raise UsageError(f"q must be in (0, 1], got {self.q}")
         if not 0.0 <= self.tol < float("inf"):
             raise UsageError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.work_cap < 0:
+            raise UsageError(f"work_cap must be >= 0, got {self.work_cap}")
         if self.workers is not None and self.workers < 0:
             raise UsageError(f"workers must be >= 0, got {self.workers}")
 

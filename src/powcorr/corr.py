@@ -15,9 +15,10 @@ narrower width.  So `count_pairs` turns one pass into the pair counts of
 step's runs reach) and the smoothed sums of `pair_corr_smoothed` at every
 width of an s grid: a window F is exactly 1.0 on its plateau, so its sum
 is the pair count at F.p_f plus the values of the few pairs on its ramp
-(F's band), added with one rounding by math.fsum.  Only the block sums of
-`probe` need the pairs themselves (`forward_window_pairs`).  Called
-without a pass's counts, a statistic makes its own at its own width.
+(F's band, the gaps in (F.p_f, F.edge_f]), added with one rounding by
+math.fsum.  Only the block sums of `probe` need the pairs themselves
+(`forward_window_pairs`).  Called without a pass's counts, a statistic
+makes its own at its own width.
 
 A run reads only its own start, reach and the points ahead of it, so
 `count_pairs` walks contiguous chunks of sorted positions, one thread
@@ -295,9 +296,9 @@ class PairCounts:
     whose float gap doubled[j] - ys[i] is <= w: every pair of points at
     circular distance <= w, once.  With `runs`, runs[w][i] is how many of
     them start at sorted position i, a prefix of run i, and degrees[w][i]
-    how many hold position i as either point.  bands[F] holds the gaps >
-    F.p_f of the pairs of forward_window_pairs(points, F.edge_f) for each
-    window F counted; pairs[F.p_f] counts the rest.
+    how many hold position i as either point.  bands[F] holds the gaps g
+    of the runs with F.p_f < g <= F.edge_f for each window F counted, its
+    band; pairs[F.p_f] counts the gaps below it.
     """
 
     n: int
@@ -314,7 +315,7 @@ def _spans(n: int, threads: int) -> list:
     return [(n * p // parts, n * (p + 1) // parts) for p in range(parts)]
 
 
-def _chunk_steps(ys, doubled, width, lo, hi, out, tests, tops, lengths,
+def _chunk_steps(ys, doubled, width, lo, hi, out, tests, windows, lengths,
                  degrees):
     """The steps of `_offset_pass` over the runs lo .. hi-1, one per next():
     (m, {w: pairs with gap <= w, for w in tests}, {F: F's band part}).
@@ -338,16 +339,12 @@ def _chunk_steps(ys, doubled, width, lo, hi, out, tests, tops, lengths,
                 _tally(lengths[w], lo, at, hit)
                 _tally(degrees[w], lo + k, at, hit)
         bands = {}
-        for F, top in tops.items():
-            if step[top] > step[F.p_f]:
-                band = np.less_equal(gaps, top, out=test)
+        for F in windows:
+            if step[F.edge_f] > step[F.p_f]:
+                band = np.less_equal(gaps, F.edge_f, out=test)
                 band &= np.greater(gaps, F.p_f,
                                    out=band_buf[lo:hi] if flat else None)
-                band = np.flatnonzero(band)
-                # the far-end test also drops what a mask leaves out: it
-                # is beyond the widest reach, so beyond F's
-                band = band[ends[band] <= _reach(starts[band], F.edge_f)]
-                bands[F] = gaps[band]
+                bands[F] = gaps[np.flatnonzero(band)]
         yield m, step, bands
 
 
@@ -376,10 +373,11 @@ def count_pairs(points: np.ndarray, widths, runs: bool = False,
     bands, run lengths and a refusal are those of one chunk, whatever the
     threads.  With one chunk the pass runs in this thread alone.
 
-    A window F is exactly 1.0 at gaps <= F.p_f, one more count width.  A
-    step looks for F's band only where a gap passes F.p_f but not a top
-    above every gap of F's enumeration, and the band keeps the pairs whose
-    far end is within F's reach, the enumeration's own run test.
+    A window F is exactly 1.0 at gaps <= F.p_f and 0.0 at gaps in
+    [F.edge_f, 1 - F.edge_f], so both are test widths, and a step takes
+    F's band where a gap passes the one and not the other.  A test at a
+    width up to the pass's holds only inside the runs (`_offset_pass`), so
+    the band holds every pair whose value F does not fix.
 
     Counts are Python ints.  The pass holds these O(n) buffers, in bytes
     per point:
@@ -400,23 +398,19 @@ def count_pairs(points: np.ndarray, widths, runs: bool = False,
     `runs`."""
     near = {F: [] for F in windows}
     widths = sorted(set(widths).union(F.p_f for F in near))
-    # a reach passes ys_i + edge_f by under 2^-40 relative plus two ulps
-    # of a float below 2
-    tops = {F: F.edge_f * (1.0 + 2.0 ** -39) + 2.0 ** -49 for F in near}
-    tests = sorted(set(widths).union(tops.values()))
+    tests = sorted(set(widths).union(F.edge_f for F in near))
     n = len(points)
     ys, doubled = _sorted_doubled(points)
     totals = dict.fromkeys(widths, 0)
     lengths = {w: np.zeros(n, dtype=TALLY) for w in widths} if runs else {}
     degrees = {w: np.zeros(n, dtype=TALLY) for w in lengths}
-    widest = max(widths + [F.edge_f for F in near])
     # every O(n) buffer is made here: a thread's allocations stay in its
     # own malloc arena, and would raise the peak resident memory
     out = (np.empty(n), np.empty(n, dtype=bool), np.empty(n, dtype=bool),
-           np.empty(n, dtype=bool) if tops else None)
+           np.empty(n, dtype=bool) if near else None)
     spans = _spans(n, threads)
-    walks = [_chunk_steps(ys, doubled, widest, lo, hi, out, tests, tops,
-                          lengths, degrees) for lo, hi in spans]
+    walks = [_chunk_steps(ys, doubled, max(tests), lo, hi, out, tests,
+                          near, lengths, degrees) for lo, hi in spans]
     touched = 0
     with (futures.ThreadPoolExecutor(len(spans) - 1) if len(spans) > 1
           else contextlib.nullcontext()) as pool:
@@ -489,14 +483,15 @@ def pair_corr_smoothed(sample: UnitSample, F: Mollifier,
                        counts: PairCounts | None = None) -> float:
     """(1/N) * sum over ordered pairs of F(y_n - y_m).
 
-    The pairs are those of forward_window_pairs(points, F.edge_f): F is
-    exactly 1.0 at the ones with gap <= F.p_f, which are counted, and
-    F.eval_array gives the value of each one of the band above them.  The
-    value is 2/N times the correctly rounded sum (math.fsum) of these K
-    per-pair values, so it is independent of their order and differs from
-    any other summation order by at most gamma_K * sum|v|.  `counts` must
-    be of the sample's N and hold F's band (count_pairs(..., windows=[F]));
-    with None one pass at F's edge counts them."""
+    F is exactly 1.0 at the pairs with gap <= F.p_f, which are counted,
+    and F.eval_array gives the value of each pair of its band, the gaps in
+    (F.p_f, F.edge_f] (`PairCounts`); every other pair adds 0.0.  The
+    value is 2/N times the correctly rounded sum (math.fsum) of the count
+    and these per-pair values, K terms in all, so it is independent of
+    their order and differs from any other summation order by at most
+    gamma_K * sum|v|.  `counts` must be of the sample's N and hold F's
+    band (count_pairs(..., windows=[F])); with None one pass at F's edge
+    counts them."""
     if F.N != sample.n_max:
         raise DomainError(
             f"window built for N = {F.N} but sample has N = {sample.n_max}")

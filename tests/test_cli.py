@@ -176,11 +176,13 @@ def test_a_reported_x_is_accepted_back_as_input(capsys):
     ("paircorr", "--tol", "nan", "--N", "100"),
     ("paircorr", "--tol=-0.1", "--N", "100"),
     ("sweep", "--tol", "inf", "--N", "100"),
+    ("sweep", "--A", "1.02", "--N", "2000", "--samples", "10",
+     "--work-cap", "-5"),
 ], ids=["bad-N", "bad-s", "missing-config", "unwritable-gen-out",
         "unwritable-out", "x-inf", "x-overflow", "x-nan", "A-inf", "xi-inf",
         "sweep-A-inf", "samples-abc", "flavor-inmer", "parity-bogus",
         "unknown-flag", "unknown-probe-mode", "no-command", "tol-nan",
-        "tol-negative", "tol-inf"])
+        "tol-negative", "tol-inf", "work-cap-negative"])
 def test_bad_values_and_paths_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2

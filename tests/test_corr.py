@@ -302,16 +302,16 @@ def pairwise_smoothed(sample, F):
 def assert_smoothed_sums(sample, F, counts):
     """pair_corr_smoothed, with these counts and with its own pass, is 2/N
     times the fsum of F over a fresh enumeration at F's edge, bit for bit;
-    the band holds exactly that enumeration's pairs above the plateau; and
-    the pairwise sum agrees within 2 gamma_K sum|v|."""
+    the band holds exactly that enumeration's gaps in (F.p_f, F.edge_f];
+    and the pairwise sum agrees within 2 gamma_K sum|v|."""
     N = sample.n_max
     fresh = forward_window_pairs(sample.points, F.edge_f)
     values = F.eval_array(fresh.gaps)
     want = 2.0 * math.fsum(values) / N
     assert pair_corr_smoothed(sample, F, counts).hex() == want.hex()
     assert pair_corr_smoothed(sample, F).hex() == want.hex()
-    assert_same_bytes(np.sort(counts.bands[F]),
-                      np.sort(fresh.gaps[fresh.gaps > F.p_f]))
+    band = (fresh.gaps > F.p_f) & (fresh.gaps <= F.edge_f)
+    assert_same_bytes(np.sort(counts.bands[F]), np.sort(fresh.gaps[band]))
     K = len(values)
     gamma = K * 2.0 ** -53 / (1.0 - K * 2.0 ** -53)
     tol = 2.0 * gamma * (2.0 * math.fsum(np.abs(values)) / N)
@@ -512,12 +512,12 @@ def dyadic_sample(points):
                       xi=DyadicRational.from_int(1))
 
 
-def test_band_tests_the_far_end_not_the_gap():
+def test_a_pair_just_past_the_edge_is_out_of_the_band():
     """At N = 8, s = 1/4 the run of y = 3 * 2^-58 reaches 0x1.0000000001003p-5;
     the point one ulp past it is outside the run, yet its float gap from y
-    rounds onto the reach's own gap, so only the far end tells them apart.
-    A pass at s = 1/2 holds that pair; the band of the inner window at
-    s = 1/4, whose edge is 1/32, must leave it out."""
+    rounds onto the reach's own gap.  A pass at s = 1/2 holds that pair;
+    its gap passes the edge 1/32 of the inner window at s = 1/4, so that
+    window's band leaves it out, as the window's own enumeration does."""
     sample = dyadic_sample([3 * 2.0 ** -58,
                             float.fromhex("0x1.0000000001004p-5"),
                             0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
@@ -527,9 +527,8 @@ def test_band_tests_the_far_end_not_the_gap():
     assert len(fresh.gaps) == len(wide.gaps) - 1 == 0
     F = make_inner(0.25, 8)
     assert F.edge_f == 0.25 / 8
-    # the pair's gap passes the edge by under 2^-39 relative, inside the
-    # band's gap test; only its far end is outside
-    assert F.p_f < wide.gaps[0] <= F.edge_f * (1.0 + 2.0 ** -39)
+    # the pair's gap passes the edge by under 2^-39 relative
+    assert F.edge_f < wide.gaps[0] <= F.edge_f * (1.0 + 2.0 ** -39)
     counts = count_pairs(pts, [0.25 / 8, 0.5 / 8], runs=True, windows=[F])
     assert len(counts.bands[F]) == 0
     assert_smoothed_sums(sample, F, counts)
@@ -573,16 +572,18 @@ def test_a_wide_ramp_puts_many_pairs_in_the_band(seed):
 
 
 def test_an_outer_edge_of_one_half():
-    """N = 4, s = 3/2, delta = 1/8: the outer support edge is exactly 1/2,
-    and the forward gap 1/2 + 2^-42 is inside the run at 1/2, so it is in
-    the band although it passes the edge.  F reads it as 1/2 - 2^-42 from
-    the next integer; its ramp value 3 (2^-39)^2 is lost in the rounding
-    of 1 - v^2 (3 - 2 v), so it adds 0.0, as in the enumeration."""
+    """N = 4, s = 3/2, delta = 1/8: the outer support edge is exactly 1/2.
+    The pair of 0 and 1/2 + 2^-42 has the forward gap 1/2 + 2^-42, inside
+    the run at 1/2 but past the edge, and the wrapped gap 1/2 - 2^-42; the
+    band holds it once, by the wrapped gap.  Its ramp value 3 (2^-39)^2 is
+    lost in the rounding of 1 - v^2 (3 - 2 v), so it adds 0.0, as each of
+    its two gaps does in the enumeration, and the sum is unchanged."""
     F = make_outer(Fraction(3, 2), 4, Fraction(1, 8))
     assert F.edge_f == 0.5
     sample = dyadic_sample([0.0, 0.5 + 2.0 ** -42, 0.625, 0.8125])
     counts = count_pairs(sample.points, [], windows=[F])
-    assert 0.5 + 2.0 ** -42 in counts.bands[F].tolist()
+    assert 0.5 - 2.0 ** -42 in counts.bands[F].tolist()
+    assert 0.5 + 2.0 ** -42 not in counts.bands[F].tolist()
     assert_smoothed_sums(sample, F, counts)
 
 

@@ -111,11 +111,18 @@ MUTANTS = (
            "the cap is charged with a step's total over every chunk, so a "
            "refusal does not depend on the threads"),
     Mutant("the-narrowest-width-walked", "src/powcorr/corr.py",
-           "    widest = max(widths + [F.edge_f for F in near])",
-           "    widest = min(widths + [F.edge_f for F in near])",
+           "    walks = [_chunk_steps(ys, doubled, max(tests), lo, hi,",
+           "    walks = [_chunk_steps(ys, doubled, min(tests), lo, hi,",
            ("tests/test_corr.py",),
            "one pass at the widest width or window edge serves every "
            "narrower width"),
+    Mutant("band-takes-the-plateau-edge", "src/powcorr/corr.py",
+           "np.greater(gaps, F.p_f,",
+           "np.greater_equal(gaps, F.p_f,",
+           ("tests/test_corr.py::"
+            "test_pairs_exactly_at_the_plateau_and_at_the_edge",),
+           "a gap at F.p_f is counted at the plateau; a band that holds it "
+           "too adds its 1.0 twice"),
     Mutant("w1-for-both-triple-widths", "src/powcorr/corr.py",
            "    w2 = window_width(sample, s2)",
            "    w2 = window_width(sample, s1)",
