@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from .config import (ExperimentConfig, UsageError, parse_rational,
-                     parse_config_file, resolve_config, is_power)
+                     parse_config_file, resolve_config)
 from .dyadic import DyadicRational
 from .errors import DomainError, NumericalError, ResourceError
 from . import corr, fourier, hpgen, mollify, probe
@@ -323,10 +323,11 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
     N0 = cfg.n_values[0]
 
     if mode in _BLOCK_MODES:
-        if not is_power(N0, 10):
-            raise UsageError(f"probe needs N = K^10 to slice blocks; {N0} is "
-                             "not a 10th power")
-        scheme = probe.blocks(N0)
+        try:
+            scheme = probe.blocks(N0)
+        except DomainError as err:
+            raise UsageError(
+                f"probe needs N = K^10 to slice blocks; {err}") from None
         G = mollify.centered(_window(cfg, s0, scheme.N))
 
     if mode == "partition":
@@ -351,15 +352,8 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
         return {"rows": rows}, rows, code
 
     if mode == "z":
-        terms = probe._term_count(cfg.k, scheme.K)         # pairs m < n
-        atoms = 1 << probe.mu(A, cfg.k, scheme.K)          # <= the count
-        if atoms * terms <= probe.TOWER_WORK_CAP:          # cheap to walk
-            atoms = probe.filtration_runs(A, cfg.k, scheme.K)[1]
-        if atoms * terms > probe.TOWER_WORK_CAP:
-            raise ResourceError(f"tower check over at least {atoms} atoms x "
-                                f"{terms} terms exceeds {probe.TOWER_WORK_CAP}")
-        z_val = probe.cond_exp_Z(A, cfg.k, scheme, G, cfg.atom_index)
         weighted, direct, rel = probe.tower_check(A, cfg.k, scheme, G)
+        z_val = probe.cond_exp_Z(A, cfg.k, scheme, G, cfg.atom_index)
         ok = rel <= 1e-6
         results = {"z_atom": z_val, "atom_index": cfg.atom_index,
                    "tower_weighted": weighted, "tower_direct": direct,

@@ -13,7 +13,7 @@ from .dyadic import DyadicRational
 from .errors import DomainError, PowcorrError
 
 __all__ = ["ExperimentConfig", "UsageError", "parse_rational",
-           "parse_config_file", "resolve_config", "is_power"]
+           "parse_config_file", "resolve_config"]
 
 
 class UsageError(PowcorrError, ValueError):
@@ -190,10 +190,3 @@ def resolve_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
                            else val)
     return ExperimentConfig(**merged)
 
-
-def is_power(N: int, exponent: int) -> bool:
-    """True when N = M^exponent for some integer M >= 1."""
-    if N < 1:
-        return False
-    M = round(N ** (1.0 / exponent))
-    return any(c >= 1 and c ** exponent == N for c in (M - 1, M, M + 1))

@@ -22,7 +22,7 @@ from .errors import DomainError
 __all__ = [
     "Mollifier", "CenteredMollifier", "HypothesisCheck", "HypothesisReport",
     "make_outer", "make_inner", "centered", "verify_hypotheses",
-    "outer_min_n", "inner_min_n", "window_fraction",
+    "window_fraction",
 ]
 
 #: points per block of `Mollifier.eval_array`
@@ -35,22 +35,6 @@ def window_fraction(s) -> Fraction:
     if v <= 0:
         raise DomainError(f"window parameter s must be positive, got {s}")
     return v
-
-
-def outer_min_n(s) -> int:
-    """Least N whose default outer support s/N + 1/N^2 stays within 1/2."""
-    s = window_fraction(s)
-    n = max(1, math.ceil(2 * s))
-    while s / n + Fraction(1, n * n) > Fraction(1, 2):
-        n += 1
-    return n
-
-
-def inner_min_n(s) -> int:
-    """Least N keeping the inner plateau s/N - 1/N^2 positive and the
-    support edge s/N within 1/2."""
-    s = window_fraction(s)
-    return max(math.floor(1 / s) + 1, math.ceil(2 * s))
 
 
 @dataclass(frozen=True)
@@ -184,42 +168,28 @@ def centered(F: Mollifier) -> CenteredMollifier:
     return CenteredMollifier(base=F, mean=F.integral)
 
 
-def _resolve_delta(s: Fraction, N: int, delta) -> Fraction:
-    if delta is None:
-        return Fraction(1, N * N)
-    d = Fraction(delta)
-    if d <= 0:
-        raise DomainError("ramp width must be positive")
-    return d
+def _resolve_delta(N: int, delta) -> Fraction:
+    """The ramp width: delta, or 1/N^2 when it is None."""
+    if N < 1:
+        raise DomainError(f"N must be positive, got {N}")
+    return Fraction(1, N * N) if delta is None else Fraction(delta)
 
 
 def make_outer(s, N: int, delta=None) -> Mollifier:
     """Window dominating the indicator: plateau out to s/N, ramp beyond."""
-    s = window_fraction(s)
-    needed = outer_min_n(s)
-    if N < needed:
-        raise DomainError(
-            f"outer window needs N >= {needed} for s = {s} "
-            f"(ramp must fit inside the 2s/N support cap), got N = {N}")
-    d = _resolve_delta(s, N, delta)
+    s, d = window_fraction(s), _resolve_delta(N, delta)
     if d > s / N:
-        raise DomainError(
-            f"ramp width {d} exceeds the plateau half-width {s}/{N}")
+        raise DomainError(f"ramp width {d} exceeds the plateau half-width "
+                          f"s/N = {float(s / N)}")
     return Mollifier(s=s, N=N, delta=d, flavor="outer", p=s / N)
 
 
 def make_inner(s, N: int, delta=None) -> Mollifier:
     """Window dominated by the indicator: ramp ends exactly at s/N."""
-    s = window_fraction(s)
-    needed = inner_min_n(s)
-    if N < needed:
-        raise DomainError(
-            f"inner window needs N >= {needed} for s = {s} "
-            f"(plateau s/N - delta must stay positive), got N = {N}")
-    d = _resolve_delta(s, N, delta)
+    s, d = window_fraction(s), _resolve_delta(N, delta)
     if d >= s / N:
-        raise DomainError(
-            f"ramp width {d} leaves no inner plateau for s/N = {s}/{N}")
+        raise DomainError(f"ramp width {d} leaves no inner plateau for "
+                          f"s/N = {float(s / N)}")
     return Mollifier(s=s, N=N, delta=d, flavor="inner", p=s / N - d)
 
 

@@ -43,7 +43,8 @@ __all__ = [
 DEFAULT_ATOM_CAP = 1_000_000
 #: refuse level sets over more integer windows M than this
 WINDOW_CAP = 1 << 20
-#: `probe z` refuses tower checks over more atoms x (n, m) terms than this
+#: `tower_check` refuses, before any quadrature, a level-k partition of
+#: more atoms than this // the (n, m) terms of block k
 TOWER_WORK_CAP = 1_000_000
 #: largest N for the direct double-sum side of the parity identity
 IDENTITY_N_CAP = 4096
@@ -475,8 +476,13 @@ def cond_exp_Z(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
 def tower_check(A, k: int, scheme: BlockScheme, G: CenteredMollifier,
                 quad_cfg: QuadConfig = DEFAULT_QUAD) -> tuple:
     """(length-weighted atom average of Z, direct integral of Y, rel gap);
-    the atoms and the direct integral share one set of cuts per term."""
-    part = filtration(as_dyadic(A), k, scheme.K)
+    the atoms and the direct integral share one set of cuts per term.
+
+    Refused with ResourceError, before any quadrature, when the level-k
+    partition has more than TOWER_WORK_CAP // terms atoms, terms being
+    the (n, m) pairs of block k."""
+    part = filtration(as_dyadic(A), k, scheme.K,
+                      TOWER_WORK_CAP // _term_count(k, scheme.K))
     whole = [(part.z[0], part.z[-1])]           # [A, A + 1]
     atoms, direct = _y_integrals(whole, [list(zip(part.z, part.z[1:])), whole],
                                  k, scheme, G, quad_cfg)

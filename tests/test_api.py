@@ -1,5 +1,6 @@
 """Every module's declared public API resolves to real names."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -21,6 +22,30 @@ def test_every_name_in_all_exists(name):
     module = importlib.import_module(name)
     names = getattr(module, "__all__", ())
     assert [attr for attr in names if not hasattr(module, attr)] == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a name with a leading underscore belongs to its module; a read from
+    # another module is a second owner of what it computes
+    src = Path(powcorr.__file__).parent
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules
+                    and node.attr.startswith("_")):
+                reads.append(f"{path.name}: {node.value.id}.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.level or node.module.startswith("powcorr")):
+                reads += [f"{path.name}: from {node.module} import "
+                          f"{alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert reads == []
 
 
 def load_perfbench(name: str, monkeypatch):

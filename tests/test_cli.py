@@ -16,12 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import powcorr
-from powcorr import DyadicRational
+from powcorr import DyadicRational, ResourceError
 from powcorr import cli
 from powcorr.cli import _resolve, build_parser, main
 from powcorr.config import (ExperimentConfig, parse_config_file,
                             resolve_config)
 from powcorr import hpgen, probe, quad
+from powcorr.mollify import centered, make_outer
 
 
 def run(capsys, *argv):
@@ -326,6 +327,15 @@ def test_a_bad_s_exits_before_any_enumeration(capsys, monkeypatch, argv,
     assert passes == [] and enumerations == []
 
 
+def test_an_explicit_delta_is_judged_on_its_own(capsys):
+    # edge 1.9/4 + 1/64 < 1/2, though the default 1/16 would pass 1/2
+    code, out, err = run(capsys, "paircorr", "--smoothed", "--N", "4",
+                         "--s", "1.9", "--delta", "1/64", "--control",
+                         "uniform", "--samples", "1")
+    assert code == 0, err
+    assert payload_of(out)["results"]
+
+
 def test_a_capped_smoothed_paircorr_exits_5_without_pair_arrays(
         capsys, monkeypatch):
     """At N = 10^6, s = 100 the runs hold about 10^8 candidate pairs: the
@@ -370,9 +380,10 @@ def test_nalpha_control_flags_non_poissonian(capsys):
 
 
 def test_probe_requires_tenth_power_n(capsys):
-    code, _, err = run(capsys, "probe", "y", "--N", "1000")
-    assert code == 2
-    assert "10th power" in err
+    for n in ("1000", "1"):                   # N < 1024 included
+        code, _, err = run(capsys, "probe", "y", "--N", n)
+        assert code == 2
+        assert "10th power" in err
 
 
 def test_probe_partition_emits_the_hand_example(capsys):
@@ -483,24 +494,31 @@ def test_probe_z_reports_tower_property(capsys):
 
 def test_probe_z_refuses_an_oversized_tower_check_before_quadrature(
         capsys, monkeypatch):
-    # level 8 at A = 3/2, N = 1024: 595,287 atoms x 29 (n, m) terms
+    # _y_integrals is the one quadrature entry of tower_check and cond_exp_Z
     def explode(*args, **kwargs):
         raise AssertionError("quadrature ran before the work cap")
-    monkeypatch.setattr(probe, "cond_exp_Z", explode)
-    monkeypatch.setattr(probe, "tower_check", explode)
+    monkeypatch.setattr(probe, "_y_integrals", explode)
+    # level 8 at A = 3/2, N = 1024: 595,287 atoms x 29 (n, m) terms
     code, out, err = run(capsys, "probe", "z", "--A", "3/2", "--N", "1024",
                          "--k", "8")
     assert code == 5
     assert out == ""
-    assert f"595287 atoms x 29 terms exceeds {probe.TOWER_WORK_CAP}" in err
+    cap = probe.TOWER_WORK_CAP // 29
+    assert f"partition has 595287 atoms, above the cap {cap}" in err
+    scheme = probe.blocks(1024)
+    G = centered(make_outer(1.0, 1024))
+    with pytest.raises(ResourceError, match=f"above the cap {cap}"):
+        probe.tower_check(DyadicRational(3, 1), 8, scheme, G)
     # far above the cap, the lower bound 2^mu(A) on the count refuses
     # before the runs are walked
     monkeypatch.setattr(probe, "filtration_runs", explode)
-    code, _, err = run(capsys, "probe", "z", "--A", "3/2", "--N", "1024",
-                       "--k", "500")
+    code, out, err = run(capsys, "probe", "z", "--A", "3/2", "--N", "1024",
+                         "--k", "500")
     assert code == 5
-    lower = 1 << probe.mu(DyadicRational(3, 1), 500, 2)
-    assert f"at least {lower} atoms x 1997 terms" in err
+    assert out == ""
+    least = probe.mu(DyadicRational(3, 1), 500, 2)
+    assert (f"partition has at least 2^{least} atoms, above the cap "
+            f"{probe.TOWER_WORK_CAP // 1997}") in err
 
 
 def test_probe_vdc_rows(capsys):

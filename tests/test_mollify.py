@@ -91,6 +91,29 @@ def test_small_n_is_rejected_when_window_cannot_fit():
         make_outer(2.0, 4)
 
 
+@pytest.mark.parametrize("maker, s, N, delta, builds", [
+    (make_outer, 1, 1, None, False),      # edge 1 + 1 past 1/2
+    (make_outer, 2, 3, None, False),      # edge 2/3 + 1/9 past 1/2
+    (make_inner, 1, 1, None, False),      # ramp 1 leaves no plateau
+    (make_inner, 2, 3, None, False),      # edge 2/3 past 1/2
+    (make_outer, 1, 10, Fraction(-1, 100), False),
+    (make_inner, 1, 10, Fraction(-1, 100), False),
+    (make_outer, 1, 0, None, False),      # N must be positive
+    (make_outer, 1.9, 4, Fraction(1, 64), True),    # edge 0.4906
+    (make_inner, Fraction(1, 2), 2, Fraction(1, 16), True),
+])
+def test_a_window_is_judged_by_its_ramp_and_its_edge(maker, s, N, delta,
+                                                     builds):
+    """Past a positive N and delta, the ramp-width and support-edge checks
+    alone decide; an explicit delta is judged on its own, not by the
+    default 1/N^2's least N."""
+    if not builds:
+        with pytest.raises(DomainError):
+            maker(s, N, delta)
+        return
+    assert verify_hypotheses(maker(s, N, delta)).all_pass
+
+
 @given(st.floats(min_value=0.1, max_value=3.0),
        st.integers(min_value=20, max_value=2000))
 @settings(max_examples=100, deadline=None)

@@ -123,6 +123,21 @@ MUTANTS = (
             "test_pairs_exactly_at_the_plateau_and_at_the_edge",),
            "a gap at F.p_f is counted at the plateau; a band that holds it "
            "too adds its 1.0 twice"),
+    Mutant("tower-check-uncapped", "src/powcorr/probe.py",
+           "    part = filtration(as_dyadic(A), k, scheme.K,\n"
+           "                      TOWER_WORK_CAP // _term_count(k, scheme.K))",
+           "    part = filtration(as_dyadic(A), k, scheme.K)",
+           ("tests/test_cli.py::"
+            "test_probe_z_refuses_an_oversized_tower_check_before_quadrature",),
+           "the tower check is refused by its atoms x (n, m) terms before "
+           "any quadrature, for the CLI and the library alike"),
+    Mutant("window-edge-refusal-dropped", "src/powcorr/mollify.py",
+           "        if self.p + self.delta > Fraction(1, 2):",
+           "        if False:",
+           ("tests/test_mollify.py::"
+            "test_a_window_is_judged_by_its_ramp_and_its_edge",),
+           "the support-edge check is the one refusal of a window whose "
+           "ramps would fold past 1/2, small N included"),
     Mutant("w1-for-both-triple-widths", "src/powcorr/corr.py",
            "    w2 = window_width(sample, s2)",
            "    w2 = window_width(sample, s1)",
