@@ -345,7 +345,7 @@ def cmd_probe(cfg: ExperimentConfig, mode: str):
 
     if mode == "y":
         cfg = dataclasses.replace(cfg, n_values=(scheme.N,))
-        rows, code = _run_samples(cfg, _y_rows, _bases(cfg))
+        rows, code = _run_samples(cfg, _y_rows, _resolved(cfg, _bases(cfg)))
         _say(f"INFO block sum Y_k at k={cfg.k}, N={scheme.N}: "
              f"max |y| = {max(abs(r['y']) for r in rows):.6g} "
              f"over {len(rows)} samples")

@@ -22,7 +22,8 @@ import numpy as np
 
 from .dyadic import DyadicRational, as_dyadic
 from .errors import DomainError, ResourceError, require
-from .hpgen import UnitSample, ladder_frac_powers, run_jobs, sample_x
+from .hpgen import (UnitSample, ensure_window_resolution, ladder_frac_powers,
+                    run_jobs, sample_x)
 from .corr import forward_window_pairs
 from .mollify import (EVAL_BLOCK, CenteredMollifier, Mollifier, centered,
                       make_outer, window_fraction)
@@ -167,12 +168,9 @@ def _scale_floor(d: DyadicRational, m: int) -> int:
 def filtration_runs(A, k: int, K: int) -> tuple:
     """Run-length form of the partition; cost scales with the number of
     distinct widths, not the atom count, so arbitrarily fine partitions
-    can be checked exactly."""
+    can be checked exactly.  The first step's `mu(A, k, K)` refuses A <= 1
+    and k or K below 1."""
     A = as_dyadic(A)
-    if not A > DyadicRational.from_int(1):
-        raise DomainError(f"A must exceed 1, got {A}")
-    if k < 1 or K < 1:
-        raise DomainError(f"need k >= 1 and K >= 1, got k={k}, K={K}")
     end = A + DyadicRational.from_int(1)
     runs = []
     z = A
@@ -297,14 +295,14 @@ def _window_F_sums_by_block(points: np.ndarray, scheme: BlockScheme,
 
 def block_sum_Y(sample: UnitSample, k: int, scheme: BlockScheme,
                 G: CenteredMollifier) -> float:
-    """Y_k = sum over n in block k, m < n of G(points[n] - points[m])."""
-    if not 1 <= k <= scheme.n_blocks:
-        raise DomainError(f"block index {k} outside 1..{scheme.n_blocks}")
-    top = k * scheme.K
+    """Y_k = sum over n in block k, m < n of G(points[n] - points[m]), of a
+    sample whose err_bound passes the (s/N)/100 gate at G's s."""
+    top = scheme.block(k).stop - 1
     if sample.n_max < top:
         raise DomainError(
             f"sample holds {sample.n_max} points but block {k} reaches "
             f"index {top}")
+    ensure_window_resolution(sample, float(G.base.s))
     pts = sample.points[:top]
     vals, pair_block = _window_F_sums_by_block(pts, scheme, G.base)
     f_sum = float(vals[pair_block == k].sum())
@@ -322,10 +320,12 @@ def _parity_term_counts(scheme: BlockScheme) -> tuple:
 
 def parity_block_sums(sample: UnitSample, scheme: BlockScheme,
                       G: CenteredMollifier) -> tuple:
-    """(sum of Y_k over odd k, over even k) in one window enumeration."""
+    """(sum of Y_k over odd k, over even k) in one window enumeration, of a
+    sample whose err_bound passes the (s/N)/100 gate at G's s."""
     if sample.n_max != scheme.N:
         raise DomainError(
             f"sample has N = {sample.n_max}, scheme expects {scheme.N}")
+    ensure_window_resolution(sample, float(G.base.s))
     vals, pair_block = _window_F_sums_by_block(sample.points, scheme, G.base)
     odd_mask = (pair_block % 2).astype(bool)
     f_odd = float(vals[odd_mask].sum())
@@ -609,18 +609,11 @@ def second_moment_slope(A, s: float, mc_samples: int, seed: int,
 def vdc_bound_check(a, b, l: int, n: int, m: int,
                     quad_cfg: QuadConfig = DEFAULT_QUAD) -> tuple:
     """(|integral of exp(2 pi i l (x^n - x^m))|, 1/gamma) with the bound
-    gamma = l n a^(n-1) (1 - 1/a); the inequality is asserted."""
-    a, b = as_dyadic(a), as_dyadic(b)
-    if not (DyadicRational.from_int(1) < a < b):
-        raise DomainError(f"need 1 < a < b, got a={a}, b={b}")
-    if n < 2 or not n > m >= 1 or l < 1:
-        raise DomainError(
-            f"need n >= 2, n > m >= 1, l >= 1; got l={l}, n={n}, m={m}")
-    af = a.as_fraction()
-    curv = n * (n - 1) * af ** (n - 2) - m * (m - 1) * af ** (m - 2)
-    if not curv > 0:
-        raise DomainError("phase is not strictly convex on [a, b]")
+    gamma = l n a^(n-1) (1 - 1/a); the inequality is asserted.  The
+    integral refuses the inputs it cannot take; those it takes, n > m >= 1
+    and 1 < a < b, make the phase strictly convex on [a, b]."""
     value = abs(oscillatory_power_integral(l, n, m, a, b, quad_cfg))
+    af = as_dyadic(a).as_fraction()
     gamma = float(l * n * af ** (n - 1) * (1 - 1 / af))
     bound = 1.0 / gamma
     require("oscillatory integral against its van der Corput bound",
@@ -727,8 +720,9 @@ def _window_ends(n: int, m: int, a: DyadicRational, b: DyadicRational,
     da, db = d * ga, d * gb                  # d * 2^scale * g(a), g(b)
     a_f, b_f = float(a), float(b)
     ms = range(ga >> scale, -(-gb >> scale) + 1)   # floor g(a) .. ceil g(b)
-    if len(ms) > WINDOW_CAP:
-        raise ResourceError(f"{len(ms)} integer windows of x^{n} - x^{m} on "
+    count = ms.stop - ms.start               # len(ms) overflows past 2^63
+    if count > WINDOW_CAP:
+        raise ResourceError(f"{count} integer windows of x^{n} - x^{m} on "
                             f"[{a}, {b}] exceed the cap {WINDOW_CAP}")
     targets = np.array(ms, dtype=float) + [[float(o)] for o in offsets]
     seeds = monotone_root(n, m, a_f, b_f, targets)
@@ -767,7 +761,8 @@ def level_intervals(m1: int, m2: int, A, s: float, N: int) -> list:
 
 def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
     """(exact preimage measure, bound) for {x in [a,b]:
-    dist(f(x), Z) <= s/N} with f increasing and convex.
+    dist(f(x), Z) <= s/N}, f(x) = x^n - x^m, which n > m >= 0 and a > 1
+    make increasing and convex on [a, b].
 
     The bound is 4s(b-a)/N + 4s/(N f'(a)); the measure must stay below
     1.25 times the bound or the run is declared numerically broken.
@@ -776,19 +771,13 @@ def convexity_measure(f_spec, interval, s: float, N: int) -> tuple:
         n, m = f_spec, 0
     else:
         n, m = f_spec
-    if not (n > m >= 0 and n >= 1):
+    if not n > m >= 0:
         raise DomainError(f"need exponents n > m >= 0, got ({n}, {m})")
     a, b = (as_dyadic(interval[0]), as_dyadic(interval[1]))
     if not (DyadicRational.from_int(1) < a < b):
         raise DomainError(f"need 1 < a < b, got a={a}, b={b}")
     af, bf = a.as_fraction(), b.as_fraction()
     deriv_a = n * af ** (n - 1) - m * af ** (m - 1)
-    curv_a = (n * (n - 1) * af ** (n - 2)
-              - m * (m - 1) * af ** (m - 2))
-    if not deriv_a > 0:
-        raise DomainError("f is not strictly increasing at the left end")
-    if curv_a < 0:
-        raise DomainError("f is not convex at the left end")
     w = window_fraction(s) / N
     if not w < Fraction(1, 2):
         raise DomainError(f"window s/N = {float(w)} reaches 1/2")

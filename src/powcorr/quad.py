@@ -42,9 +42,9 @@ class QuadConfig:
     levin_nodes: int = 24
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:                # NaN fails too
             raise DomainError("the tolerance must be positive")
-        if self.levin_nodes < 8:
+        if self.nodes_per_piece < 1 or self.levin_nodes < 8:
             raise DomainError("node counts too small to integrate anything")
 
 
@@ -221,6 +221,11 @@ def oscillatory_power_integral(l: int, n: int, m: int, a, b,
     one = 1 << (e * n)                  # l * g(edge) = its integer / one
     ends = [(float(x), l * scaled_g(x.numerator << (e - x.exponent), e, n, m))
             for x in edges]
+    # a panel needs binary64 width to place its nodes
+    for (p, _), (q, _) in zip(ends, ends[1:]):
+        if not p < q:
+            raise ResourceError(f"panel ends of [{a}, {b}] coincide at {p:.17g},"
+                                " beyond binary64 oscillatory quadrature")
     panels = [(p, q, (gp % one) / one, (gq % one) / one, (gq - gp) / one)
               for (p, gp), (q, gq) in zip(ends, ends[1:])]
 

@@ -521,6 +521,80 @@ def test_probe_z_refuses_an_oversized_tower_check_before_quadrature(
             f"{probe.TOWER_WORK_CAP // 1997}") in err
 
 
+def test_probe_refusals_fire_before_any_quadrature(capsys, monkeypatch):
+    """A collapsed vdc interval, an overflowing window count, an unresolved
+    block sum and a bad quadrature config are each refused, CLI and library
+    alike, before a root, a window pair or a quadrature runs (probe y's
+    gate, before any ladder, is the next test's)."""
+    # 2^70 and 2^70 + 1 round to one binary64
+    huge, past = DyadicRational(1 << 70, 0), DyadicRational((1 << 70) + 1, 0)
+    three = DyadicRational(3, 1)
+    scheme = probe.blocks(1024)
+    coarse = hpgen.ladder_frac_powers(three, 1, 1024, 32)
+    G = centered(make_outer(0.01, 1024))
+    hint = hpgen.required_guard_bits(coarse, 0.01)
+
+    def explode(*args, **kwargs):
+        raise AssertionError("work ran before the refusal")
+    for owner, name in ((quad, "certify"), (probe, "certify"),
+                        (probe, "monotone_root"),
+                        (probe, "_window_F_sums_by_block")):
+        monkeypatch.setattr(owner, name, explode)
+    for argv, code, line in (
+            (("vdc", "--a", str(1 << 70), "--b", str((1 << 70) + 1)), 5,
+             f"resource cap: panel ends of [{huge}, {past}] coincide at "
+             "1.1805916207174113e+21, beyond binary64 oscillatory quadrature"),
+            (("vdc", "--l", "0", "--a", "3/2", "--b", "5/2"), 3,
+             "domain error: need n > m >= 1 and l >= 1, got l=0, n=2, m=1"),
+            (("count", "--m1", "50", "--m2", "1", "--A", "3/2", "--s", "1",
+              "--N", "100"), 5,
+             "resource cap: 78886090521463559042 integer windows of x^50 - "
+             "x^1 on [3/2^1, 5/2^1] exceed the cap 1048576"),
+            (("count", "--A", str(1 << 70), "--N", "100"), 5,
+             "resource cap: 2361183241434822606849 integer windows of x^2 - "
+             f"x^1 on [{huge}, {past}] exceed the cap 1048576")):
+        assert run(capsys, "probe", *argv) == (code, "", line + "\n")
+    for call, error, match in (
+            (lambda: quad.oscillatory_power_integral(1, 2, 1, huge, past),
+             ResourceError, "coincide at"),
+            (lambda: probe.vdc_bound_check(three, DyadicRational(5, 1), 0, 2, 1),
+             powcorr.DomainError, "need n > m >= 1 and l >= 1"),
+            (lambda: probe.level_intervals(50, 1, three, 1.0, 100),
+             ResourceError, "exceed the cap 1048576"),
+            (lambda: probe.convexity_measure((2, 1), (huge, past), 1.0,
+                                             100),
+             ResourceError, "exceed the cap 1048576"),
+            (lambda: probe.block_sum_Y(coarse, 1, scheme, G),
+             powcorr.PrecisionError, f"guard bits >= {hint}$"),
+            (lambda: probe.parity_block_sums(coarse, scheme, G),
+             powcorr.PrecisionError, r"\(s/N\)/100 gate"),
+            (lambda: probe.block_sum_Y(coarse, 0, scheme, G),
+             powcorr.DomainError, "block index 0 outside 1..512"),
+            (lambda: quad.QuadConfig(nodes_per_piece=0),
+             powcorr.DomainError, "node counts too small"),
+            (lambda: quad.QuadConfig(rel_tol=float("nan")),
+             powcorr.DomainError, "tolerance must be positive"),
+            (lambda: probe.refinement_holds(1, 1, 2, 2),
+             powcorr.DomainError, "x must exceed 1")):
+        with pytest.raises(error, match=match):
+            call()
+
+
+def test_probe_y_is_gated_before_any_ladder_as_paircorr_is(capsys,
+                                                          monkeypatch):
+    """probe y checks its plan at the (s/N)/100 gate before any ladder
+    runs, as paircorr does: at paircorr's flags it exits 3 with
+    paircorr's line and guard-bit hint."""
+    flags = ("--x", "3/2", "--N", "59049", "--guard-bits", "32",
+             "--samples", "1", "--workers", "1")
+    code, out, err = run(capsys, "paircorr", *flags)
+    assert (code, out) == (3, "")
+    assert err.endswith("regenerate with guard bits >= 40\n")
+    monkeypatch.setattr(hpgen, "ladder_frac_powers", mock.Mock(
+        side_effect=AssertionError("a ladder ran before the gate")))
+    assert run(capsys, "probe", "y", "--k", "1", *flags) == (3, "", err)
+
+
 def test_probe_vdc_rows(capsys):
     code, out, _ = run(capsys, "probe", "vdc", "--l", "1,2",
                        "--n-powers", "2,3", "--m-powers", "1",

@@ -138,6 +138,35 @@ MUTANTS = (
             "test_a_window_is_judged_by_its_ramp_and_its_edge",),
            "the support-edge check is the one refusal of a window whose "
            "ramps would fold past 1/2, small N included"),
+    Mutant("block-sum-without-the-gate", "src/powcorr/probe.py",
+           "    ensure_window_resolution(sample, float(G.base.s))\n"
+           "    pts = sample.points[:top]",
+           "    pts = sample.points[:top]",
+           ("tests/test_cli.py::"
+            "test_probe_refusals_fire_before_any_quadrature",),
+           "a block sum Y_k is a windowed statistic: its sample's err_bound "
+           "must pass the (s/N)/100 gate at G's s"),
+    Mutant("probe-y-skips-the-plan-gate", "src/powcorr/cli.py",
+           "_run_samples(cfg, _y_rows, _resolved(cfg, _bases(cfg)))",
+           "_run_samples(cfg, _y_rows, _bases(cfg))",
+           ("tests/test_cli.py::"
+            "test_probe_y_is_gated_before_any_ladder_as_paircorr_is",),
+           "probe y checks its plan at the gate before any ladder runs, as "
+           "paircorr, triple and sweep do"),
+    Mutant("window-count-taken-with-len", "src/powcorr/probe.py",
+           "    count = ms.stop - ms.start",
+           "    count = len(ms)",
+           ("tests/test_cli.py::"
+            "test_probe_refusals_fire_before_any_quadrature",),
+           "len() of a range past 2^63 windows raises OverflowError, a "
+           "traceback where the window cap should refuse"),
+    Mutant("collapsed-panel-accepted", "src/powcorr/quad.py",
+           "        if not p < q:",
+           "        if False:",
+           ("tests/test_cli.py::"
+            "test_probe_refusals_fire_before_any_quadrature",),
+           "a panel whose ends are one binary64 divides by its zero "
+           "half-width and certifies nan"),
     Mutant("w1-for-both-triple-widths", "src/powcorr/corr.py",
            "    w2 = window_width(sample, s2)",
            "    w2 = window_width(sample, s1)",
